@@ -18,9 +18,9 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import cyclicity_rank
 from .frames import EigensolverError, frame_bounds_estimate, frame_section, gram
-from .jsonio import complex_to_json, dumps_canonical
+from .jsonio import complex_to_json, dumps_canonical, write_canonical
 from .orbits import orbit
-from .series import BoundaryGrid, TruncatedSeries
+from .series import BoundaryGrid, series_from_coeffs
 from .symbols import SymbolSpec, innerness_test, realize, uses_exact_evaluation
 from .verify import (
     PROPOSITIONS,
@@ -47,19 +47,10 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _seed_series(config: ExperimentConfig) -> TruncatedSeries:
-    arr = np.zeros(config.truncation_order + 1, dtype=complex)
-    coeffs = np.asarray(config.seed_coeffs, dtype=complex)
-    m = min(coeffs.size, arr.size)
-    arr[:m] = coeffs[:m]
-    return TruncatedSeries(arr)
-
-
 def _orbit_from_config(config: ExperimentConfig):
-    sym = realize(config.symbol, config.truncation_order)
-    return orbit(
-        sym, _seed_series(config), config.orbit_length, config.truncation_order
-    )
+    n = config.truncation_order
+    sym = realize(config.symbol, n)
+    return orbit(sym, series_from_coeffs(config.seed_coeffs, n), config.orbit_length, n)
 
 
 # -- subcommand bodies (importable; return exit codes) ------------------------
@@ -218,8 +209,7 @@ def cmd_report_all(config_dir: str | None, out_dir: str) -> int:
         note = report.evidence.get("note")
         if note:
             notes[prop] = note
-        with open(out_path / f"{prop}.json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dumps_canonical(report_to_json(report)))
+        write_canonical(out_path / f"{prop}.json", report_to_json(report))
 
     exit_code = (
         EXIT_INCONSISTENT
@@ -232,8 +222,7 @@ def cmd_report_all(config_dir: str | None, out_dir: str) -> int:
         "notes": notes,
         "exit_code": exit_code,
     }
-    with open(out_path / "index.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_canonical(index))
+    write_canonical(out_path / "index.json", index)
     sys.stdout.write(dumps_canonical(index))
     return exit_code
 
@@ -320,12 +309,13 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.proposition, config, out)
         raise ConfigError(f"unknown command {args.command!r}")
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (EigensolverError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, UnknownPropositionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EigensolverError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries, inner_product
+from .series import TruncatedSeries, inner_products
 from .orbits import Orbit
 from .symbols import SymbolRealization, evaluate_symbol
 from .frames import frame_section
@@ -86,9 +86,10 @@ def kernel_orthogonality_witness(orb: Orbit, z0: complex) -> KernelPairingReport
     the span.
     """
     kernel = reproducing_kernel(z0, orb.order)
-    pairings = np.array(
-        [abs(inner_product(e, kernel.series)) for e in orb.elements]
-    )
+    p = inner_products(orb.V, kernel.series.coeffs)
+    # np.abs on a complex array may differ from abs() in the last bit;
+    # hypot is what abs() computes.
+    pairings = np.hypot(p.real, p.imag)
     n = int(np.argmax(pairings))
     return KernelPairingReport(
         max_pairing=float(pairings[n]), argmax_n=n, pairings=pairings
@@ -128,8 +129,7 @@ def cyclicity_rank(orb: Orbit, rank_tol: float = RANK_REL_TOL) -> CyclicityRepor
     the span is deficient, the witness is a unit vector annihilated (to
     eigensolver precision) by the compressed frame operator.
     """
-    v = orb.coefficient_matrix()
-    singulars = np.linalg.svd(v, compute_uv=False)
+    singulars = np.linalg.svd(orb.V, compute_uv=False)
     sigma_max = float(singulars[0]) if singulars.size else 0.0
     if sigma_max == 0.0:
         rank = 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries, inner_product
+from .series import TruncatedSeries, inner_products, series_from_coeffs
 from .orbits import Orbit, orbit as make_orbit
 
 TIGHT_REL_TOL = 1e-8
@@ -57,7 +57,7 @@ class FrameBounds:
 
 def partial_frame_sums(g: TruncatedSeries, orb: Orbit) -> np.ndarray:
     """Cumulative sums of |<g, phi^n f>|^2 in n; monotone nondecreasing."""
-    vals = np.array([inner_product(g, e) for e in orb.elements])
+    vals = inner_products(g.coeffs, orb.V)
     return np.cumsum(vals.real**2 + vals.imag**2)
 
 
@@ -69,18 +69,16 @@ def frame_sum(g: TruncatedSeries, orb: Orbit) -> float:
 def gram(orb: Orbit) -> GramMatrix:
     """Hermitian Gram matrix of the orbit elements.
 
-    Assembled entrywise with the same ascending-order inner product used
-    everywhere else, mirrored by conjugation, so the result is exactly
-    Hermitian and reproducible.
+    Each upper-triangle row comes from the same ascending-order inner
+    product used everywhere else and is mirrored by conjugation, so the
+    result is exactly Hermitian and reproducible.
     """
     k = orb.length
     g = np.zeros((k, k), dtype=complex)
     for m in range(k):
-        for n in range(m, k):
-            val = inner_product(orb.elements[n], orb.elements[m])
-            g[m, n] = val
-            if n != m:
-                g[n, m] = np.conj(val)
+        row = inner_products(orb.V[m:], orb.V[m])
+        g[m, m:] = row
+        g[m + 1 :, m] = np.conj(row[1:])
     return GramMatrix(entries=g, orbit_len=k)
 
 
@@ -88,8 +86,7 @@ def frame_section(orb: Orbit) -> FrameSection:
     """Accumulate S = sum_n v_n v_n* over the orbit, in ascending n."""
     n1 = orb.order + 1
     s = np.zeros((n1, n1), dtype=complex)
-    for e in orb.elements:
-        v = e.coeffs
+    for v in orb.V:
         s += np.outer(v, np.conj(v))
     return FrameSection(matrix=s, orbit_len=orb.length, order=orb.order)
 
@@ -127,10 +124,8 @@ def frame_bounds_estimate(sec: FrameSection) -> FrameBounds:
 
 def apply_frame_operator(g: TruncatedSeries, orb: Orbit) -> TruncatedSeries:
     """S g = sum_n <g, phi^n f> phi^n f over the finite orbit."""
-    out = np.zeros(orb.order + 1, dtype=complex)
-    for e in orb.elements:
-        out += inner_product(g, e) * e.coeffs
-    return TruncatedSeries(out)
+    weights = inner_products(g.coeffs, orb.V)
+    return TruncatedSeries(np.cumsum(weights[:, None] * orb.V, axis=0)[-1])
 
 
 def bounds_vs_truncation(spec, seed_coeffs, orders, orbit_lengths) -> list[FrameBounds]:
@@ -151,16 +146,8 @@ def bounds_vs_truncation(spec, seed_coeffs, orders, orbit_lengths) -> list[Frame
     results = []
     for n in orders:
         sym = realize(spec, n)
-        seed = _padded_seed(seed_coeffs, n)
+        seed = series_from_coeffs(seed_coeffs, n)
         for k in orbit_lengths:
             orb = make_orbit(sym, seed, k, n)
             results.append(frame_bounds_estimate(frame_section(orb)))
     return results
-
-
-def _padded_seed(seed_coeffs, order: int) -> TruncatedSeries:
-    arr = np.asarray(seed_coeffs, dtype=complex)
-    out = np.zeros(order + 1, dtype=complex)
-    m = min(arr.size, order + 1)
-    out[:m] = arr[:m]
-    return TruncatedSeries(out)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries, mul, norm
+from .series import TruncatedSeries, inner_products, mul, series_from_coeffs
 from .symbols import SymbolRealization
 
 DECAY_SLOPE_DEADBAND = 1e-3
@@ -22,20 +22,28 @@ MIN_ORBIT_FOR_DECAY = 8
 
 @dataclass(frozen=True, eq=False)
 class Orbit:
+    """The orbit as one read-only (K+1) x (N+1) matrix V.
+
+    Row n of V holds the coefficients of phi^n f; norms[n] and
+    truncated[n] describe that row.
+    """
+
     symbol: SymbolRealization
-    seed: TruncatedSeries
-    elements: tuple
+    V: np.ndarray
     norms: np.ndarray
     truncated: np.ndarray
-    order: int
+
+    @property
+    def order(self) -> int:
+        return self.V.shape[1] - 1
 
     @property
     def length(self) -> int:
-        return len(self.elements)
+        return self.V.shape[0]
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """(K+1) x (N+1) array; row n holds the coefficients of phi^n f."""
-        return np.vstack([e.coeffs for e in self.elements])
+    @property
+    def seed(self) -> TruncatedSeries:
+        return TruncatedSeries(self.V[0])
 
     def exact_prefix_length(self) -> int:
         """Number of leading elements free of any truncation loss."""
@@ -68,17 +76,18 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
     """Iterate T_phi from the seed: elements phi^n f for n = 0..count."""
     if count < 0:
         raise ValueError("orbit length must be >= 0")
-    seed = f if f.order == order else (
-        f.padded(order) if f.order < order else TruncatedSeries(f.coeffs[: order + 1])
-    )
+    element = series_from_coeffs(f.coeffs, order)
 
     seed_degree = f.exact_degree()
     sym_degree = sym.degree if sym.series_exact else None
     symbol_is_zero = sym.series_exact and sym.degree is None
 
-    elements = [seed]
-    for _ in range(count):
-        elements.append(mul(sym.series, elements[-1], order))
+    v = np.empty((count + 1, order + 1), dtype=complex)
+    v[0] = element.coeffs
+    for n in range(1, count + 1):
+        element = mul(sym.series, element, order)
+        v[n] = element.coeffs
+    v.flags.writeable = False
 
     truncated = np.zeros(count + 1, dtype=bool)
     truncated[0] = seed_degree is not None and seed_degree > order
@@ -92,15 +101,8 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
             truncated[n:] = True
             break
 
-    norms = np.array([norm(e) for e in elements])
-    return Orbit(
-        symbol=sym,
-        seed=seed,
-        elements=tuple(elements),
-        norms=norms,
-        truncated=truncated,
-        order=order,
-    )
+    norms = np.sqrt(inner_products(v, v).real)
+    return Orbit(symbol=sym, V=v, norms=norms, truncated=truncated)
 
 
 def matrix_section(sym: SymbolRealization, order: int) -> OperatorSection:

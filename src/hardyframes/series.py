@@ -19,19 +19,6 @@ import numpy as np
 FFT_MIN_OPERAND_LEN = 64
 
 
-def _ascending_sum(values: np.ndarray) -> complex:
-    """Sum in strictly ascending index order (serial, reproducible)."""
-    if values.size == 0:
-        return 0j
-    return complex(np.cumsum(values)[-1])
-
-
-def _ascending_sum_real(values: np.ndarray) -> float:
-    if values.size == 0:
-        return 0.0
-    return float(np.cumsum(values)[-1])
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedSeries:
     """Degree-N surrogate for a disk function: coefficients a_0..a_N."""
@@ -56,14 +43,6 @@ class TruncatedSeries:
         """Index of the last exactly-nonzero coefficient, None if all zero."""
         nz = np.nonzero(self.coeffs)[0]
         return int(nz[-1]) if nz.size else None
-
-    def padded(self, order: int) -> "TruncatedSeries":
-        """Same coefficients at a (weakly) larger order."""
-        if order < self.order:
-            raise ValueError("padded() cannot reduce the order")
-        out = np.zeros(order + 1, dtype=complex)
-        out[: self.coeffs.size] = self.coeffs
-        return TruncatedSeries(out)
 
 
 @dataclass(frozen=True)
@@ -105,9 +84,18 @@ class BoundarySamples:
         return self.grid.size > 2 * self.source_order
 
 
-def series_from_coeffs(coeffs) -> TruncatedSeries:
-    """Build a series from a_0..a_N; order is len(coeffs) - 1."""
-    return TruncatedSeries(np.asarray(coeffs, dtype=complex))
+def series_from_coeffs(coeffs, order: int | None = None) -> TruncatedSeries:
+    """Build a series from a_0..a_M at the given order (default M).
+
+    Coefficients are zero-padded up to the order or truncated down to it.
+    """
+    arr = np.asarray(coeffs, dtype=complex)
+    if order is not None:
+        out = np.zeros(order + 1, dtype=complex)
+        m = min(arr.size, order + 1)
+        out[:m] = arr[:m]
+        arr = out
+    return TruncatedSeries(arr)
 
 
 def zero_series(order: int) -> TruncatedSeries:
@@ -179,25 +167,35 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, target_order: int) -> TruncatedS
     return TruncatedSeries(out)
 
 
-def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:
-    """<f, g> = sum_n a_n conj(b_n) over the common coefficient range.
+def inner_products(f, g) -> np.ndarray:
+    """<f, g> = sum_n a_n conj(b_n) for coefficient arrays along the last axis.
 
-    Real and imaginary parts are accumulated from commutative scalar
-    products, so inner(f, g) == conj(inner(g, f)) holds bitwise (the
-    fused complex-multiply kernels do not guarantee that).
+    Leading axes broadcast, so one call pairs every row of a matrix with a
+    vector.  Only the common coefficient range counts.  Real and imaginary
+    parts are accumulated separately from commutative scalar products, in
+    ascending index order, so each result is bit-identical to the scalar
+    case and inner(f, g) == conj(inner(g, f)) up to the sign of a zero
+    (the fused complex-multiply kernels do not guarantee that).
     """
-    n = min(f.coeffs.size, g.coeffs.size)
-    fr, fi = f.coeffs.real[:n], f.coeffs.imag[:n]
-    gr, gi = g.coeffs.real[:n], g.coeffs.imag[:n]
-    re = _ascending_sum_real(fr * gr + fi * gi)
-    im = _ascending_sum_real(fi * gr - fr * gi)
-    return complex(re, im)
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    n = min(f.shape[-1], g.shape[-1])
+    fr, fi = f.real[..., :n], f.imag[..., :n]
+    gr, gi = g.real[..., :n], g.imag[..., :n]
+    re = np.cumsum(fr * gr + fi * gi, axis=-1)[..., -1]
+    im = np.cumsum(fi * gr - fr * gi, axis=-1)[..., -1]
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:
+    """<f, g> for two series; see `inner_products`."""
+    return complex(inner_products(f.coeffs, g.coeffs))
 
 
 def norm_sq(f: TruncatedSeries) -> float:
     """Squared norm sum |a_n|^2, accumulated in ascending order."""
-    c = f.coeffs
-    return _ascending_sum_real(c.real**2 + c.imag**2)
+    return float(inner_products(f.coeffs, f.coeffs).real)
 
 
 def norm(f: TruncatedSeries) -> float:
@@ -226,8 +224,7 @@ def norm_via_boundary(samples: BoundarySamples) -> float:
     Equals the coefficient norm exactly (up to rounding) when the grid
     satisfies M > 2N; check `samples.alias_safe` before relying on that.
     """
-    v = samples.values
-    total = _ascending_sum_real(v.real**2 + v.imag**2)
+    total = float(inner_products(samples.values, samples.values).real)
     return float(np.sqrt(total / samples.grid.size))
 
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import BoundaryGrid, TruncatedSeries, mul, series_from_coeffs
+from .series import (
+    BoundaryGrid,
+    TruncatedSeries,
+    boundary_samples,
+    mul,
+    series_from_coeffs,
+)
 
 KINDS = ("constant", "monomial", "scaled_shift", "polynomial", "blaschke")
 
@@ -145,9 +151,7 @@ def _expand(spec: SymbolSpec, order: int) -> TruncatedSeries:
         m = min(arr.size, order + 1)
         out[:m] = arr[:m]
     elif spec.kind == "blaschke":
-        acc = series_from_coeffs(
-            np.concatenate([[spec.prefactor], np.zeros(order, dtype=complex)])
-        )
+        acc = series_from_coeffs([spec.prefactor], order)
         for a in spec.zeros:
             acc = mul(acc, _blaschke_factor_series(a, order), order)
         return acc
@@ -226,16 +230,7 @@ def _sup_norm_for(spec: SymbolSpec, series: TruncatedSeries, order: int) -> floa
         return 1.0  # inner: boundary modulus is identically 1
     # Polynomial: maximum boundary modulus (maximum modulus principle).
     grid = _default_grid(order)
-    return float(np.max(np.abs(_polynomial_boundary_values(series, grid))))
-
-
-def _polynomial_boundary_values(series: TruncatedSeries, grid: BoundaryGrid) -> np.ndarray:
-    m = grid.size
-    folded = np.zeros(m, dtype=complex)
-    for start in range(0, series.coeffs.size, m):
-        chunk = series.coeffs[start : start + m]
-        folded[: chunk.size] += chunk
-    return np.fft.ifft(folded) * m
+    return float(np.max(np.abs(boundary_samples(series, grid).values)))
 
 
 def evaluate_symbol(sym: SymbolRealization, points: np.ndarray) -> np.ndarray:
@@ -283,7 +278,7 @@ def boundary_values(sym: SymbolRealization, grid: BoundaryGrid) -> np.ndarray:
     """Symbol values on the boundary grid (exact form when available)."""
     if uses_exact_evaluation(sym):
         return evaluate_symbol(sym, grid.points)
-    return _polynomial_boundary_values(sym.series, grid)
+    return boundary_samples(sym.series, grid).values
 
 
 def innerness_test(

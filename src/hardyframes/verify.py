@@ -27,7 +27,7 @@ from .diagnostics import (
 )
 from .frames import frame_bounds_estimate, frame_section, frame_sum, partial_frame_sums
 from .orbits import decay_profile, orbit
-from .series import BoundaryGrid, TruncatedSeries
+from .series import BoundaryGrid, TruncatedSeries, series_from_coeffs
 from .symbols import SymbolSpec, innerness_test, realize
 
 PROPOSITIONS = (
@@ -73,17 +73,9 @@ def report_to_json(report: VerificationReport) -> dict:
 # -- shared helpers ----------------------------------------------------------
 
 
-def _seed_series(coeffs, order: int) -> TruncatedSeries:
-    arr = np.asarray(coeffs, dtype=complex)
-    out = np.zeros(order + 1, dtype=complex)
-    m = min(arr.size, order + 1)
-    out[:m] = arr[:m]
-    return TruncatedSeries(out)
-
-
 def _orbit_for(spec: SymbolSpec, seed_coeffs, n: int, k: int):
     sym = realize(spec, n)
-    return orbit(sym, _seed_series(seed_coeffs, n), k, n)
+    return orbit(sym, series_from_coeffs(seed_coeffs, n), k, n)
 
 
 def _bounds_for(spec: SymbolSpec, seed_coeffs, n: int, k: int):
@@ -115,6 +107,10 @@ def _parameters(config: ExperimentConfig) -> dict:
     }
 
 
+def _verdict(consistent: bool) -> str:
+    return "consistent" if consistent else "inconsistent"
+
+
 def _trend_orders(n: int) -> list:
     return sorted({max(8, n // 4), max(12, n // 2), max(16, n)})
 
@@ -128,7 +124,7 @@ def _scaled_blaschke_polynomial(factor: float, zero: complex, order: int) -> Sym
 # -- P1: a frame forces the symbol to be inner -------------------------------
 
 
-def _verify_p1(config: ExperimentConfig) -> VerificationReport:
+def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
     n, k, m = config.truncation_order, config.orbit_length, config.boundary_grid
     grid = BoundaryGrid(m)
     cases = [
@@ -142,7 +138,7 @@ def _verify_p1(config: ExperimentConfig) -> VerificationReport:
     for label, spec, branch in cases:
         sym = realize(spec, n)
         inn = innerness_test(sym, grid)
-        orb = orbit(sym, _seed_series((1.0,), n), k, n)
+        orb = orbit(sym, series_from_coeffs((1.0,), n), k, n)
         decay = decay_profile(orb)
         entry = {
             "symbol": _describe(spec),
@@ -164,8 +160,7 @@ def _verify_p1(config: ExperimentConfig) -> VerificationReport:
                 or trend[-1].A_est < 1e-6 * max(trend[0].A_est, 1e-300)
             )
         else:
-            ks = sorted({max(8, k // 4), max(12, k // 2), max(16, k)})
-            growth = [_bounds_for(spec, (1.0,), n, kk) for kk in ks]
+            growth = [_bounds_for(spec, (1.0,), n, kk) for kk in _trend_orders(k)]
             entry["B_trend"] = [b.B_est for b in growth]
             no_frame = (
                 decay.classification == "grows"
@@ -175,18 +170,13 @@ def _verify_p1(config: ExperimentConfig) -> VerificationReport:
         if not no_frame:
             consistent = False
         evidence[label] = entry
-    return VerificationReport(
-        proposition="P1",
-        verdict="consistent" if consistent else "inconsistent",
-        evidence=evidence,
-        parameters=_parameters(config),
-    )
+    return _verdict(consistent), evidence
 
 
 # -- P2: powers of z never frame, any seed -----------------------------------
 
 
-def _verify_p2(config: ExperimentConfig) -> VerificationReport:
+def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
     n, k = config.truncation_order, config.orbit_length
     rng = np.random.default_rng(20240211)
     evidence = {}
@@ -225,12 +215,7 @@ def _verify_p2(config: ExperimentConfig) -> VerificationReport:
             if cyc.span_dimension_deficit <= 0 or not bounds.numerically_zero_lower:
                 consistent = False
             evidence[f"m{m}_{seed_label}"] = entry
-    return VerificationReport(
-        proposition="P2",
-        verdict="consistent" if consistent else "inconsistent",
-        evidence=evidence,
-        parameters=_parameters(config),
-    )
+    return _verdict(consistent), evidence
 
 
 def _class_random(rng, m: int, residue: int, terms: int) -> tuple:
@@ -242,16 +227,15 @@ def _class_random(rng, m: int, residue: int, terms: int) -> tuple:
 
 
 def _confinement_holds(orb, m: int) -> bool:
-    seed_classes = set(class_support(orb.seed, m))
-    return all(
-        set(class_support(e, m)) <= seed_classes for e in orb.elements
-    )
+    """Every exactly-nonzero coefficient of the orbit lies in a seed class."""
+    columns = np.nonzero(np.any(orb.V != 0, axis=0))[0]
+    return {int(j) % m for j in columns} <= set(class_support(orb.seed, m))
 
 
 # -- P3: unimodular constants diverge linearly --------------------------------
 
 
-def _verify_p3(config: ExperimentConfig) -> VerificationReport:
+def _verify_p3(config: ExperimentConfig) -> tuple[str, dict]:
     n, k = config.truncation_order, config.orbit_length
     evidence = {}
     consistent = True
@@ -259,10 +243,10 @@ def _verify_p3(config: ExperimentConfig) -> VerificationReport:
         spec = SymbolSpec.constant(np.exp(1j * theta))
         orb = _orbit_for(spec, (1.0,), n, k)
         for g_label, g_coeffs in (("one", (1.0,)), ("one_plus_z", (1.0, 1.0))):
-            g = _seed_series(g_coeffs, n)
+            g = series_from_coeffs(g_coeffs, n)
             sums = partial_frame_sums(g, orb)
             increments = np.diff(np.concatenate([[0.0], sums]))
-            expected = abs(hs.inner_product(g, orb.elements[0])) ** 2
+            expected = abs(hs.inner_product(g, orb.seed)) ** 2
             idx = np.arange(sums.size, dtype=float)
             design = np.vstack([idx, np.ones_like(idx)]).T
             slope = float(np.linalg.lstsq(design, sums, rcond=None)[0][0])
@@ -281,18 +265,13 @@ def _verify_p3(config: ExperimentConfig) -> VerificationReport:
             if not ok:
                 consistent = False
             evidence[f"{label}_g_{g_label}"] = entry
-    return VerificationReport(
-        proposition="P3",
-        verdict="consistent" if consistent else "inconsistent",
-        evidence=evidence,
-        parameters=_parameters(config),
-    )
+    return _verdict(consistent), evidence
 
 
 # -- P4(i): image misses the circle => decay or growth ------------------------
 
 
-def _verify_p4i(config: ExperimentConfig) -> VerificationReport:
+def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
     n, k, m = config.truncation_order, config.orbit_length, config.boundary_grid
     grid = BoundaryGrid(m)
     evidence = {}
@@ -301,7 +280,7 @@ def _verify_p4i(config: ExperimentConfig) -> VerificationReport:
     inside_spec = _scaled_blaschke_polynomial(0.9, 0.5, n)
     sym = realize(inside_spec, n)
     scan = image_circle_intersection(sym, grid, radial_levels=48)
-    orb = orbit(sym, _seed_series((1.0,), n), k, n)
+    orb = orbit(sym, series_from_coeffs((1.0,), n), k, n)
     decay = decay_profile(orb)
     trend = [_bounds_for(inside_spec, (1.0,), nn, nn) for nn in _trend_orders(n)]
     contraction_ok = bool(
@@ -333,10 +312,9 @@ def _verify_p4i(config: ExperimentConfig) -> VerificationReport:
     outside_spec = SymbolSpec.constant(2.0)
     sym2 = realize(outside_spec, n)
     scan2 = image_circle_intersection(sym2, grid, radial_levels=48)
-    orb2 = orbit(sym2, _seed_series((1.0,), n), k, n)
+    orb2 = orbit(sym2, series_from_coeffs((1.0,), n), k, n)
     decay2 = decay_profile(orb2)
-    ks = sorted({max(8, k // 4), max(12, k // 2), max(16, k)})
-    growth = [_bounds_for(outside_spec, (1.0,), n, kk) for kk in ks]
+    growth = [_bounds_for(outside_spec, (1.0,), n, kk) for kk in _trend_orders(k)]
     evidence["outside_constant_two"] = {
         "symbol": _describe(outside_spec),
         "intersects_circle": scan2.intersects_circle,
@@ -354,18 +332,13 @@ def _verify_p4i(config: ExperimentConfig) -> VerificationReport:
     ):
         consistent = False
 
-    return VerificationReport(
-        proposition="P4i",
-        verdict="consistent" if consistent else "inconsistent",
-        evidence=evidence,
-        parameters=_parameters(config),
-    )
+    return _verdict(consistent), evidence
 
 
 # -- P4(ii): a seed zero inside the disk kills the span -----------------------
 
 
-def _verify_p4ii(config: ExperimentConfig) -> VerificationReport:
+def _verify_p4ii(config: ExperimentConfig) -> tuple[str, dict]:
     n, k = config.truncation_order, config.orbit_length
     cases = [
         ("shift_seed_z_minus_half", SymbolSpec.monomial(1), (-0.5, 1.0)),
@@ -408,22 +381,17 @@ def _verify_p4ii(config: ExperimentConfig) -> VerificationReport:
         ):
             consistent = False
         evidence[label] = entry
-    return VerificationReport(
-        proposition="P4ii",
-        verdict="consistent" if consistent else "inconsistent",
-        evidence=evidence,
-        parameters=_parameters(config),
-    )
+    return _verdict(consistent), evidence
 
 
 # -- Worked examples ----------------------------------------------------------
 
 
-def _verify_ex_constant(config: ExperimentConfig) -> VerificationReport:
+def _verify_ex_constant(config: ExperimentConfig) -> tuple[str, dict]:
     n = config.truncation_order
     k = 60  # partial sum is then within 4^-60 of the closed form
     orb = _orbit_for(SymbolSpec.constant(0.5), (1.0,), n, k)
-    g = _seed_series((1.0,), n)
+    g = series_from_coeffs((1.0,), n)
     fs = frame_sum(g, orb)
     closed_form = 1.0 / (1.0 - 0.25)
     oracle = float(np.cumsum(4.0 ** -np.arange(k + 1, dtype=float))[-1])
@@ -436,15 +404,10 @@ def _verify_ex_constant(config: ExperimentConfig) -> VerificationReport:
         "K_used": k,
     }
     consistent = abs(fs - closed_form) < 1e-12 and fs == oracle
-    return VerificationReport(
-        proposition="Ex_constant",
-        verdict="consistent" if consistent else "inconsistent",
-        evidence=evidence,
-        parameters=_parameters(config),
-    )
+    return _verdict(consistent), evidence
 
 
-def _verify_ex_half_shift(config: ExperimentConfig) -> VerificationReport:
+def _verify_ex_half_shift(config: ExperimentConfig) -> tuple[str, dict]:
     n_exact, k_exact = 40, 40
     spec = SymbolSpec.scaled_shift(0.5)
     orb = _orbit_for(spec, (1.0,), n_exact, k_exact)
@@ -469,15 +432,10 @@ def _verify_ex_half_shift(config: ExperimentConfig) -> VerificationReport:
         "worst_lower_bound_error": worst,
     }
     consistent = not exact_failures and worst < 1e-12
-    return VerificationReport(
-        proposition="Ex_half_shift",
-        verdict="consistent" if consistent else "inconsistent",
-        evidence=evidence,
-        parameters=_parameters(config),
-    )
+    return _verdict(consistent), evidence
 
 
-def _verify_ex_3_1(config: ExperimentConfig) -> VerificationReport:
+def _verify_ex_3_1(config: ExperimentConfig) -> tuple[str, dict]:
     n = k = max(config.truncation_order, config.orbit_length)
     spec = SymbolSpec.monomial(1)
     orb = _orbit_for(spec, (1.0,), n, k)
@@ -518,18 +476,13 @@ def _verify_ex_3_1(config: ExperimentConfig) -> VerificationReport:
         and worst_rel <= 1e-10
         and ratios_exact
     )
-    return VerificationReport(
-        proposition="Ex_3_1",
-        verdict="consistent" if consistent else "inconsistent",
-        evidence=evidence,
-        parameters=_parameters(config),
-    )
+    return _verdict(consistent), evidence
 
 
 # -- P6: frame <=> cyclic, tested two-sided -----------------------------------
 
 
-def _verify_p6(config: ExperimentConfig) -> VerificationReport:
+def _verify_p6(config: ExperimentConfig) -> tuple[str, dict]:
     n, k = config.truncation_order, config.orbit_length
     cases = [
         ("shift_seed_one", SymbolSpec.monomial(1), (1.0,)),
@@ -577,12 +530,7 @@ def _verify_p6(config: ExperimentConfig) -> VerificationReport:
         verdict = "inconclusive"
     else:
         verdict = "consistent"
-    return VerificationReport(
-        proposition="P6",
-        verdict=verdict,
-        evidence=evidence,
-        parameters=_parameters(config),
-    )
+    return verdict, evidence
 
 
 _SUITES = {
@@ -610,4 +558,5 @@ def verify(proposition: str, config: ExperimentConfig) -> VerificationReport:
         raise UnknownPropositionError(
             f"unknown proposition {proposition!r}; known: {', '.join(PROPOSITIONS)}"
         ) from None
-    return suite(config)
+    verdict, evidence = suite(config)
+    return VerificationReport(proposition, verdict, evidence, _parameters(config))

@@ -120,6 +120,19 @@ def test_eigensolver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_lapack_failure_exits_3_not_usage(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, the usage-error class
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, n=8, k=8)
+
+    def boom(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", boom)
+    assert main(["cyclicity", "--config", str(cfg_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, symbol=SymbolSpec.scaled_shift(0.5), n=16, k=16)

@@ -224,8 +224,8 @@ def test_orbit_confined_to_residue_class(m, r):
     for t in range(4):
         coeffs[r + t * m] = rng.standard_normal() + 1j * rng.standard_normal()
     orb = make_orbit(SymbolSpec.monomial(m), coeffs, 10, 32)
-    for e in orb.elements:
-        assert set(class_support(e, m)) <= {r}
+    for row in orb.V:
+        assert set(class_support(series_from_coeffs(row), m)) <= {r}
 
 
 # -- image vs circle ---------------------------------------------------------------

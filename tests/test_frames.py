@@ -11,8 +11,9 @@ from hardyframes.frames import (
     gram,
     partial_frame_sums,
 )
+from hardyframes.diagnostics import kernel_orthogonality_witness, reproducing_kernel
 from hardyframes.orbits import orbit
-from hardyframes.series import monomial, norm_sq, series_from_coeffs
+from hardyframes.series import inner_product, monomial, norm_sq, series_from_coeffs
 from hardyframes.symbols import SymbolSpec, realize
 
 
@@ -110,6 +111,61 @@ def test_gram_hermitian_psd_random_orbit():
         assert np.array_equal(g, g.conj().T)  # exact by construction
         w = np.linalg.eigvalsh(g)
         assert w[0] >= -1e-10 * max(w[-1], 0.0)
+
+
+def _bits(x):
+    """Raw IEEE bits, so -0.0 and +0.0 compare unequal."""
+    return np.asarray(x, dtype=complex).view(np.int64)
+
+
+def _reference_inner(a, b):
+    """<a, b> for two vectors: separate real and imaginary products, each
+    summed serially in ascending index order."""
+    re = np.cumsum(a.real * b.real + a.imag * b.imag)[-1]
+    im = np.cumsum(a.imag * b.real - a.real * b.imag)[-1]
+    return complex(re, im)
+
+
+def test_batched_reductions_match_scalar_inner_products_bitwise():
+    rng = np.random.default_rng(4242)
+    def dense(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    cases = [
+        ([0.4 * np.exp(0.7j), -0.3 + 0.2j], dense(4)),
+        ([0.55j], dense(3)),
+        ([0.5, -0.25], rng.standard_normal(4)),
+    ]
+    for zeros, coeffs in cases:
+        orb = make_orbit(SymbolSpec.blaschke(zeros), coeffs, 24, 40)
+        rows = [series_from_coeffs(v) for v in orb.V]
+        k = orb.length
+        entries = gram(orb).entries
+        upper = np.array([[_reference_inner(orb.V[n], orb.V[m]) for n in range(k)]
+                          for m in range(k)])
+        scalar = np.array([[inner_product(rows[n], rows[m]) for n in range(k)]
+                           for m in range(k)])
+        assert np.array_equal(_bits(scalar), _bits(upper))
+        iu = np.triu_indices(k)
+        assert np.array_equal(_bits(entries[iu]), _bits(upper[iu]))
+        su = np.triu_indices(k, 1)  # the lower triangle mirrors by conjugation
+        assert np.array_equal(_bits(entries.T[su]), _bits(np.conj(upper[su])))
+
+        g = series_from_coeffs(dense(41))
+        vals = np.array([_reference_inner(g.coeffs, v) for v in orb.V])
+        loop = np.cumsum(vals.real**2 + vals.imag**2)
+        got = partial_frame_sums(g, orb)
+        assert np.array_equal(got.view(np.int64), loop.view(np.int64))
+
+        z0 = 0.3 - 0.45j
+        kernel = reproducing_kernel(z0, orb.order).series
+        pairings = np.array([abs(_reference_inner(v, kernel.coeffs)) for v in orb.V])
+        got = kernel_orthogonality_witness(orb, z0).pairings
+        assert np.array_equal(got.view(np.int64), pairings.view(np.int64))
+
+    # the last orbit is real: every imaginary part is a zero whose sign
+    # only the bitwise comparison sees
+    assert np.all(upper.imag == 0)
 
 
 # -- frame sections ----------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_orbit_shift_is_monomial_family():
     sym = realize(SymbolSpec.monomial(1), 8)
     orb = orbit(sym, seed([1], 8), 3, 8)
     for n in range(4):
-        assert np.array_equal(orb.elements[n].coeffs, monomial(n, 8).coeffs)
+        assert np.array_equal(orb.V[n], monomial(n, 8).coeffs)
     assert np.array_equal(orb.norms, np.ones(4))
     assert not orb.truncated.any()
 
@@ -65,19 +65,21 @@ def test_orbit_constant_geometric_norms():
 def test_orbit_squared_shift_even_powers():
     sym = realize(SymbolSpec.monomial(2), 8)
     orb = orbit(sym, seed([1], 8), 2, 8)
-    assert np.array_equal(orb.elements[1].coeffs, monomial(2, 8).coeffs)
-    assert np.array_equal(orb.elements[2].coeffs, monomial(4, 8).coeffs)
+    assert np.array_equal(orb.V[1], monomial(2, 8).coeffs)
+    assert np.array_equal(orb.V[2], monomial(4, 8).coeffs)
 
 
 def test_orbit_recurrence_and_norms_hold_exactly():
     sym = realize(SymbolSpec.blaschke([0.4]), 16)
     f = seed([1, -1], 16)
     orb = orbit(sym, f, 6, 16)
-    assert orb.elements[0] is orb.seed
+    assert np.array_equal(orb.V[0], orb.seed.coeffs)
+    assert np.array_equal(orb.seed.coeffs, f.coeffs)
+    assert not orb.V.flags.writeable
     for n in range(6):
-        again = mul(sym.series, orb.elements[n], 16)
-        assert np.array_equal(orb.elements[n + 1].coeffs, again.coeffs)
-        assert orb.norms[n] == norm(orb.elements[n])
+        again = mul(sym.series, series_from_coeffs(orb.V[n]), 16)
+        assert np.array_equal(orb.V[n + 1], again.coeffs)
+        assert orb.norms[n] == norm(series_from_coeffs(orb.V[n]))
 
 
 def test_orbit_truncation_flags_track_degree():
@@ -184,8 +186,8 @@ def test_semigroup_property_exact_degrees():
     f = seed([1, 1], order)
     orb = orbit(sym, f, 5, order)
     phi_sq = mul(sym.series, sym.series, order)
-    stepped = mul(phi_sq, orb.elements[3], order)
-    assert np.array_equal(stepped.coeffs, orb.elements[5].coeffs)
+    stepped = mul(phi_sq, series_from_coeffs(orb.V[3]), order)
+    assert np.array_equal(stepped.coeffs, orb.V[5])
 
 
 # -- decay classification ----------------------------------------------------------
