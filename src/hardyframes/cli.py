@@ -310,8 +310,8 @@ def main(argv=None) -> int:
             return cmd_verify(args.proposition, config, out)
         raise ConfigError(f"unknown command {args.command!r}")
     # LinAlgError subclasses ValueError, so it must be caught first
-    except (EigensolverError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (EigensolverError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"numerical failure: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, UnknownPropositionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,10 +24,9 @@ class ConfigError(ValueError):
 class ToleranceSettings:
     inner_tol: float = 1e-9
     rank_tol: float = 1e-10
-    eig_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("inner_tol", "rank_tol", "eig_tol"):
+        for name in ("inner_tol", "rank_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
 
@@ -121,7 +120,6 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
         "tolerances": {
             "inner_tol": cfg.tolerances.inner_tol,
             "rank_tol": cfg.tolerances.rank_tol,
-            "eig_tol": cfg.tolerances.eig_tol,
         },
         "output": {"format": cfg.output.format, "path": cfg.output.path},
     }
@@ -142,7 +140,6 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             tolerances=ToleranceSettings(
                 inner_tol=float(tol.get("inner_tol", 1e-9)),
                 rank_tol=float(tol.get("rank_tol", 1e-10)),
-                eig_tol=float(tol.get("eig_tol", 1e-10)),
             ),
             output=OutputSettings(
                 format=out.get("format", "json"), path=out.get("path")

@@ -17,7 +17,6 @@ import numpy as np
 from .series import TruncatedSeries, inner_products
 from .orbits import Orbit
 from .symbols import SymbolRealization, evaluate_symbol
-from .frames import frame_section
 
 RANK_REL_TOL = 1e-10
 CIRCLE_TOL = 1e-9
@@ -126,8 +125,10 @@ def cyclicity_rank(orb: Orbit, rank_tol: float = RANK_REL_TOL) -> CyclicityRepor
 
     Full rank is the truncation-level surrogate for a dense span; the full
     singular spectrum is returned so borderline cases stay visible.  When
-    the span is deficient, the witness is a unit vector annihilated (to
-    eigensolver precision) by the compressed frame operator.
+    the span is deficient, the witness is the last row w of the SVD's
+    right factor, so ||V conj(w)|| is the smallest singular value (0 when
+    K < N); the frame operator is never formed, so its squared condition
+    number never enters.
     """
     singulars = np.linalg.svd(orb.V, compute_uv=False)
     sigma_max = float(singulars[0]) if singulars.size else 0.0
@@ -139,9 +140,8 @@ def cyclicity_rank(orb: Orbit, rank_tol: float = RANK_REL_TOL) -> CyclicityRepor
 
     witness = None
     if deficit > 0:
-        s = frame_section(orb).matrix
-        eigvals, eigvecs = np.linalg.eigh(s)
-        witness = TruncatedSeries(eigvecs[:, 0])
+        # full_matrices (the default) keeps a null-space row of Vh when K < N
+        witness = TruncatedSeries(np.linalg.svd(orb.V)[2][-1])
     return CyclicityReport(
         rank=rank,
         span_dimension_deficit=deficit,

@@ -38,7 +38,7 @@ class GramMatrix:
 
 @dataclass(frozen=True, eq=False)
 class FrameSection:
-    """Frame operator compressed to span{z^0..z^N}: S = sum_n v_n v_n*."""
+    """Frame operator compressed to span{z^0..z^N}: S = V^T conj(V)."""
 
     matrix: np.ndarray
     orbit_len: int
@@ -83,11 +83,8 @@ def gram(orb: Orbit) -> GramMatrix:
 
 
 def frame_section(orb: Orbit) -> FrameSection:
-    """Accumulate S = sum_n v_n v_n* over the orbit, in ascending n."""
-    n1 = orb.order + 1
-    s = np.zeros((n1, n1), dtype=complex)
-    for v in orb.V:
-        s += np.outer(v, np.conj(v))
+    """S = sum_n v_n v_n* = V^T conj(V), one matrix product."""
+    s = orb.V.T @ orb.V.conj()
     return FrameSection(matrix=s, orbit_len=orb.length, order=orb.order)
 
 

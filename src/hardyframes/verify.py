@@ -102,7 +102,6 @@ def _parameters(config: ExperimentConfig) -> dict:
         "tolerances": {
             "inner_tol": config.tolerances.inner_tol,
             "rank_tol": config.tolerances.rank_tol,
-            "eig_tol": config.tolerances.eig_tol,
         },
     }
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from hardyframes import cli
 from hardyframes.cli import main
 from hardyframes.config import (
     ExperimentConfig,
@@ -130,6 +131,19 @@ def test_lapack_failure_exits_3_not_usage(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", boom)
     assert main(["cyclicity", "--config", str(cfg_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_memory_error_exits_3_not_inconsistent(tmp_path, capsys, monkeypatch):
+    # exit 1 means "inconsistent"; running out of memory is a numerical failure
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, n=8, k=8)
+
+    def boom(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "orbit", boom)
+    assert main(["frame-bounds", "--config", str(cfg_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
@@ -275,6 +289,18 @@ def test_report_all_unknown_config_name_exits_2(tmp_path, capsys):
     cdir.mkdir()
     write_config(cdir / "NotAProp.json")
     assert main(["report-all", "--config-dir", str(cdir), "--out-dir", str(tmp_path / "r")]) == 2
+
+
+def test_config_with_retired_eig_tol_still_loads(tmp_path):
+    cfg_path = tmp_path / "P3.json"
+    write_config(cfg_path, n=8, k=32, m=64)
+    payload = json.loads(cfg_path.read_text())
+    payload["tolerances"]["eig_tol"] = 1e-10
+    cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["verify", "P3", "--config", str(cfg_path), "--out", str(out)]) == 0
+    tolerances = json.loads(out.read_text())["parameters"]["tolerances"]
+    assert tolerances == {"inner_tol": 1e-9, "rank_tol": 1e-10}
 
 
 # -- config round trip --------------------------------------------------------------------
