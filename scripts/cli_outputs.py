@@ -1,0 +1,137 @@
+"""Write every CLI output for a fixed, seeded set of configs.
+
+    python scripts/cli_outputs.py OUT_DIR
+
+The configs (Blaschke products with real or complex zeros, monomials and
+polynomials, N = K from 16 to 300) are drawn from a fixed seed and written
+to OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds`
+and `gram` as JSON and CSV and through `innerness` and `cyclicity` as
+JSON; `report-all` runs once with its defaults.  Exit codes, and the
+stderr of any call that fails, go to OUT_DIR/exit_codes.txt.
+
+The CLI is whichever `hardyframes` is importable, so two runs make a
+byte-identity check between two source trees:
+
+    PYTHONPATH=OLD/src python scripts/cli_outputs.py /tmp/out-old
+    PYTHONPATH=src python scripts/cli_outputs.py /tmp/out-new
+    diff -r /tmp/out-old /tmp/out-new
+
+Needs only the standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SEED = 20260418
+SIZES = (16, 64, 128, 300)
+COMMANDS = (
+    ("orbit", ("json", "csv")),
+    ("frame-bounds", ("json", "csv")),
+    ("gram", ("json", "csv")),
+    ("innerness", ("json",)),
+    ("cyclicity", ("json",)),
+)
+
+
+def _complex_list(values) -> list:
+    return [{"re": float(z.real), "im": float(z.imag)} for z in np.atleast_1d(values)]
+
+
+def configs(rng) -> dict:
+    """Config bodies in the layout `hardyframes` reads, keyed by file stem."""
+    out = {}
+    for n in SIZES:
+        radii = rng.uniform(0.1, 0.6, int(rng.integers(1, 3)))
+        angles = 2 * np.pi * rng.uniform(size=radii.size)
+        symbols = {
+            "blaschke-complex": {
+                "kind": "blaschke",
+                "zeros": _complex_list(radii * np.exp(1j * angles)),
+                "prefactor": _complex_list(np.exp(2j * np.pi * rng.uniform()))[0],
+            },
+            "blaschke-real": {
+                "kind": "blaschke",
+                "zeros": _complex_list(radii * np.sign(np.cos(angles))),
+            },
+            "monomial": {"kind": "monomial", "power": int(rng.integers(1, 4))},
+            # coefficients whose moduli sum to 1 keep |phi| <= 1 on the disk
+            "polynomial": {
+                "kind": "polynomial",
+                "coeffs": _complex_list(
+                    rng.dirichlet(np.ones(3)) * np.exp(2j * np.pi * rng.uniform(size=3))
+                ),
+            },
+        }
+        for name, symbol in symbols.items():
+            length = 1 + int(rng.integers(4))
+            if name == "monomial" and n == SIZES[0]:
+                length = n + 5  # a seed longer than N, truncated on reading
+            seed = rng.standard_normal(length)
+            if name != "blaschke-real":  # a real orbit: zero parts with signs
+                seed = seed + 1j * rng.standard_normal(length)
+            out[f"{name}-{n}"] = {
+                "symbol": symbol,
+                "seed_coeffs": _complex_list(seed),
+                "truncation_order": n,
+                "orbit_length": n,
+                "boundary_grid": 8 * n,
+                "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+                "output": {"format": "json", "path": None},
+            }
+    return out
+
+
+def _run(cli_main, argv: list, stdout=None) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(stdout or io.StringIO()):
+            code = cli_main(argv)
+    return code, err.getvalue()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out_dir", type=Path)
+    args = parser.parse_args(argv)
+    try:
+        from hardyframes.cli import main as cli_main
+    except ImportError:
+        print("hardyframes is not importable; set PYTHONPATH=<tree>/src", file=sys.stderr)
+        return 2
+
+    config_dir = args.out_dir / "configs"
+    config_dir.mkdir(parents=True, exist_ok=True)
+    log = []
+    for stem, body in configs(np.random.default_rng(SEED)).items():
+        path = config_dir / f"{stem}.json"
+        path.write_text(json.dumps(body, indent=2, sort_keys=True), encoding="utf-8")
+        for command, formats in COMMANDS:
+            for fmt in formats:
+                out = args.out_dir / f"{stem}.{command}.{fmt}"
+                code, err = _run(
+                    cli_main,
+                    [command, "--config", str(path), "--format", fmt, "--out", str(out)],
+                )
+                log.append(f"{out.name} {code}" + (f" {err.strip()}" if code else ""))
+
+    index = io.StringIO()
+    code, err = _run(
+        cli_main, ["report-all", "--out-dir", str(args.out_dir / "report-all")], index
+    )
+    (args.out_dir / "report-all.stdout").write_text(index.getvalue(), encoding="utf-8")
+    log.append(f"report-all {code}" + (f" {err.strip()}" if code else ""))
+    (args.out_dir / "exit_codes.txt").write_text("\n".join(log) + "\n", encoding="utf-8")
+    print(f"{len(log)} calls written to {args.out_dir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

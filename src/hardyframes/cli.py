@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import cyclicity_rank
 from .frames import EigensolverError, frame_bounds_estimate, frame_section, gram
-from .jsonio import complex_to_json, dumps_canonical, write_canonical
+from .jsonio import dumps_canonical, write_canonical
 from .orbits import orbit
 from .series import BoundaryGrid, series_from_coeffs
 from .symbols import SymbolSpec, innerness_test, realize, uses_exact_evaluation
@@ -108,19 +108,13 @@ def cmd_gram(config: ExperimentConfig, out: str | None, fmt: str) -> int:
     g = gram(orb)
     if fmt == "csv":
         lines = ["m,n,re,im"]
-        for m in range(g.orbit_len):
-            for n in range(g.orbit_len):
-                z = g.entries[m, n]
-                lines.append(
-                    f"{m},{n},{format(z.real, '.17g')},{format(z.imag, '.17g')}"
-                )
+        for m, row in enumerate(g.entries.tolist()):
+            lines.extend(
+                "%d,%d,%.17g,%.17g" % (m, n, z.real, z.imag) for n, z in enumerate(row)
+            )
         _emit("\n".join(lines) + "\n", out)
     else:
-        entries = [
-            [complex_to_json(g.entries[m, n]) for n in range(g.orbit_len)]
-            for m in range(g.orbit_len)
-        ]
-        _emit(dumps_canonical({"K": g.orbit_len - 1, "entries": entries}), out)
+        _emit(dumps_canonical({"K": g.orbit_len - 1, "entries": g.entries}), out)
     return EXIT_OK
 
 
@@ -157,7 +151,7 @@ def cmd_cyclicity(config: ExperimentConfig, out: str | None) -> int:
                 "K": orb.length - 1,
                 "rank": report.rank,
                 "span_dimension_deficit": report.span_dimension_deficit,
-                "singular_values": [float(s) for s in report.singular_values],
+                "singular_values": report.singular_values,
             }
         ),
         out,
@@ -309,8 +303,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.proposition, config, out)
         raise ConfigError(f"unknown command {args.command!r}")
-    # LinAlgError subclasses ValueError, so it must be caught first
-    except (EigensolverError, np.linalg.LinAlgError, MemoryError) as exc:
+    # LinAlgError subclasses ValueError, so it must be caught first;
+    # FloatingPointError: an orbit overflowed, or a report holds inf or nan
+    except (
+        EigensolverError,
+        np.linalg.LinAlgError,
+        MemoryError,
+        FloatingPointError,
+    ) as exc:
         print(f"numerical failure: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, UnknownPropositionError, ValueError) as exc:

@@ -8,6 +8,7 @@ tolerances - so that identical configs produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,8 @@ class ToleranceSettings:
 
     def __post_init__(self):
         for name in ("inner_tol", "rank_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,8 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    # int() of an infinite float raises OverflowError
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
 

@@ -17,6 +17,10 @@ from .orbits import Orbit, orbit as make_orbit
 
 TIGHT_REL_TOL = 1e-8
 NUMERICALLY_ZERO_REL = 1e-12
+# Side of the square tiles of pairs in which `gram` accumulates: large
+# enough that numpy's per-call overhead vanishes, small enough that a
+# tile's accumulators stay in cache (128 was fastest at N = K = 512).
+GRAM_TILE = 128
 
 
 class EigensolverError(RuntimeError):
@@ -66,19 +70,43 @@ def frame_sum(g: TruncatedSeries, orb: Orbit) -> float:
     return float(partial_frame_sums(g, orb)[-1])
 
 
+def _gram_term(m_re, m_im, n_re, n_im, re, im, tmp) -> None:
+    """Write one coefficient's term of <v_n, v_m> over a tile of pairs
+    (m, n) into re and im: r_m r_n + i_m i_n and r_m i_n - i_m r_n."""
+    np.multiply.outer(m_re, n_re, out=re)
+    re += np.multiply.outer(m_im, n_im, out=tmp)
+    np.multiply.outer(m_re, n_im, out=im)
+    im -= np.multiply.outer(m_im, n_re, out=tmp)
+
+
 def gram(orb: Orbit) -> GramMatrix:
     """Hermitian Gram matrix of the orbit elements.
 
-    Each upper-triangle row comes from the same ascending-order inner
-    product used everywhere else and is mirrored by conjugation, so the
-    result is exactly Hermitian and reproducible.
+    Every upper-triangle entry is bit-identical to the ascending-order
+    `inner_products(V[n], V[m])` used everywhere else: each tile of pairs
+    (m, n) adds the same real products, one coefficient j at a time,
+    starting from the j = 0 term so that zero signs survive.  The lower
+    triangle mirrors by conjugation, so the result is exactly Hermitian.
     """
     k = orb.length
-    g = np.zeros((k, k), dtype=complex)
-    for m in range(k):
-        row = inner_products(orb.V[m:], orb.V[m])
-        g[m, m:] = row
-        g[m + 1 :, m] = np.conj(row[1:])
+    r = np.ascontiguousarray(orb.V.real.T)  # row j: coefficient j of every element
+    i = np.ascontiguousarray(orb.V.imag.T)
+    g = np.empty((k, k), dtype=complex)
+    for a in range(0, k, GRAM_TILE):
+        m = slice(a, a + GRAM_TILE)
+        for b in range(a, k, GRAM_TILE):
+            n = slice(b, b + GRAM_TILE)
+            shape = (r[0, m].size, r[0, n].size)
+            re, im, t, u, tmp = (np.empty(shape) for _ in range(5))
+            terms = zip(r[:, m], i[:, m], r[:, n], i[:, n])
+            _gram_term(*next(terms), re, im, tmp)  # from the j = 0 term, not 0.0
+            for term in terms:
+                _gram_term(*term, t, u, tmp)
+                re += t
+                im += u
+            g.real[m, n], g.imag[m, n] = re, im
+    lower = np.tril_indices(k, -1)
+    g[lower] = np.conj(g.T[lower])
     return GramMatrix(entries=g, orbit_len=k)
 
 

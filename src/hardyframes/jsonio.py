@@ -27,8 +27,26 @@ def json_to_complex(obj) -> complex:
 
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
+        raise FloatingPointError(f"cannot serialize non-finite float {x!r}")
     return format(x, ".17g")
+
+
+def _array_text(row: np.ndarray, indent: int) -> str:
+    """What `_write` makes of `row.tolist()` for a nonempty, finite, 1-d
+    float or complex array, with one tolist() and one "%" template.
+
+    "%.17g" equals format(x, ".17g") for every finite double, signed zeros
+    and subnormals included; a complex leaf is its {"im", "re"} object.
+    """
+    leaf_pad = "  " * (indent + 1)
+    leaf, values = "%.17g", row
+    if row.dtype.kind == "c":
+        field_pad = leaf_pad + "  "
+        leaf = f'{{\n{field_pad}"im": {leaf},\n{field_pad}"re": {leaf}\n{leaf_pad}}}'
+        values = np.stack((row.imag, row.real), axis=-1)  # the keys' sorted order
+    template = "[\n" + leaf_pad + (",\n" + leaf_pad).join([leaf] * row.size)
+    template += "\n" + "  " * indent + "]"
+    return template % tuple(values.ravel().tolist())
 
 
 def _write(obj, indent: int, pieces: list) -> None:
@@ -70,7 +88,15 @@ def _write(obj, indent: int, pieces: list) -> None:
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), indent, pieces)
+        # everything else (empty, 0-d, integer, non-finite) goes through
+        # tolist(), so its errors stay those of the equivalent list
+        if obj.ndim and obj.size and obj.dtype.kind in "fc" and np.isfinite(obj).all():
+            if obj.ndim == 1:
+                pieces.append(_array_text(obj, indent))
+            else:
+                _write(list(obj), indent, pieces)
+        else:
+            _write(obj.tolist(), indent, pieces)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 

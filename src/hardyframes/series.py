@@ -164,7 +164,13 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, target_order: int) -> TruncatedS
         full = _convolve_fft(xa, xb)
     m = min(full.size, target_order + 1)
     out[:m] = full[:m]
-    return TruncatedSeries(out)
+    try:
+        return TruncatedSeries(out)
+    except ValueError:
+        # both operands are finite, so a non-finite product is an overflow
+        raise FloatingPointError(
+            f"series product overflowed at order {target_order}"
+        ) from None
 
 
 def inner_products(f, g) -> np.ndarray:

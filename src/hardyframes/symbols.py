@@ -62,11 +62,12 @@ class SymbolSpec:
                 raise ValueError("polynomial coefficients must be finite")
         elif self.kind == "blaschke":
             for a in self.zeros:
-                if abs(complex(a)) >= 1.0 - BLASCHKE_ZERO_MARGIN:
+                # written so that a NaN zero fails too
+                if not abs(complex(a)) < 1.0 - BLASCHKE_ZERO_MARGIN:
                     raise ValueError(
                         f"Blaschke zero {a} too close to or outside the unit circle"
                     )
-            if abs(abs(complex(self.prefactor)) - 1.0) >= UNIMODULAR_TOL:
+            if not abs(abs(complex(self.prefactor)) - 1.0) < UNIMODULAR_TOL:
                 raise ValueError("Blaschke prefactor must be unimodular")
 
     # -- constructors ------------------------------------------------------

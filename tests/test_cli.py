@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hardyframes import cli
 from hardyframes.cli import main
@@ -147,6 +148,48 @@ def test_memory_error_exits_3_not_inconsistent(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "n, commands",
+    [
+        # 4^300 is finite but the squared norms overflow: the writer refuses inf
+        (300, ["orbit", "gram"]),
+        # 4^n overflows at n = 512, inside the orbit itself
+        (600, ["orbit", "frame-bounds", "gram", "cyclicity"]),
+    ],
+)
+def test_overflow_exits_3_not_usage(tmp_path, capsys, n, commands):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, symbol=SymbolSpec.polynomial([0, 4]), n=n, k=n, m=8 * n)
+    for command in commands:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, "--config", str(cfg_path)]) == 3, command
+        assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (("seed_coeffs", 0, "re"), float("nan")),
+        (("tolerances", "inner_tol"), float("inf")),
+        (("tolerances", "rank_tol"), float("nan")),
+        (("truncation_order",), float("inf")),
+        (("symbol", "zeros", 0, "im"), float("nan")),
+    ],
+)
+def test_non_finite_config_value_exits_2(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, symbol=SymbolSpec.blaschke([0.5]))
+    payload = json.loads(cfg_path.read_text())
+    target = payload
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    cfg_path.write_text(json.dumps(payload), encoding="utf-8")  # writes NaN/Infinity
+    for command in ("orbit", "innerness", "cyclicity"):
+        assert main([command, "--config", str(cfg_path)]) == 2, command
+        assert "error" in capsys.readouterr().err
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, symbol=SymbolSpec.scaled_shift(0.5), n=16, k=16)
@@ -181,6 +224,29 @@ def test_gram_csv_shape(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "m,n,re,im"
     assert len(lines) == 1 + 16
+
+
+def test_gram_outputs_match_per_entry_writers(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(
+        cfg_path, symbol=SymbolSpec.blaschke([0.5, -0.25]), seed=(1.0, -0.5), n=20, k=9
+    )
+    entries = cli.gram(cli._orbit_from_config(load_config(cfg_path))).entries
+    k1 = entries.shape[0]
+    assert np.signbit(entries.imag).any()  # the real orbit carries -0 parts
+
+    assert main(["gram", "--config", str(cfg_path)]) == 0
+    dicts = [[{"re": entries[m, n].real, "im": entries[m, n].imag} for n in range(k1)]
+             for m in range(k1)]
+    assert capsys.readouterr().out == dumps_canonical({"K": k1 - 1, "entries": dicts})
+
+    assert main(["gram", "--config", str(cfg_path), "--format", "csv"]) == 0
+    lines = ["m,n,re,im"] + [
+        f"{m},{n},{format(entries[m, n].real, '.17g')},{format(entries[m, n].imag, '.17g')}"
+        for m in range(k1)
+        for n in range(k1)
+    ]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_innerness_verdicts(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardyframes.frames import (
+    GRAM_TILE,
     EigensolverError,
     apply_frame_operator,
     bounds_vs_truncation,
@@ -13,7 +14,13 @@ from hardyframes.frames import (
 )
 from hardyframes.diagnostics import kernel_orthogonality_witness, reproducing_kernel
 from hardyframes.orbits import orbit
-from hardyframes.series import inner_product, monomial, norm_sq, series_from_coeffs
+from hardyframes.series import (
+    inner_product,
+    inner_products,
+    monomial,
+    norm_sq,
+    series_from_coeffs,
+)
 from hardyframes.symbols import SymbolSpec, realize
 
 
@@ -166,6 +173,28 @@ def test_batched_reductions_match_scalar_inner_products_bitwise():
     # the last orbit is real: every imaginary part is a zero whose sign
     # only the bitwise comparison sees
     assert np.all(upper.imag == 0)
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs",
+    [
+        (SymbolSpec.blaschke([0.4 * np.exp(0.7j), -0.3 + 0.2j]), [1, 0.5j, -0.25 + 0.1j]),
+        # real: every imaginary part is a zero whose sign only the bits show
+        (SymbolSpec.blaschke([0.5, -0.25]), [1, -0.5]),
+        # rows of opposite signs: <v_n, v_m> has an imaginary part of -0 when
+        # every term is -0, which a sum started from 0.0 would turn into +0
+        (SymbolSpec.constant(-0.5), np.linspace(1, 2, 31)),
+    ],
+)
+def test_gram_bitwise_across_tiles(spec, coeffs):
+    k = 2 * GRAM_TILE + 45  # three tile rows, the last one ragged
+    orb = make_orbit(spec, coeffs, k - 1, 30)
+    expected = np.empty((k, k), dtype=complex)
+    for m in range(k):
+        row = inner_products(orb.V[m:], orb.V[m])
+        expected[m, m:] = row
+        expected[m + 1 :, m] = np.conj(row[1:])
+    assert np.array_equal(_bits(gram(orb).entries), _bits(expected))
 
 
 # -- frame sections ----------------------------------------------------------------
