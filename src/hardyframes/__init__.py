@@ -42,6 +42,7 @@ from .orbits import (
     decay_profile,
     matrix_section,
     orbit,
+    orbit_for,
 )
 from .frames import (
     EigensolverError,

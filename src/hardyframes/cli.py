@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: orbit | frame-bounds | gram | innerness | cyclicity |
-verify | report-all.  Exit codes form a CI contract: 0 for success or a
-consistent/inconclusive verdict, 1 for an inconsistent verdict, 2 for
-usage/config errors, 3 for numerical failures.
+The subcommands are the entries of `COMMANDS`.  Exit codes form a CI
+contract: 0 for success or a consistent/inconclusive verdict, 1 for an
+inconsistent verdict, 2 for usage/config errors, 3 for numerical
+failures.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import cyclicity_rank
 from .frames import EigensolverError, frame_bounds_estimate, frame_section, gram
-from .jsonio import dumps_canonical, write_canonical
-from .orbits import orbit
-from .series import BoundaryGrid, series_from_coeffs
-from .symbols import SymbolSpec, innerness_test, realize, uses_exact_evaluation
+from .jsonio import dumps_canonical, dumps_csv, write_canonical
+from .orbits import orbit_for
+from .series import BoundaryGrid
+from .symbols import SymbolSpec, innerness_test, realize
 from .verify import (
     PROPOSITIONS,
     UnknownPropositionError,
@@ -47,216 +47,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _orbit_from_config(config: ExperimentConfig):
-    n = config.truncation_order
-    sym = realize(config.symbol, n)
-    return orbit(sym, series_from_coeffs(config.seed_coeffs, n), config.orbit_length, n)
-
-
-# -- subcommand bodies (importable; return exit codes) ------------------------
-
-
-def cmd_orbit(config: ExperimentConfig, out: str | None, fmt: str) -> int:
-    orb = _orbit_from_config(config)
-    if fmt == "csv":
-        lines = ["n,norm,truncated"]
-        for n in range(orb.length):
-            flag = "true" if orb.truncated[n] else "false"
-            lines.append(f"{n},{format(orb.norms[n], '.17g')},{flag}")
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        rows = [
-            {"n": n, "norm": float(orb.norms[n]), "truncated": bool(orb.truncated[n])}
-            for n in range(orb.length)
-        ]
-        _emit(
-            dumps_canonical(
-                {"N": orb.order, "K": orb.length - 1, "rows": rows}
-            ),
-            out,
-        )
-    return EXIT_OK
-
-
-def cmd_frame_bounds(config: ExperimentConfig, out: str | None, fmt: str) -> int:
-    orb = _orbit_from_config(config)
-    bounds = frame_bounds_estimate(frame_section(orb))
-    payload = {
-        "N": bounds.N,
-        "K": bounds.K,
-        "A_est": bounds.A_est,
-        "B_est": bounds.B_est,
-        "tight": bounds.tight,
-        "numerically_zero_lower": bounds.numerically_zero_lower,
-    }
-    if fmt == "csv":
-        header = "N,K,A_est,B_est,tight,numerically_zero_lower"
-        row = (
-            f"{bounds.N},{bounds.K},{format(bounds.A_est, '.17g')},"
-            f"{format(bounds.B_est, '.17g')},"
-            f"{'true' if bounds.tight else 'false'},"
-            f"{'true' if bounds.numerically_zero_lower else 'false'}"
-        )
-        _emit(header + "\n" + row + "\n", out)
-    else:
-        _emit(dumps_canonical(payload), out)
-    return EXIT_OK
-
-
-def cmd_gram(config: ExperimentConfig, out: str | None, fmt: str) -> int:
-    orb = _orbit_from_config(config)
-    g = gram(orb)
-    if fmt == "csv":
-        lines = ["m,n,re,im"]
-        for m, row in enumerate(g.entries.tolist()):
-            lines.extend(
-                "%d,%d,%.17g,%.17g" % (m, n, z.real, z.imag) for n, z in enumerate(row)
-            )
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        _emit(dumps_canonical({"K": g.orbit_len - 1, "entries": g.entries}), out)
-    return EXIT_OK
-
-
-def cmd_innerness(config: ExperimentConfig, out: str | None) -> int:
-    sym = realize(config.symbol, config.truncation_order)
-    grid = BoundaryGrid(config.boundary_grid)
-    # config tolerance applies to exact closed-form evaluation; truncated
-    # polynomial evaluation keeps its own coarser default
-    tol = config.tolerances.inner_tol if uses_exact_evaluation(sym) else None
-    report = innerness_test(sym, grid, tol=tol)
-    _emit(
-        dumps_canonical(
-            {
-                "M": config.boundary_grid,
-                "N": config.truncation_order,
-                "max_deviation": report.max_deviation,
-                "sub_unit_fraction": report.sub_unit_fraction,
-                "tolerance": report.tolerance,
-                "verdict": report.verdict,
-            }
-        ),
-        out,
-    )
-    return EXIT_OK
-
-
-def cmd_cyclicity(config: ExperimentConfig, out: str | None) -> int:
-    orb = _orbit_from_config(config)
-    report = cyclicity_rank(orb, config.tolerances.rank_tol)
-    _emit(
-        dumps_canonical(
-            {
-                "N": orb.order,
-                "K": orb.length - 1,
-                "rank": report.rank,
-                "span_dimension_deficit": report.span_dimension_deficit,
-                "singular_values": report.singular_values,
-            }
-        ),
-        out,
-    )
-    return EXIT_OK
-
-
-def cmd_verify(proposition: str, config: ExperimentConfig, out: str | None) -> int:
-    report = verify(proposition, config)
-    _emit(dumps_canonical(report_to_json(report)), out)
-    return EXIT_INCONSISTENT if report.verdict == "inconsistent" else EXIT_OK
-
-
-def cmd_report_all(config_dir: str | None, out_dir: str) -> int:
-    """Run the full battery and write per-proposition reports plus an index.
-
-    With a config directory, every file <id>.json supplies the resolutions
-    for that proposition; otherwise the built-in defaults run.  An existing
-    but empty directory is a usage error.
-    """
-    configs: dict[str, ExperimentConfig] = {}
-    if config_dir is not None:
-        cdir = Path(config_dir)
-        if not cdir.is_dir():
-            raise ConfigError(f"config directory {config_dir} does not exist")
-        files = sorted(cdir.glob("*.json"))
-        if not files:
-            raise ConfigError(f"config directory {config_dir} is empty")
-        for path in files:
-            prop = path.stem
-            if prop not in PROPOSITIONS:
-                raise ConfigError(
-                    f"config file {path.name} does not name a proposition"
-                )
-            configs[prop] = load_config(path)
-    else:
-        configs = {prop: default_config() for prop in PROPOSITIONS}
-
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-
-    verdicts = {}
-    notes = {}
-    for prop in PROPOSITIONS:
-        if prop not in configs:
-            continue
-        report = verify(prop, configs[prop])
-        verdicts[prop] = report.verdict
-        note = report.evidence.get("note")
-        if note:
-            notes[prop] = note
-        write_canonical(out_path / f"{prop}.json", report_to_json(report))
-
-    exit_code = (
-        EXIT_INCONSISTENT
-        if any(v == "inconsistent" for v in verdicts.values())
-        else EXIT_OK
-    )
-    index = {
-        "n_reports": len(verdicts),
-        "verdicts": verdicts,
-        "notes": notes,
-        "exit_code": exit_code,
-    }
-    write_canonical(out_path / "index.json", index)
-    sys.stdout.write(dumps_canonical(index))
-    return exit_code
-
-
-# -- argument parsing ----------------------------------------------------------
-
-
-def _add_common(parser: argparse.ArgumentParser, config_required: bool) -> None:
-    parser.add_argument("--config", type=str, required=config_required,
-                        help="experiment config JSON file")
-    parser.add_argument("--out", type=str, default=None, help="output file")
-    parser.add_argument("--format", choices=["json", "csv"], default=None)
-    parser.add_argument("--truncation", type=int, default=None, metavar="N")
-    parser.add_argument("--orbit-len", type=int, default=None, metavar="K")
-    parser.add_argument("--grid", type=int, default=None, metavar="M")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hardyframes",
-        description="Frame diagnostics for multiplication-operator orbits "
-        "on the Hardy space of the disk.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("orbit", "frame-bounds", "gram", "innerness", "cyclicity"):
-        p = sub.add_parser(name)
-        _add_common(p, config_required=True)
-
-    p_verify = sub.add_parser("verify")
-    p_verify.add_argument("proposition", type=str,
-                          help=f"one of: {', '.join(PROPOSITIONS)}")
-    _add_common(p_verify, config_required=False)
-
-    p_all = sub.add_parser("report-all")
-    p_all.add_argument("--config-dir", type=str, default=None)
-    p_all.add_argument("--out-dir", type=str, default="reports")
-    return parser
-
-
 def _resolve_config(args) -> ExperimentConfig:
     if args.config is not None:
         cfg = load_config(args.config)
@@ -274,35 +64,212 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "report-all":
-            return cmd_report_all(args.config_dir, args.out_dir)
+# -- reports: each maps (config, args) to its JSON payload ---------------------
 
+
+def _config_orbit(config: ExperimentConfig):
+    return orbit_for(
+        config.symbol, config.seed_coeffs, config.truncation_order, config.orbit_length
+    )
+
+
+def _orbit_report(config: ExperimentConfig, args) -> dict:
+    orb = _config_orbit(config)
+    rows = [
+        {"n": n, "norm": float(orb.norms[n]), "truncated": bool(orb.truncated[n])}
+        for n in range(orb.length)
+    ]
+    return {"N": orb.order, "K": orb.length - 1, "rows": rows}
+
+
+def _orbit_columns(payload: dict) -> dict:
+    rows = payload["rows"]
+    return {key: [row[key] for row in rows] for key in ("n", "norm", "truncated")}
+
+
+def _frame_bounds_report(config: ExperimentConfig, args) -> dict:
+    bounds = frame_bounds_estimate(frame_section(_config_orbit(config)))
+    return dataclasses.asdict(bounds)  # the fields, in order, are the CSV columns
+
+
+def _one_row(payload: dict) -> dict:
+    return {key: [value] for key, value in payload.items()}
+
+
+def _gram_report(config: ExperimentConfig, args) -> dict:
+    g = gram(_config_orbit(config))
+    return {"K": g.orbit_len - 1, "entries": g.entries}
+
+
+def _gram_columns(payload: dict) -> dict:
+    entries = payload["entries"]
+    m, n = np.indices(entries.shape)
+    return {
+        "m": m.ravel(),
+        "n": n.ravel(),
+        "re": entries.real.ravel(),
+        "im": entries.imag.ravel(),
+    }
+
+
+def _innerness_report(config: ExperimentConfig, args) -> dict:
+    report = innerness_test(
+        realize(config.symbol, config.truncation_order),
+        BoundaryGrid(config.boundary_grid),
+        config.tolerances.inner_tol,
+    )
+    return {
+        "M": config.boundary_grid,
+        "N": config.truncation_order,
+        **dataclasses.asdict(report),
+    }
+
+
+def _cyclicity_report(config: ExperimentConfig, args) -> dict:
+    orb = _config_orbit(config)
+    report = cyclicity_rank(orb, config.tolerances.rank_tol)
+    return {
+        "N": orb.order,
+        "K": orb.length - 1,
+        "rank": report.rank,
+        "span_dimension_deficit": report.span_dimension_deficit,
+        "singular_values": report.singular_values,
+    }
+
+
+def _verify_report(config: ExperimentConfig, args) -> dict:
+    return report_to_json(verify(args.proposition, config))
+
+
+def _report(build, columns=None):
+    """The runner of a report: it writes build(config, args) as JSON, or,
+    for a report with `columns`, the CSV of columns(payload)."""
+
+    def run(args) -> int:
         config = _resolve_config(args)
         fmt = args.format or config.output.format
-        out = args.out if args.out is not None else config.output.path
+        if columns is None:
+            # JSON only: reject an explicit CSV request, but ignore a config
+            # whose default format targets the CSV-capable commands
+            if args.format == "csv":
+                raise ConfigError(f"{args.command} reports are JSON only")
+            fmt = "json"
+        payload = build(config, args)
+        text = dumps_csv(columns(payload)) if fmt == "csv" else dumps_canonical(payload)
+        _emit(text, args.out if args.out is not None else config.output.path)
+        # only a verification report can say "inconsistent"
+        inconsistent = payload.get("verdict") == "inconsistent"
+        return EXIT_INCONSISTENT if inconsistent else EXIT_OK
 
-        if args.command == "orbit":
-            return cmd_orbit(config, out, fmt)
-        if args.command == "frame-bounds":
-            return cmd_frame_bounds(config, out, fmt)
-        if args.command == "gram":
-            return cmd_gram(config, out, fmt)
-        # the remaining reports are JSON only: reject an explicit CSV
-        # request, but ignore a config whose default format targets the
-        # CSV-capable commands
-        if args.format == "csv":
-            raise ConfigError(f"{args.command} reports are JSON only")
-        if args.command == "innerness":
-            return cmd_innerness(config, out)
-        if args.command == "cyclicity":
-            return cmd_cyclicity(config, out)
-        if args.command == "verify":
-            return cmd_verify(args.proposition, config, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+    return run
+
+
+def _report_all(args) -> int:
+    """Run the full battery and write per-proposition reports plus an index.
+
+    With a config directory, every file <id>.json supplies the resolutions
+    for that proposition; otherwise the built-in defaults run.  An existing
+    but empty directory is a usage error.
+    """
+    configs: dict[str, ExperimentConfig] = {}
+    if args.config_dir is not None:
+        cdir = Path(args.config_dir)
+        if not cdir.is_dir():
+            raise ConfigError(f"config directory {args.config_dir} does not exist")
+        files = sorted(cdir.glob("*.json"))
+        if not files:
+            raise ConfigError(f"config directory {args.config_dir} is empty")
+        for path in files:
+            prop = path.stem
+            if prop not in PROPOSITIONS:
+                raise ConfigError(
+                    f"config file {path.name} does not name a proposition"
+                )
+            configs[prop] = load_config(path)
+    else:
+        configs = {prop: default_config() for prop in PROPOSITIONS}
+
+    out_path = Path(args.out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
+
+    verdicts = {}
+    notes = {}
+    for prop in PROPOSITIONS:
+        if prop not in configs:
+            continue
+        report = verify(prop, configs[prop])
+        verdicts[prop] = report.verdict
+        note = report.evidence.get("note")
+        if note:
+            notes[prop] = note
+        write_canonical(out_path / f"{prop}.json", report_to_json(report))
+
+    exit_code = EXIT_INCONSISTENT if "inconsistent" in verdicts.values() else EXIT_OK
+    index = {
+        "n_reports": len(verdicts),
+        "verdicts": verdicts,
+        "notes": notes,
+        "exit_code": exit_code,
+    }
+    write_canonical(out_path / "index.json", index)
+    sys.stdout.write(dumps_canonical(index))
+    return exit_code
+
+
+# -- argument parsing ----------------------------------------------------------
+
+
+def _config_options(parser: argparse.ArgumentParser, config_required=True) -> None:
+    parser.add_argument("--config", type=str, required=config_required,
+                        help="experiment config JSON file")
+    parser.add_argument("--out", type=str, default=None, help="output file")
+    parser.add_argument("--format", choices=["json", "csv"], default=None)
+    parser.add_argument("--truncation", type=int, default=None, metavar="N")
+    parser.add_argument("--orbit-len", type=int, default=None, metavar="K")
+    parser.add_argument("--grid", type=int, default=None, metavar="M")
+
+
+def _verify_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("proposition", type=str,
+                        help=f"one of: {', '.join(PROPOSITIONS)}")
+    _config_options(parser, config_required=False)
+
+
+def _report_all_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config-dir", type=str, default=None)
+    parser.add_argument("--out-dir", type=str, default="reports")
+
+
+# Every subcommand: name -> (what adds its options to its parser, what runs
+# it on the parsed arguments and returns the exit code).
+COMMANDS = {
+    "orbit": (_config_options, _report(_orbit_report, _orbit_columns)),
+    "frame-bounds": (_config_options, _report(_frame_bounds_report, _one_row)),
+    "gram": (_config_options, _report(_gram_report, _gram_columns)),
+    "innerness": (_config_options, _report(_innerness_report)),
+    "cyclicity": (_config_options, _report(_cyclicity_report)),
+    "verify": (_verify_options, _report(_verify_report)),
+    "report-all": (_report_all_options, _report_all),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hardyframes",
+        description="Frame diagnostics for multiplication-operator orbits "
+        "on the Hardy space of the disk.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (add_options, _) in COMMANDS.items():
+        add_options(sub.add_parser(name))
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    _, run = COMMANDS[args.command]
+    try:
+        return run(args)
     # LinAlgError subclasses ValueError, so it must be caught first;
     # FloatingPointError: an orbit overflowed, or a report holds inf or nan
     except (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -118,11 +118,8 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
         "truncation_order": cfg.truncation_order,
         "orbit_length": cfg.orbit_length,
         "boundary_grid": cfg.boundary_grid,
-        "tolerances": {
-            "inner_tol": cfg.tolerances.inner_tol,
-            "rank_tol": cfg.tolerances.rank_tol,
-        },
-        "output": {"format": cfg.output.format, "path": cfg.output.path},
+        "tolerances": asdict(cfg.tolerances),
+        "output": asdict(cfg.output),
     }
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries, inner_products, series_from_coeffs
-from .orbits import Orbit, orbit as make_orbit
+from .series import TruncatedSeries, inner_products
+from .orbits import Orbit, orbit_for
 
 TIGHT_REL_TOL = 1e-8
 NUMERICALLY_ZERO_REL = 1e-12
@@ -51,10 +51,10 @@ class FrameSection:
 
 @dataclass(frozen=True)
 class FrameBounds:
-    A_est: float
-    B_est: float
     N: int
     K: int
+    A_est: float
+    B_est: float
     tight: bool
     numerically_zero_lower: bool
 
@@ -159,20 +159,14 @@ def bounds_vs_truncation(spec, seed_coeffs, orders, orbit_lengths) -> list[Frame
     The symbol spec is re-expanded at each order (a truncated expansion is
     only meaningful relative to its own N).
     """
-    from .symbols import realize
-
     orders = list(orders)
     orbit_lengths = list(orbit_lengths)
     if not orders or not orbit_lengths:
         raise ValueError("orders and orbit_lengths must be nonempty")
     if sorted(orders) != orders or sorted(orbit_lengths) != orbit_lengths:
         raise ValueError("orders and orbit_lengths must be ascending")
-
-    results = []
-    for n in orders:
-        sym = realize(spec, n)
-        seed = series_from_coeffs(seed_coeffs, n)
-        for k in orbit_lengths:
-            orb = make_orbit(sym, seed, k, n)
-            results.append(frame_bounds_estimate(frame_section(orb)))
-    return results
+    return [
+        frame_bounds_estimate(frame_section(orbit_for(spec, seed_coeffs, n, k)))
+        for n in orders
+        for k in orbit_lengths
+    ]

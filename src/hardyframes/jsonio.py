@@ -1,9 +1,10 @@
-"""Canonical JSON emission and complex-number codecs.
+"""Canonical JSON and CSV emission and complex-number codecs.
 
 Reports must be byte-identical across runs of the same battery, so the
 writer fixes everything the stdlib leaves open: keys sorted, floats at 17
 significant digits (lossless for doubles), LF line endings, complex
-numbers always as {"im": ..., "re": ...} objects.
+numbers always as {"im": ..., "re": ...} objects.  CSV follows the same
+number rules, and neither format writes inf or nan.
 """
 
 from __future__ import annotations
@@ -107,6 +108,31 @@ def dumps_canonical(obj) -> str:
     _write(obj, 0, pieces)
     pieces.append("\n")
     return "".join(pieces)
+
+
+def _csv_column(values) -> tuple[str, list]:
+    """The "%" leaf and the row values of one boolean, integer or float column."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "b":
+        return "%s", ["true" if v else "false" for v in arr.tolist()]
+    if arr.dtype.kind in "iu":
+        return "%d", arr.tolist()
+    if not np.isfinite(arr).all():
+        _format_float(float(arr[~np.isfinite(arr)][0]))  # raises, as in JSON
+    return "%.17g", arr.tolist()
+
+
+def dumps_csv(columns: dict) -> str:
+    """CSV text: a header of the column names, then one line per row.
+
+    The columns are equal-length sequences; floats are written at 17
+    significant digits and booleans as true/false, as in dumps_canonical.
+    """
+    leaves, values = zip(*(_csv_column(col) for col in columns.values()))
+    row = ",".join(leaves)
+    lines = [",".join(columns)]
+    lines.extend(row % cells for cells in zip(*values))
+    return "\n".join(lines) + "\n"
 
 
 def write_canonical(path, obj) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import TruncatedSeries, inner_products, mul, series_from_coeffs
-from .symbols import SymbolRealization
+from .symbols import SymbolRealization, SymbolSpec, realize
 
 DECAY_SLOPE_DEADBAND = 1e-3
 MIN_ORBIT_FOR_DECAY = 8
@@ -103,6 +103,13 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
 
     norms = np.sqrt(inner_products(v, v).real)
     return Orbit(symbol=sym, V=v, norms=norms, truncated=truncated)
+
+
+def orbit_for(spec: SymbolSpec, seed_coeffs, order: int, count: int) -> Orbit:
+    """The orbit phi^n f, n = 0..count, of a symbol spec and seed
+    coefficients, both realized at truncation order N = order."""
+    seed = series_from_coeffs(seed_coeffs, order)
+    return orbit(realize(spec, order), seed, count, order)
 
 
 def matrix_section(sym: SymbolRealization, order: int) -> OperatorSection:

@@ -283,18 +283,19 @@ def boundary_values(sym: SymbolRealization, grid: BoundaryGrid) -> np.ndarray:
 
 
 def innerness_test(
-    sym: SymbolRealization, grid: BoundaryGrid, tol: float | None = None
+    sym: SymbolRealization, grid: BoundaryGrid, exact_tol: float = INNER_TOL_EXACT
 ) -> InnernessReport:
     """Numerical inner-ness evidence from boundary moduli.
 
     max_deviation is max_j ||phi(point_j)| - 1|.  sub_unit_fraction, the
     fraction of grid points with |phi| < 1 - tol, is the finite surrogate
     for "|phi| < 1 on a set of positive measure"; it is evidence, not a
-    measure-theoretic statement.
+    measure-theoretic statement.  tol is exact_tol for a symbol evaluated
+    in closed form; truncated polynomial evaluation keeps the coarser
+    INNER_TOL_TRUNCATED.
     """
     _require_grid(sym, grid)
-    if tol is None:
-        tol = INNER_TOL_EXACT if uses_exact_evaluation(sym) else INNER_TOL_TRUNCATED
+    tol = exact_tol if uses_exact_evaluation(sym) else INNER_TOL_TRUNCATED
     moduli = np.abs(boundary_values(sym, grid))
     max_dev = float(np.max(np.abs(moduli - 1.0)))
     sub_unit = float(np.count_nonzero(moduli < 1.0 - tol)) / grid.size

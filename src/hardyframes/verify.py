@@ -12,7 +12,7 @@ Verdicts describe finite-truncation evidence, never proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,21 +26,9 @@ from .diagnostics import (
     zeros_in_disk,
 )
 from .frames import frame_bounds_estimate, frame_section, frame_sum, partial_frame_sums
-from .orbits import decay_profile, orbit
+from .orbits import decay_profile, orbit_for
 from .series import BoundaryGrid, TruncatedSeries, series_from_coeffs
 from .symbols import SymbolSpec, innerness_test, realize
-
-PROPOSITIONS = (
-    "P1",
-    "P2",
-    "P3",
-    "P4i",
-    "P4ii",
-    "Ex_constant",
-    "Ex_half_shift",
-    "Ex_3_1",
-    "P6",
-)
 
 P6_TENSION_NOTE = (
     "a numerically cyclic seed (full rank at truncation) shows a lower-bound "
@@ -62,24 +50,14 @@ class VerificationReport:
 
 
 def report_to_json(report: VerificationReport) -> dict:
-    return {
-        "proposition": report.proposition,
-        "verdict": report.verdict,
-        "evidence": report.evidence,
-        "parameters": report.parameters,
-    }
+    return asdict(report)
 
 
 # -- shared helpers ----------------------------------------------------------
 
 
-def _orbit_for(spec: SymbolSpec, seed_coeffs, n: int, k: int):
-    sym = realize(spec, n)
-    return orbit(sym, series_from_coeffs(seed_coeffs, n), k, n)
-
-
 def _bounds_for(spec: SymbolSpec, seed_coeffs, n: int, k: int):
-    return frame_bounds_estimate(frame_section(_orbit_for(spec, seed_coeffs, n, k)))
+    return frame_bounds_estimate(frame_section(orbit_for(spec, seed_coeffs, n, k)))
 
 
 def _describe(spec: SymbolSpec) -> str:
@@ -99,10 +77,7 @@ def _parameters(config: ExperimentConfig) -> dict:
         "N": config.truncation_order,
         "K": config.orbit_length,
         "M": config.boundary_grid,
-        "tolerances": {
-            "inner_tol": config.tolerances.inner_tol,
-            "rank_tol": config.tolerances.rank_tol,
-        },
+        "tolerances": asdict(config.tolerances),
     }
 
 
@@ -135,9 +110,8 @@ def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
     evidence = {}
     consistent = True
     for label, spec, branch in cases:
-        sym = realize(spec, n)
-        inn = innerness_test(sym, grid)
-        orb = orbit(sym, series_from_coeffs((1.0,), n), k, n)
+        orb = orbit_for(spec, (1.0,), n, k)
+        inn = innerness_test(orb.symbol, grid, config.tolerances.inner_tol)
         decay = decay_profile(orb)
         entry = {
             "symbol": _describe(spec),
@@ -193,7 +167,7 @@ def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
             ),
         }
         for seed_label, coeffs in seeds.items():
-            orb = _orbit_for(spec, coeffs, n, k)
+            orb = orbit_for(spec, coeffs, n, k)
             cyc = cyclicity_rank(orb, config.tolerances.rank_tol)
             bounds = frame_bounds_estimate(frame_section(orb))
             entry = {
@@ -240,7 +214,7 @@ def _verify_p3(config: ExperimentConfig) -> tuple[str, dict]:
     consistent = True
     for label, theta in (("pi_over_4", np.pi / 4), ("pi_over_7", np.pi / 7)):
         spec = SymbolSpec.constant(np.exp(1j * theta))
-        orb = _orbit_for(spec, (1.0,), n, k)
+        orb = orbit_for(spec, (1.0,), n, k)
         for g_label, g_coeffs in (("one", (1.0,)), ("one_plus_z", (1.0, 1.0))):
             g = series_from_coeffs(g_coeffs, n)
             sums = partial_frame_sums(g, orb)
@@ -277,9 +251,9 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
     consistent = True
 
     inside_spec = _scaled_blaschke_polynomial(0.9, 0.5, n)
-    sym = realize(inside_spec, n)
+    orb = orbit_for(inside_spec, (1.0,), n, k)
+    sym = orb.symbol
     scan = image_circle_intersection(sym, grid, radial_levels=48)
-    orb = orbit(sym, series_from_coeffs((1.0,), n), k, n)
     decay = decay_profile(orb)
     trend = [_bounds_for(inside_spec, (1.0,), nn, nn) for nn in _trend_orders(n)]
     contraction_ok = bool(
@@ -309,9 +283,8 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
         consistent = False
 
     outside_spec = SymbolSpec.constant(2.0)
-    sym2 = realize(outside_spec, n)
-    scan2 = image_circle_intersection(sym2, grid, radial_levels=48)
-    orb2 = orbit(sym2, series_from_coeffs((1.0,), n), k, n)
+    orb2 = orbit_for(outside_spec, (1.0,), n, k)
+    scan2 = image_circle_intersection(orb2.symbol, grid, radial_levels=48)
     decay2 = decay_profile(orb2)
     growth = [_bounds_for(outside_spec, (1.0,), n, kk) for kk in _trend_orders(k)]
     evidence["outside_constant_two"] = {
@@ -347,7 +320,7 @@ def _verify_p4ii(config: ExperimentConfig) -> tuple[str, dict]:
     evidence = {}
     consistent = True
     for label, spec, coeffs in cases:
-        orb = _orbit_for(spec, coeffs, n, k)
+        orb = orbit_for(spec, coeffs, n, k)
         found = zeros_in_disk(orb.seed, margin=0.05)
         bounds = frame_bounds_estimate(frame_section(orb))
         max_norm = float(np.max(orb.norms))
@@ -389,7 +362,7 @@ def _verify_p4ii(config: ExperimentConfig) -> tuple[str, dict]:
 def _verify_ex_constant(config: ExperimentConfig) -> tuple[str, dict]:
     n = config.truncation_order
     k = 60  # partial sum is then within 4^-60 of the closed form
-    orb = _orbit_for(SymbolSpec.constant(0.5), (1.0,), n, k)
+    orb = orbit_for(SymbolSpec.constant(0.5), (1.0,), n, k)
     g = series_from_coeffs((1.0,), n)
     fs = frame_sum(g, orb)
     closed_form = 1.0 / (1.0 - 0.25)
@@ -409,7 +382,7 @@ def _verify_ex_constant(config: ExperimentConfig) -> tuple[str, dict]:
 def _verify_ex_half_shift(config: ExperimentConfig) -> tuple[str, dict]:
     n_exact, k_exact = 40, 40
     spec = SymbolSpec.scaled_shift(0.5)
-    orb = _orbit_for(spec, (1.0,), n_exact, k_exact)
+    orb = orbit_for(spec, (1.0,), n_exact, k_exact)
     exact_failures = []
     for kk in range(33):
         fs = frame_sum(hs.monomial(kk, n_exact), orb)
@@ -437,7 +410,7 @@ def _verify_ex_half_shift(config: ExperimentConfig) -> tuple[str, dict]:
 def _verify_ex_3_1(config: ExperimentConfig) -> tuple[str, dict]:
     n = k = max(config.truncation_order, config.orbit_length)
     spec = SymbolSpec.monomial(1)
-    orb = _orbit_for(spec, (1.0,), n, k)
+    orb = orbit_for(spec, (1.0,), n, k)
     bounds = frame_bounds_estimate(frame_section(orb))
 
     rng = np.random.default_rng(31415926)
@@ -453,7 +426,7 @@ def _verify_ex_3_1(config: ExperimentConfig) -> tuple[str, dict]:
     ratio_rows = []
     ratios_exact = True
     for nn in sorted({max(16, n // 4), max(32, n // 2), n}):
-        orb_fail = _orbit_for(spec, (1.0, -1.0), nn, nn)
+        orb_fail = orbit_for(spec, (1.0, -1.0), nn, nn)
         g_full = TruncatedSeries(np.ones(nn + 1, dtype=complex))
         ratio = frame_sum(g_full, orb_fail) / hs.norm_sq(g_full)
         ratio_rows.append({"N": nn, "ratio": ratio, "expected": 1.0 / (nn + 1)})
@@ -493,7 +466,7 @@ def _verify_p6(config: ExperimentConfig) -> tuple[str, dict]:
     necessity_violated = False
     tension_cases = []
     for label, spec, coeffs in cases:
-        orb = _orbit_for(spec, coeffs, n, k)
+        orb = orbit_for(spec, coeffs, n, k)
         cyc = cyclicity_rank(orb, config.tolerances.rank_tol)
         trend = [_bounds_for(spec, coeffs, nn, nn) for nn in _trend_orders(n)]
         final = trend[-1]
@@ -543,6 +516,7 @@ _SUITES = {
     "Ex_3_1": _verify_ex_3_1,
     "P6": _verify_p6,
 }
+PROPOSITIONS = tuple(_SUITES)
 
 
 def verify(proposition: str, config: ExperimentConfig) -> VerificationReport:

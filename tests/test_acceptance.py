@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hardyframes.cli import cmd_report_all
+from hardyframes.cli import main
 from hardyframes.diagnostics import (
     cyclicity_rank,
     kernel_orthogonality_witness,
@@ -284,7 +284,7 @@ def test_criterion_9_property_suites():
 
 def test_criterion_10_battery_exit_contract(tmp_path):
     out_dir = tmp_path / "reports"
-    code = cmd_report_all(None, str(out_dir))
+    code = main(["report-all", "--out-dir", str(out_dir)])
     index = json.loads((out_dir / "index.json").read_text())
     verdict_ok = code == 0 and index["verdicts"]["P6"] == "inconclusive"
     for prop in ("P1", "P2", "P3", "P4i", "P4ii", "Ex_constant", "Ex_half_shift", "Ex_3_1"):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hardyframes import cli
+from hardyframes import orbits
 from hardyframes.cli import main
 from hardyframes.config import (
     ExperimentConfig,
@@ -11,8 +11,9 @@ from hardyframes.config import (
     config_to_json,
     load_config,
 )
-from hardyframes.frames import FrameBounds
+from hardyframes.frames import FrameBounds, frame_bounds_estimate, frame_section, gram
 from hardyframes.jsonio import dumps_canonical
+from hardyframes.orbits import orbit_for
 from hardyframes.symbols import SymbolSpec
 
 
@@ -143,9 +144,12 @@ def test_memory_error_exits_3_not_inconsistent(tmp_path, capsys, monkeypatch):
     def boom(*_args, **_kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "orbit", boom)
+    monkeypatch.setattr(orbits, "orbit", boom)
     assert main(["frame-bounds", "--config", str(cfg_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+CSV_COMMANDS = ("orbit", "frame-bounds", "gram")
 
 
 @pytest.mark.parametrize(
@@ -161,9 +165,13 @@ def test_overflow_exits_3_not_usage(tmp_path, capsys, n, commands):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, symbol=SymbolSpec.polynomial([0, 4]), n=n, k=n, m=8 * n)
     for command in commands:
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main([command, "--config", str(cfg_path)]) == 3, command
-        assert "numerical failure" in capsys.readouterr().err
+        # CSV follows the JSON writer's rule: no inf or nan is written
+        formats = ["json", "csv"] if command in CSV_COMMANDS else ["json"]
+        for fmt in formats:
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = main([command, "--config", str(cfg_path), "--format", fmt])
+            assert code == 3, (command, fmt)
+            assert "numerical failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -226,27 +234,84 @@ def test_gram_csv_shape(tmp_path, capsys):
     assert len(lines) == 1 + 16
 
 
-def test_gram_outputs_match_per_entry_writers(tmp_path, capsys):
+def _flag(value) -> str:
+    return "true" if value else "false"
+
+
+def _per_entry_outputs(command, cfg):
+    """The JSON and CSV text of the per-entry dict and f-string writers."""
+    orb = orbit_for(cfg.symbol, cfg.seed_coeffs, cfg.truncation_order, cfg.orbit_length)
+    if command == "orbit":
+        rows = [
+            {"n": n, "norm": float(orb.norms[n]), "truncated": bool(orb.truncated[n])}
+            for n in range(orb.length)
+        ]
+        payload = {"N": orb.order, "K": orb.length - 1, "rows": rows}
+        lines = ["n,norm,truncated"] + [
+            f"{n},{format(orb.norms[n], '.17g')},{_flag(orb.truncated[n])}"
+            for n in range(orb.length)
+        ]
+    elif command == "frame-bounds":
+        b = frame_bounds_estimate(frame_section(orb))
+        payload = {
+            "N": b.N,
+            "K": b.K,
+            "A_est": b.A_est,
+            "B_est": b.B_est,
+            "tight": b.tight,
+            "numerically_zero_lower": b.numerically_zero_lower,
+        }
+        lines = [
+            "N,K,A_est,B_est,tight,numerically_zero_lower",
+            f"{b.N},{b.K},{format(b.A_est, '.17g')},{format(b.B_est, '.17g')},"
+            f"{_flag(b.tight)},{_flag(b.numerically_zero_lower)}",
+        ]
+    else:
+        entries = gram(orb).entries
+        k1 = entries.shape[0]
+        dicts = [
+            [{"re": entries[m, n].real, "im": entries[m, n].imag} for n in range(k1)]
+            for m in range(k1)
+        ]
+        payload = {"K": k1 - 1, "entries": dicts}
+        lines = ["m,n,re,im"] + [
+            f"{m},{n},{format(entries[m, n].real, '.17g')},"
+            f"{format(entries[m, n].imag, '.17g')}"
+            for m in range(k1)
+            for n in range(k1)
+        ]
+    return dumps_canonical(payload), "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, symbol, seed, n, k, csv_marks",
+    [
+        # the seed's degree pushes the last elements past N
+        pytest.param("orbit", SymbolSpec.monomial(1), (1.0, -0.5), 12, 16,
+                     [",false\n", ",true\n"], id="orbit"),
+        pytest.param("frame-bounds", SymbolSpec.monomial(1), (1.0,), 8, 8,
+                     [",true,false\n"], id="frame-bounds-tight"),
+        # z^2 from 1 spans only even powers: the lower bound is zero
+        pytest.param("frame-bounds", SymbolSpec.monomial(2), (1.0,), 8, 8,
+                     [",false,true\n"], id="frame-bounds-deficit"),
+        # a real orbit: its Gram matrix has -0 imaginary parts
+        pytest.param("gram", SymbolSpec.blaschke([0.5, -0.25]), (1.0, -0.5), 20, 9,
+                     [",-0\n"], id="gram"),
+    ],
+)
+def test_outputs_match_per_entry_writers(
+    tmp_path, capsys, command, symbol, seed, n, k, csv_marks
+):
     cfg_path = tmp_path / "cfg.json"
-    write_config(
-        cfg_path, symbol=SymbolSpec.blaschke([0.5, -0.25]), seed=(1.0, -0.5), n=20, k=9
-    )
-    entries = cli.gram(cli._orbit_from_config(load_config(cfg_path))).entries
-    k1 = entries.shape[0]
-    assert np.signbit(entries.imag).any()  # the real orbit carries -0 parts
+    write_config(cfg_path, symbol=symbol, seed=seed, n=n, k=k)
+    json_text, csv_text = _per_entry_outputs(command, load_config(cfg_path))
+    for mark in csv_marks:
+        assert mark in csv_text
 
-    assert main(["gram", "--config", str(cfg_path)]) == 0
-    dicts = [[{"re": entries[m, n].real, "im": entries[m, n].imag} for n in range(k1)]
-             for m in range(k1)]
-    assert capsys.readouterr().out == dumps_canonical({"K": k1 - 1, "entries": dicts})
-
-    assert main(["gram", "--config", str(cfg_path), "--format", "csv"]) == 0
-    lines = ["m,n,re,im"] + [
-        f"{m},{n},{format(entries[m, n].real, '.17g')},{format(entries[m, n].imag, '.17g')}"
-        for m in range(k1)
-        for n in range(k1)
-    ]
-    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    assert main([command, "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == json_text
+    assert main([command, "--config", str(cfg_path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == csv_text
 
 
 def test_innerness_verdicts(tmp_path, capsys):

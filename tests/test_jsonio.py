@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hardyframes.jsonio import dumps_canonical
+from hardyframes.jsonio import dumps_canonical, dumps_csv
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3, 2.0**-1074 * 3]
 
@@ -65,3 +65,30 @@ def test_non_finite_array_raises_like_its_list(arr):
     with pytest.raises(FloatingPointError) as from_array:
         dumps_canonical({"k": arr})
     assert str(from_array.value) == str(from_list.value)
+
+
+def test_csv_writes_each_cell_as_the_json_writer_does():
+    floats = np.array(EDGE_VALUES)
+    text = dumps_csv({
+        "i": np.arange(floats.size),
+        "x": floats,
+        "flag": floats > 0,
+        "y": list(floats[::-1]),
+    })
+    lines = text.split("\n")
+    assert lines[0] == "i,x,flag,y" and lines[-1] == ""
+    for i, line in enumerate(lines[1:-1]):
+        x, y = floats[i], floats[-1 - i]
+        cells = [str(i), dumps_canonical(x), dumps_canonical(bool(x > 0)),
+                 dumps_canonical(y)]
+        assert line == ",".join(cell.rstrip("\n") for cell in cells)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_csv_non_finite_raises_like_json(value):
+    column = [0.5, value]
+    with pytest.raises(FloatingPointError) as from_json:
+        dumps_canonical({"x": column})
+    with pytest.raises(FloatingPointError) as from_csv:
+        dumps_csv({"n": [0, 1], "x": column})
+    assert str(from_csv.value) == str(from_json.value)

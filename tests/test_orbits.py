@@ -8,6 +8,7 @@ from hardyframes.orbits import (
     decay_profile,
     matrix_section,
     orbit,
+    orbit_for,
 )
 from hardyframes.series import monomial, mul, norm, series_from_coeffs, zero_series
 from hardyframes.symbols import SymbolSpec, realize
@@ -21,6 +22,29 @@ def seed(coeffs, order):
     arr = np.asarray(coeffs, dtype=complex)
     out[: arr.size] = arr
     return series_from_coeffs(out)
+
+
+# -- orbit_for -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs",
+    [
+        (SymbolSpec.blaschke([0.5, -0.3j]), (1.0, 0.5j)),
+        (SymbolSpec.polynomial([0.2, 0.3, 0.1]), (1.0,)),
+        # a seed longer than N is cut to N + 1 coefficients
+        (SymbolSpec.monomial(2), tuple(range(1, 20))),
+    ],
+)
+def test_orbit_for_realizes_the_spec_and_pads_the_seed_at_order_n(spec, coeffs):
+    order, count = 12, 9
+    built = orbit_for(spec, coeffs, order, count)
+    f = series_from_coeffs(coeffs, order)
+    direct = orbit(realize(spec, order), f, count, order)
+    assert built.symbol.spec == spec and built.symbol.series.order == order
+    assert built.V.tobytes() == direct.V.tobytes()
+    assert np.array_equal(built.truncated, direct.truncated)
+    assert built.norms.tobytes() == direct.norms.tobytes()
 
 
 # -- apply ---------------------------------------------------------------------

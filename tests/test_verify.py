@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from hardyframes.cli import default_config
-from hardyframes.config import ExperimentConfig
+from hardyframes.config import ExperimentConfig, ToleranceSettings
 from hardyframes.jsonio import dumps_canonical
 from hardyframes.symbols import SymbolSpec
 from hardyframes.verify import (
@@ -112,3 +113,12 @@ def test_verify_respects_config_resolution():
     report = verify("Ex_3_1", small)
     assert report.verdict == "consistent"
     assert report.parameters["N"] == 32
+
+
+def test_p1_honours_inner_tol(config):
+    # |phi| = 1/2 on the circle lies below 1 - tol only while tol < 1/2
+    loose = dataclasses.replace(config, tolerances=ToleranceSettings(inner_tol=0.6))
+    report = verify("P1", loose)
+    assert report.parameters["tolerances"]["inner_tol"] == 0.6
+    assert report.evidence["constant_half"]["sub_unit_fraction"] == 0.0
+    assert verify("P1", config).evidence["constant_half"]["sub_unit_fraction"] == 1.0
