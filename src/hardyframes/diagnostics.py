@@ -124,29 +124,26 @@ def cyclicity_rank(orb: Orbit, rank_tol: float = RANK_REL_TOL) -> CyclicityRepor
     """Numerical rank of the orbit's coefficient matrix on span{z^0..z^N}.
 
     Full rank is the truncation-level surrogate for a dense span; the full
-    singular spectrum is returned so borderline cases stay visible.  When
-    the span is deficient, the witness is the last row w of the SVD's
-    right factor, so ||V conj(w)|| is the smallest singular value (0 when
-    K < N); the frame operator is never formed, so its squared condition
-    number never enters.
+    singular spectrum is returned so borderline cases stay visible.  The
+    spectrum, the rank and the witness come from one SVD of V.  When the
+    span is deficient, the witness is the last row w of the SVD's right
+    factor, so ||V conj(w)|| is the smallest singular value (0 when K < N);
+    the frame operator is never formed, so its squared condition number
+    never enters.
     """
-    singulars = np.linalg.svd(orb.V, compute_uv=False)
+    # full_matrices (the default) keeps a null-space row of Vh when K < N
+    _, singulars, vh = np.linalg.svd(orb.V)
     sigma_max = float(singulars[0]) if singulars.size else 0.0
     if sigma_max == 0.0:
         rank = 0
     else:
         rank = int(np.count_nonzero(singulars > rank_tol * sigma_max))
     deficit = (orb.order + 1) - rank
-
-    witness = None
-    if deficit > 0:
-        # full_matrices (the default) keeps a null-space row of Vh when K < N
-        witness = TruncatedSeries(np.linalg.svd(orb.V)[2][-1])
     return CyclicityReport(
         rank=rank,
         span_dimension_deficit=deficit,
         singular_values=singulars,
-        witness=witness,
+        witness=TruncatedSeries(vh[-1]) if deficit > 0 else None,
     )
 
 

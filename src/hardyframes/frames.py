@@ -4,6 +4,11 @@ All bounds computed here are finite-section estimates carrying their
 (N, K) provenance; nothing claims to be a bound for the infinite system.
 The lower estimate is clamped at zero, and values below 1e-12 * B are
 reported as numerically zero (the span-deficiency signal).
+
+The Gram matrix and the frame section are each one BLAS product of the
+orbit matrix V; the Gram is mirrored so it is exactly Hermitian.  Frame
+sums and the weights of the frame operator's action are ascending-order
+`inner_products`, bit-identical to the scalar inner product.
 """
 
 from __future__ import annotations
@@ -17,10 +22,6 @@ from .orbits import Orbit, orbit_for
 
 TIGHT_REL_TOL = 1e-8
 NUMERICALLY_ZERO_REL = 1e-12
-# Side of the square tiles of pairs in which `gram` accumulates: large
-# enough that numpy's per-call overhead vanishes, small enough that a
-# tile's accumulators stay in cache (128 was fastest at N = K = 512).
-GRAM_TILE = 128
 
 
 class EigensolverError(RuntimeError):
@@ -70,43 +71,19 @@ def frame_sum(g: TruncatedSeries, orb: Orbit) -> float:
     return float(partial_frame_sums(g, orb)[-1])
 
 
-def _gram_term(m_re, m_im, n_re, n_im, re, im, tmp) -> None:
-    """Write one coefficient's term of <v_n, v_m> over a tile of pairs
-    (m, n) into re and im: r_m r_n + i_m i_n and r_m i_n - i_m r_n."""
-    np.multiply.outer(m_re, n_re, out=re)
-    re += np.multiply.outer(m_im, n_im, out=tmp)
-    np.multiply.outer(m_re, n_im, out=im)
-    im -= np.multiply.outer(m_im, n_re, out=tmp)
-
-
 def gram(orb: Orbit) -> GramMatrix:
-    """Hermitian Gram matrix of the orbit elements.
+    """Hermitian Gram matrix of the orbit elements, G = conj(V) V^T.
 
-    Every upper-triangle entry is bit-identical to the ascending-order
-    `inner_products(V[n], V[m])` used everywhere else: each tile of pairs
-    (m, n) adds the same real products, one coefficient j at a time,
-    starting from the j = 0 term so that zero signs survive.  The lower
-    triangle mirrors by conjugation, so the result is exactly Hermitian.
+    One BLAS product; the strict lower triangle is then overwritten with
+    the conjugate of the strict upper one and the diagonal's imaginary
+    part set to +0.0, so the result is exactly Hermitian.  Entries agree
+    with the ascending-order `inner_products` to rounding, not bit for bit.
     """
     k = orb.length
-    r = np.ascontiguousarray(orb.V.real.T)  # row j: coefficient j of every element
-    i = np.ascontiguousarray(orb.V.imag.T)
-    g = np.empty((k, k), dtype=complex)
-    for a in range(0, k, GRAM_TILE):
-        m = slice(a, a + GRAM_TILE)
-        for b in range(a, k, GRAM_TILE):
-            n = slice(b, b + GRAM_TILE)
-            shape = (r[0, m].size, r[0, n].size)
-            re, im, t, u, tmp = (np.empty(shape) for _ in range(5))
-            terms = zip(r[:, m], i[:, m], r[:, n], i[:, n])
-            _gram_term(*next(terms), re, im, tmp)  # from the j = 0 term, not 0.0
-            for term in terms:
-                _gram_term(*term, t, u, tmp)
-                re += t
-                im += u
-            g.real[m, n], g.imag[m, n] = re, im
+    g = orb.V.conj() @ orb.V.T
     lower = np.tril_indices(k, -1)
     g[lower] = np.conj(g.T[lower])
+    np.fill_diagonal(g.imag, 0.0)
     return GramMatrix(entries=g, orbit_len=k)
 
 
@@ -131,8 +108,16 @@ def frame_bounds_estimate(sec: FrameSection) -> FrameBounds:
     """Extremal eigenvalues of the compressed frame operator.
 
     A_est is clamped at 0; a lower estimate below 1e-12 * B_est is flagged
-    numerically zero rather than trusted as a genuine frame bound.
+    numerically zero rather than trusted as a genuine frame bound.  A
+    section holding inf or nan (its entries are sums of products of orbit
+    coefficients, which can overflow where the coefficients do not)
+    raises FloatingPointError before the eigensolver sees it.
     """
+    if not np.isfinite(sec.matrix).all():
+        raise FloatingPointError(
+            f"frame section overflowed at N={sec.order}, K={sec.orbit_len - 1}: "
+            "it holds non-finite entries"
+        )
     w = _hermitian_eigenvalues(sec.matrix)
     a = max(float(w[0]), 0.0)
     b = max(float(w[-1]), 0.0)

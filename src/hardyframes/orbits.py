@@ -101,7 +101,15 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
             truncated[n:] = True
             break
 
-    norms = np.sqrt(inner_products(v, v).real)
+    with np.errstate(over="ignore"):  # an overflowed square is redone below
+        norms = np.sqrt(inner_products(v, v).real)
+    big = ~np.isfinite(norms)
+    if big.any():
+        # squares can overflow where the coefficients do not: scale those
+        # rows by their largest modulus (every other norm is left as is)
+        scale = np.max(np.abs(v[big]), axis=1)
+        rows = v[big] / scale[:, None]
+        norms[big] = scale * np.sqrt(inner_products(rows, rows).real)
     return Orbit(symbol=sym, V=v, norms=norms, truncated=truncated)
 
 

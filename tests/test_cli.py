@@ -155,8 +155,10 @@ CSV_COMMANDS = ("orbit", "frame-bounds", "gram")
 @pytest.mark.parametrize(
     "n, commands",
     [
-        # 4^300 is finite but the squared norms overflow: the writer refuses inf
-        (300, ["orbit", "gram"]),
+        # 4^300 is finite but the Gram entries and the frame section's sums
+        # of products overflow: the writer refuses inf, and frame-bounds
+        # names the overflow before any eigensolver runs
+        (300, ["frame-bounds", "gram"]),
         # 4^n overflows at n = 512, inside the orbit itself
         (600, ["orbit", "frame-bounds", "gram", "cyclicity"]),
     ],
@@ -171,7 +173,23 @@ def test_overflow_exits_3_not_usage(tmp_path, capsys, n, commands):
             with np.errstate(over="ignore", invalid="ignore"):
                 code = main([command, "--config", str(cfg_path), "--format", fmt])
             assert code == 3, (command, fmt)
-            assert "numerical failure" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "numerical failure" in err
+            if command == "frame-bounds":
+                assert "overflow" in err and "eigensolver" not in err, err
+
+
+def test_orbit_norms_do_not_overflow(tmp_path, capsys):
+    # phi = 4z, seed 1: row n is 4^n z^n, finite up to n = 300 although its
+    # squared modulus is not
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, symbol=SymbolSpec.polynomial([0, 4]), n=300, k=300, m=2400)
+    assert main(["orbit", "--config", str(cfg_path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["norm"] for row in rows] == [4.0**n for n in range(301)]
+    assert main(["orbit", "--config", str(cfg_path), "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [float(line.split(",")[1]) for line in lines] == [4.0**n for n in range(301)]
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hardyframes.frames import (
-    GRAM_TILE,
     EigensolverError,
     apply_frame_operator,
     bounds_vs_truncation,
@@ -16,12 +15,14 @@ from hardyframes.diagnostics import kernel_orthogonality_witness, reproducing_ke
 from hardyframes.orbits import orbit
 from hardyframes.series import (
     inner_product,
-    inner_products,
     monomial,
     norm_sq,
     series_from_coeffs,
 )
 from hardyframes.symbols import SymbolSpec, realize
+
+
+EPS = np.finfo(float).eps
 
 
 def seed(coeffs, order):
@@ -147,16 +148,11 @@ def test_batched_reductions_match_scalar_inner_products_bitwise():
         orb = make_orbit(SymbolSpec.blaschke(zeros), coeffs, 24, 40)
         rows = [series_from_coeffs(v) for v in orb.V]
         k = orb.length
-        entries = gram(orb).entries
         upper = np.array([[_reference_inner(orb.V[n], orb.V[m]) for n in range(k)]
                           for m in range(k)])
         scalar = np.array([[inner_product(rows[n], rows[m]) for n in range(k)]
                            for m in range(k)])
         assert np.array_equal(_bits(scalar), _bits(upper))
-        iu = np.triu_indices(k)
-        assert np.array_equal(_bits(entries[iu]), _bits(upper[iu]))
-        su = np.triu_indices(k, 1)  # the lower triangle mirrors by conjugation
-        assert np.array_equal(_bits(entries.T[su]), _bits(np.conj(upper[su])))
 
         g = series_from_coeffs(dense(41))
         vals = np.array([_reference_inner(g.coeffs, v) for v in orb.V])
@@ -175,26 +171,85 @@ def test_batched_reductions_match_scalar_inner_products_bitwise():
     assert np.all(upper.imag == 0)
 
 
-@pytest.mark.parametrize(
-    "spec, coeffs",
-    [
-        (SymbolSpec.blaschke([0.4 * np.exp(0.7j), -0.3 + 0.2j]), [1, 0.5j, -0.25 + 0.1j]),
-        # real: every imaginary part is a zero whose sign only the bits show
-        (SymbolSpec.blaschke([0.5, -0.25]), [1, -0.5]),
-        # rows of opposite signs: <v_n, v_m> has an imaginary part of -0 when
-        # every term is -0, which a sum started from 0.0 would turn into +0
-        (SymbolSpec.constant(-0.5), np.linspace(1, 2, 31)),
-    ],
-)
-def test_gram_bitwise_across_tiles(spec, coeffs):
-    k = 2 * GRAM_TILE + 45  # three tile rows, the last one ragged
-    orb = make_orbit(spec, coeffs, k - 1, 30)
-    expected = np.empty((k, k), dtype=complex)
-    for m in range(k):
-        row = inner_products(orb.V[m:], orb.V[m])
-        expected[m, m:] = row
-        expected[m + 1 :, m] = np.conj(row[1:])
-    assert np.array_equal(_bits(gram(orb).entries), _bits(expected))
+def _two_sum(a, b):
+    """a + b = s + e exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_product(a, b):
+    """a * b = p + e exactly (Dekker, with Veltkamp's 27-bit split)."""
+    def split(x):
+        c = 134217729.0 * x  # 2**27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _reference_gram(v):
+    """conj(V) V^T in doubled precision: every product of two coefficients
+    is split exactly into two doubles and all terms are summed with an
+    error-free TwoSum, so each entry is as accurate as a sum computed with
+    106-bit significands and rounded once to float64."""
+    k = v.shape[0]
+    hi, lo = np.zeros((2, k, k)), np.zeros((2, k, k))  # [real part, imaginary part]
+    for c in v.T:  # coefficient j of every element
+        r, i = c.real, c.imag
+        for part, a, b in (
+            (0, r[:, None], r),
+            (0, i[:, None], i),
+            (1, r[:, None], i),
+            (1, i[:, None], -r),
+        ):
+            for term in _two_product(a, b):
+                hi[part], err = _two_sum(hi[part], term)
+                lo[part] += err
+    g = np.empty(hi[0].shape, dtype=complex)
+    g.real, g.imag = hi[0] + lo[0], hi[1] + lo[1]
+    return g
+
+
+# K + 1 = 301 elements at N = 30: complex, real, and real with rows of
+# opposite signs.  Each symbol keeps every squared coefficient sum above
+# the float64 underflow threshold, so the bound below cannot vanish.
+GRAM_CASES = [
+    (SymbolSpec.blaschke([0.3 + 0.5j]), [1, 0.5j, -0.25 + 0.1j]),
+    (SymbolSpec.blaschke([0.7]), [1, -0.5]),
+    (SymbolSpec.constant(-0.5), np.linspace(1, 2, 31)),
+]
+
+
+@pytest.mark.parametrize("spec, coeffs", GRAM_CASES)
+def test_gram_within_rounding_bound_of_doubled_precision(spec, coeffs):
+    orb = make_orbit(spec, coeffs, 300, 30)
+    norms = np.linalg.norm(orb.V, axis=1)
+    err = np.abs(gram(orb).entries - _reference_gram(orb.V))
+    assert np.all(err <= (orb.order + 1) * EPS * np.outer(norms, norms))
+
+
+@pytest.mark.parametrize("spec, coeffs", GRAM_CASES)
+def test_gram_exactly_hermitian(spec, coeffs):
+    g = gram(make_orbit(spec, coeffs, 300, 30)).entries
+    su = np.triu_indices(g.shape[0], 1)
+    assert np.array_equal(_bits(g.T[su]), _bits(np.conj(g[su])))
+    assert np.array_equal(_bits(np.diag(g).imag), _bits(np.zeros(g.shape[0])))  # +0.0
+
+
+def test_gram_matches_boundary_quadrature():
+    # phi = 0.5 + 0.3i z, f = 1 + z/2, K = 40, N = 41: phi^K f has degree
+    # N, so nothing is truncated and G[m, n] = mean over the M roots of
+    # unity of phi^n conj(phi)^m |f|^2, exact once M > 2(K + 1)
+    k, order, m = 40, 41, 4096
+    zeta = np.exp(2j * np.pi * np.arange(m) / m)
+    w = (0.5 + 0.3j * zeta)[:, None] ** np.arange(k + 1)
+    weight = np.abs(1 + zeta / 2) ** 2 / m
+    expected = w.conj().T @ (weight[:, None] * w)
+    g = gram(make_orbit(SymbolSpec.polynomial([0.5, 0.3j]), [1, 0.5], k, order)).entries
+    assert np.max(np.abs(g - expected)) <= 10 * (order + 1) * EPS * np.max(np.abs(g))
 
 
 # -- frame sections ----------------------------------------------------------------

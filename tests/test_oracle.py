@@ -1,17 +1,28 @@
-"""High-precision oracle for the frame section, the bounds and the witness.
+"""High-precision oracle for the frame section, the Gram matrix, the
+bounds, the singular spectrum, the rank, the witness and the kernel
+pairings.
 
-The reference frame operator S~ = sum_n v_n v_n* is built at 50 digits
-from the same float64 matrix V the package uses (its entries are exact
-in mpmath), and its spectrum comes from `mp.eighe`.  Each float64
-quantity is then held to a stated multiple of machine epsilon.
+The references are built at 50 digits from the same float64 matrix V the
+package uses (its entries are exact in mpmath): the frame operator
+S~ = sum_n v_n v_n* with its spectrum from `mp.eighe`, the Gram matrix
+G~ = conj(V) V^T, the singular values of V from `mp.svd_c`, and the
+pairings v_n(z0).  Each float64 quantity is then held to a stated
+multiple of machine epsilon.
 """
+
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from hardyframes.diagnostics import cyclicity_rank
-from hardyframes.frames import frame_bounds_estimate, frame_section
+from hardyframes.diagnostics import (
+    RANK_REL_TOL,
+    cyclicity_rank,
+    kernel_orthogonality_witness,
+    reproducing_kernel,
+)
+from hardyframes.frames import frame_bounds_estimate, frame_section, gram
 from hardyframes.orbits import orbit
 from hardyframes.series import series_from_coeffs
 from hardyframes.symbols import SymbolSpec, realize
@@ -44,7 +55,18 @@ def oracle(request):
         lam = mp.eighe(s_ref, eigvals_only=True)
         lam = sorted(float(x) for x in lam)
         s_ref = np.array(s_ref.tolist(), dtype=complex)
-    return orb, s_ref, lam[0], lam[-1]
+        g_ref = np.array((v.conjugate() * v.T).tolist(), dtype=complex)
+        sigma = sorted((mp.mpf(x) for x in mp.svd_c(v, compute_uv=False)), reverse=True)
+        rank = sum(1 for x in sigma if x > RANK_REL_TOL * sigma[0])
+    return SimpleNamespace(
+        orb=orb,
+        s_ref=s_ref,
+        lam_min=lam[0],
+        lam_max=lam[-1],
+        g_ref=g_ref,
+        sigma=np.array([float(x) for x in sigma]),
+        rank=rank,
+    )
 
 
 def _residual(orb, w: np.ndarray) -> float:
@@ -55,21 +77,21 @@ def _residual(orb, w: np.ndarray) -> float:
 
 
 def test_section_entries_match_oracle(oracle):
-    orb, s_ref, _, _ = oracle
+    orb, s_ref = oracle.orb, oracle.s_ref
     s = frame_section(orb).matrix
     tol = orb.length * EPS * np.max(np.abs(s_ref))
     assert np.max(np.abs(s - s_ref)) <= tol
 
 
 def test_bounds_match_oracle(oracle):
-    orb, _, lam_min, lam_max = oracle
+    orb, lam_min, lam_max = oracle.orb, oracle.lam_min, oracle.lam_max
     b = frame_bounds_estimate(frame_section(orb))
     assert abs(b.B_est - lam_max) <= 4 * EPS * lam_max
     assert abs(b.A_est - max(lam_min, 0.0)) <= 4 * EPS * b.B_est
 
 
 def test_witness_reaches_smallest_singular_value(oracle):
-    orb, _, lam_min, lam_max = oracle
+    orb, lam_min, lam_max = oracle.orb, oracle.lam_min, oracle.lam_max
     report = cyclicity_rank(orb)
     if report.witness is None:
         assert report.span_dimension_deficit == 0
@@ -78,6 +100,36 @@ def test_witness_reaches_smallest_singular_value(oracle):
     assert abs(np.linalg.norm(w) - 1.0) <= 4 * EPS
     bound = np.sqrt(max(lam_min, 0.0)) + 10 * EPS * np.sqrt(lam_max)
     assert _residual(orb, w) <= bound
+
+
+def test_gram_entries_match_oracle(oracle):
+    orb = oracle.orb
+    g = gram(orb).entries
+    norms = np.linalg.norm(orb.V, axis=1)
+    bound = (orb.order + 1) * EPS * np.outer(norms, norms)
+    assert np.all(np.abs(g - oracle.g_ref) <= bound)
+
+
+def test_singular_values_and_rank_match_oracle(oracle):
+    orb = oracle.orb
+    report = cyclicity_rank(orb)
+    sv = report.singular_values
+    assert sv.size == oracle.sigma.size
+    tol = (orb.order + 1) * EPS * oracle.sigma[0]
+    assert np.max(np.abs(sv - oracle.sigma)) <= tol
+    assert report.rank == oracle.rank
+
+
+@pytest.mark.parametrize("z0", [0.3 + 0.4j, -0.55 + 0.2j])
+def test_kernel_pairings_match_oracle(oracle, z0):
+    orb = oracle.orb
+    pairings = kernel_orthogonality_witness(orb, z0).pairings
+    kernel_norm = np.linalg.norm(reproducing_kernel(z0, orb.order).series.coeffs)
+    with mp.workdps(50):
+        powers = [mp.mpc(z0) ** j for j in range(orb.order + 1)]
+        ref = np.array([float(abs(mp.fdot(row, powers))) for row in _mp_matrix(orb.V).tolist()])
+    bound = (orb.order + 1) * EPS * np.linalg.norm(orb.V, axis=1) * kernel_norm
+    assert np.all(np.abs(pairings - ref) <= bound)
 
 
 def test_oracle_cases_include_deficient_spans():
