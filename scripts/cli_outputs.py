@@ -3,10 +3,11 @@
     python scripts/cli_outputs.py OUT_DIR
 
 The configs (Blaschke products with real or complex zeros, monomials and
-polynomials, N = K from 16 to 300) are drawn from a fixed seed and written
-to OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds`
-and `gram` as JSON and CSV and through `innerness` and `cyclicity` as
-JSON; `report-all` runs once with its defaults.  Exit codes, and the
+polynomials, N = K from 16 to 300) are drawn from a fixed seed; two fixed
+Blaschke configs add K > N and K < N.  All are written to
+OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds` and
+`gram` as JSON and CSV and through `innerness` and `cyclicity` as JSON;
+`report-all` runs once with its defaults.  Exit codes, and the
 stderr of any call that fails, go to OUT_DIR/exit_codes.txt.
 
 The CLI is whichever `hardyframes` is importable, so two runs make a
@@ -86,6 +87,21 @@ def configs(rng) -> dict:
                 "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
                 "output": {"format": "json", "path": None},
             }
+    # K >> N: from row 246 on the squared moduli underflow although the
+    # coefficients do not; K < N: a short orbit of long FFT-path rows
+    for zeros, seed, n, k in (
+        ([0.4 * np.exp(0.7j), -0.3 + 0.2j], [1, 0.5j, -0.25 + 0.1j], 30, 300),
+        ([0.35 + 0.25j], [1, -0.5], 300, 20),
+    ):
+        out[f"blaschke-N{n}-K{k}"] = {
+            "symbol": {"kind": "blaschke", "zeros": _complex_list(zeros)},
+            "seed_coeffs": _complex_list(seed),
+            "truncation_order": n,
+            "orbit_length": k,
+            "boundary_grid": 8 * n,
+            "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+            "output": {"format": "json", "path": None},
+        }
     return out
 
 

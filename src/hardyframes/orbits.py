@@ -13,11 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries, inner_products, mul, series_from_coeffs
+from .series import (
+    TruncatedSeries,
+    _mul_into,
+    _trim_trailing_zeros,
+    inner_products,
+    mul,
+    series_from_coeffs,
+)
 from .symbols import SymbolRealization, SymbolSpec, realize
 
 DECAY_SLOPE_DEADBAND = 1e-3
 MIN_ORBIT_FOR_DECAY = 8
+# Below this norm the sum of squared moduli is subnormal or 0.
+_NORM_UNDERFLOW = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,20 +82,26 @@ def apply(sym: SymbolRealization, f: TruncatedSeries, order: int) -> TruncatedSe
 
 
 def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) -> Orbit:
-    """Iterate T_phi from the seed: elements phi^n f for n = 0..count."""
+    """Iterate T_phi from the seed: elements phi^n f for n = 0..count.
+
+    Row n is written straight into V by the arithmetic of `mul`, with phi
+    trimmed once and transformed once per transform size, so every row is
+    bit-identical to `mul(sym.series, row n-1, order)`.  A norm whose
+    squared moduli overflow, or sum to less than the smallest normal
+    number, is recomputed from the row scaled exactly by a power of two.
+    """
     if count < 0:
         raise ValueError("orbit length must be >= 0")
-    element = series_from_coeffs(f.coeffs, order)
-
     seed_degree = f.exact_degree()
     sym_degree = sym.degree if sym.series_exact else None
     symbol_is_zero = sym.series_exact and sym.degree is None
 
     v = np.empty((count + 1, order + 1), dtype=complex)
-    v[0] = element.coeffs
+    v[0] = series_from_coeffs(f.coeffs, order).coeffs
+    phi = _trim_trailing_zeros(sym.series.coeffs[: order + 1])
+    transforms = {}
     for n in range(1, count + 1):
-        element = mul(sym.series, element, order)
-        v[n] = element.coeffs
+        _mul_into(v[n], phi, transforms, v[n - 1])
     v.flags.writeable = False
 
     truncated = np.zeros(count + 1, dtype=bool)
@@ -103,13 +118,16 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
 
     with np.errstate(over="ignore"):  # an overflowed square is redone below
         norms = np.sqrt(inner_products(v, v).real)
-    big = ~np.isfinite(norms)
-    if big.any():
-        # squares can overflow where the coefficients do not: scale those
-        # rows by their largest modulus (every other norm is left as is)
-        scale = np.max(np.abs(v[big]), axis=1)
-        rows = v[big] / scale[:, None]
-        norms[big] = scale * np.sqrt(inner_products(rows, rows).real)
+    # squares can overflow, or fall below the smallest normal number, where
+    # the coefficients do not: scale those rows by the power of two at their
+    # largest part, which is exact (every other norm is left as is; a zero
+    # row keeps norm 0)
+    redo = ~np.isfinite(norms) | (norms < _NORM_UNDERFLOW)
+    if redo.any():
+        parts = v[redo].view(float)
+        _, exp = np.frexp(np.max(np.abs(parts), axis=1))
+        rows = np.ldexp(parts, -exp[:, None]).view(complex)
+        norms[redo] = np.ldexp(np.sqrt(inner_products(rows, rows).real), exp)
     return Orbit(symbol=sym, V=v, norms=norms, truncated=truncated)
 
 

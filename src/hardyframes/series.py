@@ -127,17 +127,40 @@ def scale(a: TruncatedSeries, factor: complex) -> TruncatedSeries:
     return TruncatedSeries(a.coeffs * complex(factor))
 
 
-def _convolve_fft(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = x.size + y.size - 1
-    size = 1 << (n - 1).bit_length()
-    fx = np.fft.fft(x, size)
-    fy = np.fft.fft(y, size)
-    return np.fft.ifft(fx * fy)[:n]
-
-
 def _trim_trailing_zeros(x: np.ndarray) -> np.ndarray:
     nz = np.nonzero(x)[0]
     return x[: nz[-1] + 1] if nz.size else x[:0]
+
+
+def _mul_into(out: np.ndarray, xa: np.ndarray, transforms: dict, b: np.ndarray) -> None:
+    """Write the Cauchy product xa * b, truncated to out.size terms, into out.
+
+    xa is the fixed operand, already cut to out.size terms and trimmed of
+    trailing zeros; `transforms` caches its FFT by transform size, so a
+    caller multiplying many series by one factor transforms it once per
+    size.  b is trimmed here.  Direct convolution is used while either
+    operand is at most FFT_MIN_OPERAND_LEN long, else a zero-padded FFT of
+    the next power-of-two size.
+    """
+    xb = _trim_trailing_zeros(b[: out.size])
+    if xa.size == 0 or xb.size == 0:
+        out[:] = 0
+        return
+    if min(xa.size, xb.size) <= FFT_MIN_OPERAND_LEN:
+        full = np.convolve(xa, xb)
+    else:
+        n = xa.size + xb.size - 1
+        size = 1 << (n - 1).bit_length()
+        fa = transforms.get(size)
+        if fa is None:
+            fa = transforms[size] = np.fft.fft(xa, size)
+        full = np.fft.ifft(fa * np.fft.fft(xb, size))[:n]
+    m = min(full.size, out.size)
+    out[:m] = full[:m]
+    out[m:] = 0
+    if not np.isfinite(out[:m]).all():
+        # both operands are finite, so a non-finite product is an overflow
+        raise FloatingPointError(f"series product overflowed at order {out.size - 1}")
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries, target_order: int) -> TruncatedSeries:
@@ -148,29 +171,16 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, target_order: int) -> TruncatedS
     FFT convolution is used; both paths agree to 1e-12 and are tested
     against each other.  Trailing exact zeros are stripped first, so a
     sparse operand (a shift, a constant) always takes the exact path
-    regardless of its padded order.
+    regardless of its padded order.  `orbits.orbit` runs the same
+    arithmetic row by row with a's transform computed once, so each of its
+    rows is bit-identical to `mul` of the row before.
     """
     if target_order < 0:
         raise ValueError("target_order must be >= 0")
-    out = np.zeros(target_order + 1, dtype=complex)
+    out = np.empty(target_order + 1, dtype=complex)
     # The product only needs coefficients up to target_order.
-    xa = _trim_trailing_zeros(a.coeffs[: target_order + 1])
-    xb = _trim_trailing_zeros(b.coeffs[: target_order + 1])
-    if xa.size == 0 or xb.size == 0:
-        return TruncatedSeries(out)
-    if min(xa.size, xb.size) <= FFT_MIN_OPERAND_LEN:
-        full = np.convolve(xa, xb)
-    else:
-        full = _convolve_fft(xa, xb)
-    m = min(full.size, target_order + 1)
-    out[:m] = full[:m]
-    try:
-        return TruncatedSeries(out)
-    except ValueError:
-        # both operands are finite, so a non-finite product is an overflow
-        raise FloatingPointError(
-            f"series product overflowed at order {target_order}"
-        ) from None
+    _mul_into(out, _trim_trailing_zeros(a.coeffs[: target_order + 1]), {}, b.coeffs)
+    return TruncatedSeries(out)
 
 
 def inner_products(f, g) -> np.ndarray:

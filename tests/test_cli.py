@@ -177,6 +177,8 @@ def test_overflow_exits_3_not_usage(tmp_path, capsys, n, commands):
             assert "numerical failure" in err
             if command == "frame-bounds":
                 assert "overflow" in err and "eigensolver" not in err, err
+            if command == "orbit":  # stopped at the first overflowed row
+                assert "series product overflowed at order 600" in err, err
 
 
 def test_orbit_norms_do_not_overflow(tmp_path, capsys):

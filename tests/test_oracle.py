@@ -1,6 +1,6 @@
-"""High-precision oracle for the frame section, the Gram matrix, the
-bounds, the singular spectrum, the rank, the witness and the kernel
-pairings.
+"""High-precision oracle for the orbit norms, the frame section, the Gram
+matrix, the bounds, the singular spectrum, the rank, the witness and the
+kernel pairings.
 
 The references are built at 50 digits from the same float64 matrix V the
 package uses (its entries are exact in mpmath): the frame operator
@@ -23,7 +23,7 @@ from hardyframes.diagnostics import (
     reproducing_kernel,
 )
 from hardyframes.frames import frame_bounds_estimate, frame_section, gram
-from hardyframes.orbits import orbit
+from hardyframes.orbits import decay_profile, orbit
 from hardyframes.series import series_from_coeffs
 from hardyframes.symbols import SymbolSpec, realize
 
@@ -140,3 +140,18 @@ def test_oracle_cases_include_deficient_spans():
     ]
     assert "blaschke_0.5_seed_1-z/2" in deficient
     assert len(deficient) >= 3
+
+
+def test_orbit_norms_below_the_underflow_threshold_match_oracle():
+    # from row 246 on the squared moduli are subnormal, from row 256 they
+    # are 0, while the norms themselves (5.6e-155 down to 7.6e-198) are not
+    spec = SymbolSpec.blaschke([0.4 * np.exp(0.7j), -0.3 + 0.2j])
+    orb = _orbit(spec, [1, 0.5j, -0.25 + 0.1j], 30, 300)
+    with mp.workdps(50):
+        ref = np.array([
+            float(mp.sqrt(mp.fsum(abs(x) ** 2 for x in row)))
+            for row in _mp_matrix(orb.V).tolist()
+        ])
+    assert np.all(ref > 0)
+    assert np.all(np.abs(orb.norms - ref) <= 4 * EPS * ref)
+    assert decay_profile(orb).rate_estimate > 0

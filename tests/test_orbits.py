@@ -93,16 +93,38 @@ def test_orbit_squared_shift_even_powers():
     assert np.array_equal(orb.V[2], monomial(4, 8).coeffs)
 
 
-def test_orbit_recurrence_and_norms_hold_exactly():
-    sym = realize(SymbolSpec.blaschke([0.4]), 16)
-    f = seed([1, -1], 16)
-    orb = orbit(sym, f, 6, 16)
+# A degree-80 polynomial with coefficient moduli summing to 1, so |phi| <= 1.
+_POLY80 = np.array([1, 1j]) @ np.random.default_rng(80).standard_normal((2, 81))
+_POLY80 = list(_POLY80 / np.abs(_POLY80).sum())
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs, order, count",
+    [
+        # N = 16: only the direct convolution runs
+        (SymbolSpec.blaschke([0.4]), [1, -1], 16, 6),
+        # N = K = 100: every row after the seed takes the FFT path
+        (SymbolSpec.blaschke([0.5 - 0.3j, -0.4]), [1, 0.5j], 100, 100),
+        # 0.1^n underflows past n ~ 323, so phi trims far short of N = 512
+        (SymbolSpec.blaschke([0.1]), [1], 512, 12),
+        # rows of length 1, 81, 161, 241, 321, 401: direct, then FFT at
+        # transform sizes 256 and then 512
+        (SymbolSpec.polynomial(_POLY80), [1], 400, 6),
+        # K > N
+        (SymbolSpec.blaschke([0.3 + 0.2j]), [1, 0.5j, -0.25], 20, 60),
+    ],
+    ids=["direct", "fft", "phi-trimmed", "direct-to-fft", "K>N"],
+)
+def test_orbit_recurrence_and_norms_hold_exactly(spec, coeffs, order, count):
+    sym = realize(spec, order)
+    f = seed(coeffs, order)
+    orb = orbit(sym, f, count, order)
     assert np.array_equal(orb.V[0], orb.seed.coeffs)
     assert np.array_equal(orb.seed.coeffs, f.coeffs)
     assert not orb.V.flags.writeable
-    for n in range(6):
-        again = mul(sym.series, series_from_coeffs(orb.V[n]), 16)
-        assert np.array_equal(orb.V[n + 1], again.coeffs)
+    for n in range(count):
+        again = mul(sym.series, series_from_coeffs(orb.V[n]), order)
+        assert orb.V[n + 1].tobytes() == again.coeffs.tobytes()
         assert orb.norms[n] == norm(series_from_coeffs(orb.V[n]))
 
 
