@@ -7,8 +7,10 @@ polynomials, N = K from 16 to 300) are drawn from a fixed seed; two fixed
 Blaschke configs add K > N and K < N.  All are written to
 OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds` and
 `gram` as JSON and CSV and through `innerness` and `cyclicity` as JSON;
-`report-all` runs once with its defaults.  Exit codes, and the
-stderr of any call that fails, go to OUT_DIR/exit_codes.txt.
+`report-all` runs once with its defaults, then once per resolution in
+BATTERY_RESOLUTIONS through `--config-dir`, every suite at that (N, K).
+Exit codes, and the stderr of any call that fails, go to
+OUT_DIR/exit_codes.txt.
 
 The CLI is whichever `hardyframes` is importable, so two runs make a
 byte-identity check between two source trees:
@@ -40,6 +42,8 @@ COMMANDS = (
     ("innerness", ("json",)),
     ("cyclicity", ("json",)),
 )
+# (N, K) of the extra report-all runs: coarse N = K, then K > N and K < N
+BATTERY_RESOLUTIONS = ((16, 16), (32, 32), (24, 60), (60, 24))
 
 
 def _complex_list(values) -> list:
@@ -105,6 +109,19 @@ def configs(rng) -> dict:
     return out
 
 
+def battery_config(n: int, k: int) -> dict:
+    """The built-in default config of `report-all` at (N, K)."""
+    return {
+        "symbol": {"kind": "monomial", "power": 1},
+        "seed_coeffs": _complex_list(1.0),
+        "truncation_order": n,
+        "orbit_length": k,
+        "boundary_grid": 512,
+        "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+        "output": {"format": "json", "path": None},
+    }
+
+
 def _run(cli_main, argv: list, stdout=None) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -119,6 +136,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         from hardyframes.cli import main as cli_main
+        from hardyframes.verify import PROPOSITIONS
     except ImportError:
         print("hardyframes is not importable; set PYTHONPATH=<tree>/src", file=sys.stderr)
         return 2
@@ -138,12 +156,21 @@ def main(argv=None) -> int:
                 )
                 log.append(f"{out.name} {code}" + (f" {err.strip()}" if code else ""))
 
-    index = io.StringIO()
-    code, err = _run(
-        cli_main, ["report-all", "--out-dir", str(args.out_dir / "report-all")], index
-    )
-    (args.out_dir / "report-all.stdout").write_text(index.getvalue(), encoding="utf-8")
-    log.append(f"report-all {code}" + (f" {err.strip()}" if code else ""))
+    batteries = {"report-all": []}
+    for n, k in BATTERY_RESOLUTIONS:
+        name = f"report-all-N{n}-K{k}"
+        battery_dir = config_dir / name
+        battery_dir.mkdir(exist_ok=True)
+        for prop in PROPOSITIONS:
+            body = json.dumps(battery_config(n, k), indent=2, sort_keys=True)
+            (battery_dir / f"{prop}.json").write_text(body, encoding="utf-8")
+        batteries[name] = ["--config-dir", str(battery_dir)]
+    for name, options in batteries.items():
+        index = io.StringIO()
+        argv = ["report-all", "--out-dir", str(args.out_dir / name), *options]
+        code, err = _run(cli_main, argv, index)
+        (args.out_dir / f"{name}.stdout").write_text(index.getvalue(), encoding="utf-8")
+        log.append(f"{name} {code}" + (f" {err.strip()}" if err.strip() else ""))
     (args.out_dir / "exit_codes.txt").write_text("\n".join(log) + "\n", encoding="utf-8")
     print(f"{len(log)} calls written to {args.out_dir}")
     return 0

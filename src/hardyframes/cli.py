@@ -2,8 +2,8 @@
 
 The subcommands are the entries of `COMMANDS`.  Exit codes form a CI
 contract: 0 for success or a consistent/inconclusive verdict, 1 for an
-inconsistent verdict, 2 for usage/config errors, 3 for numerical
-failures.
+inconsistent verdict, 2 for usage/config errors and unwritable output
+paths, 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -280,7 +280,8 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical failure: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, UnknownPropositionError, ValueError) as exc:
+    # OSError: an output path that cannot be written
+    except (ConfigError, UnknownPropositionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

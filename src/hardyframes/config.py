@@ -126,9 +126,12 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
 def config_from_json(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
+    tol = obj.get("tolerances", {})
+    out = obj.get("output", {})
+    for name, section in (("tolerances", tol), ("output", out)):
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} must be a JSON object")
     try:
-        tol = obj.get("tolerances", {})
-        out = obj.get("output", {})
         return ExperimentConfig(
             symbol=symbol_spec_from_json(obj["symbol"]),
             seed_coeffs=tuple(json_to_complex(c) for c in obj["seed_coeffs"]),

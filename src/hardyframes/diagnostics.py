@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries, inner_products
+from .series import TruncatedSeries
 from .orbits import Orbit
 from .symbols import SymbolRealization, evaluate_symbol
 
@@ -85,10 +85,7 @@ def kernel_orthogonality_witness(orb: Orbit, z0: complex) -> KernelPairingReport
     the span.
     """
     kernel = reproducing_kernel(z0, orb.order)
-    p = inner_products(orb.V, kernel.series.coeffs)
-    # np.abs on a complex array may differ from abs() in the last bit;
-    # hypot is what abs() computes.
-    pairings = np.hypot(p.real, p.imag)
+    pairings = np.abs(orb.V @ kernel.series.coeffs.conj())
     n = int(np.argmax(pairings))
     return KernelPairingReport(
         max_pairing=float(pairings[n]), argmax_n=n, pairings=pairings

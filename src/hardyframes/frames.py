@@ -5,10 +5,9 @@ All bounds computed here are finite-section estimates carrying their
 The lower estimate is clamped at zero, and values below 1e-12 * B are
 reported as numerically zero (the span-deficiency signal).
 
-The Gram matrix and the frame section are each one BLAS product of the
-orbit matrix V; the Gram is mirrored so it is exactly Hermitian.  Frame
-sums and the weights of the frame operator's action are ascending-order
-`inner_products`, bit-identical to the scalar inner product.
+Every quantity here is one BLAS product of the orbit matrix V: the Gram
+matrix (mirrored so it is exactly Hermitian), the frame section, and the
+pairings behind frame sums and the frame operator's action.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries, inner_products
+from .series import TruncatedSeries
 from .orbits import Orbit, orbit_for
 
 TIGHT_REL_TOL = 1e-8
@@ -60,10 +59,17 @@ class FrameBounds:
     numerically_zero_lower: bool
 
 
+def _conj_pairings(g: TruncatedSeries, orb: Orbit) -> np.ndarray:
+    """conj(<g, phi^n f>) for every n: V conj(g) over the common coefficient
+    range, one matrix-vector product."""
+    n = min(g.coeffs.size, orb.order + 1)
+    return orb.V[:, :n] @ g.coeffs[:n].conj()
+
+
 def partial_frame_sums(g: TruncatedSeries, orb: Orbit) -> np.ndarray:
     """Cumulative sums of |<g, phi^n f>|^2 in n; monotone nondecreasing."""
-    vals = inner_products(g.coeffs, orb.V)
-    return np.cumsum(vals.real**2 + vals.imag**2)
+    p = _conj_pairings(g, orb)
+    return np.cumsum(p.real**2 + p.imag**2)
 
 
 def frame_sum(g: TruncatedSeries, orb: Orbit) -> float:
@@ -76,8 +82,7 @@ def gram(orb: Orbit) -> GramMatrix:
 
     One BLAS product; the strict lower triangle is then overwritten with
     the conjugate of the strict upper one and the diagonal's imaginary
-    part set to +0.0, so the result is exactly Hermitian.  Entries agree
-    with the ascending-order `inner_products` to rounding, not bit for bit.
+    part set to +0.0, so the result is exactly Hermitian.
     """
     k = orb.length
     g = orb.V.conj() @ orb.V.T
@@ -133,9 +138,9 @@ def frame_bounds_estimate(sec: FrameSection) -> FrameBounds:
 
 
 def apply_frame_operator(g: TruncatedSeries, orb: Orbit) -> TruncatedSeries:
-    """S g = sum_n <g, phi^n f> phi^n f over the finite orbit."""
-    weights = inner_products(g.coeffs, orb.V)
-    return TruncatedSeries(np.cumsum(weights[:, None] * orb.V, axis=0)[-1])
+    """S g = sum_n <g, phi^n f> phi^n f = V^T conj(V conj(g)) over the
+    finite orbit: two matrix-vector products."""
+    return TruncatedSeries(orb.V.T @ _conj_pairings(g, orb).conj())
 
 
 def bounds_vs_truncation(spec, seed_coeffs, orders, orbit_lengths) -> list[FrameBounds]:

@@ -17,7 +17,6 @@ from .series import (
     TruncatedSeries,
     _mul_into,
     _trim_trailing_zeros,
-    inner_products,
     mul,
     series_from_coeffs,
 )
@@ -117,7 +116,7 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
             break
 
     with np.errstate(over="ignore"):  # an overflowed square is redone below
-        norms = np.sqrt(inner_products(v, v).real)
+        norms = np.linalg.norm(v, axis=1)
     # squares can overflow, or fall below the smallest normal number, where
     # the coefficients do not: scale those rows by the power of two at their
     # largest part, which is exact (every other norm is left as is; a zero
@@ -127,7 +126,7 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
         parts = v[redo].view(float)
         _, exp = np.frexp(np.max(np.abs(parts), axis=1))
         rows = np.ldexp(parts, -exp[:, None]).view(complex)
-        norms[redo] = np.ldexp(np.sqrt(inner_products(rows, rows).real), exp)
+        norms[redo] = np.ldexp(np.linalg.norm(rows, axis=1), exp)
     return Orbit(symbol=sym, V=v, norms=norms, truncated=truncated)
 
 

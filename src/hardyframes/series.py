@@ -3,8 +3,7 @@
 A holomorphic function with square-summable Taylor coefficients is
 represented by its first N+1 coefficients.  All operations are exact on
 the retained coefficients; anything above the stated order is discarded,
-never approximated.  Reductions (norms, inner products) accumulate in
-ascending index order so serial results are bit-reproducible.
+never approximated.  Norms and inner products are BLAS dot products.
 """
 
 from __future__ import annotations
@@ -183,35 +182,15 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, target_order: int) -> TruncatedS
     return TruncatedSeries(out)
 
 
-def inner_products(f, g) -> np.ndarray:
-    """<f, g> = sum_n a_n conj(b_n) for coefficient arrays along the last axis.
-
-    Leading axes broadcast, so one call pairs every row of a matrix with a
-    vector.  Only the common coefficient range counts.  Real and imaginary
-    parts are accumulated separately from commutative scalar products, in
-    ascending index order, so each result is bit-identical to the scalar
-    case and inner(f, g) == conj(inner(g, f)) up to the sign of a zero
-    (the fused complex-multiply kernels do not guarantee that).
-    """
-    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
-    n = min(f.shape[-1], g.shape[-1])
-    fr, fi = f.real[..., :n], f.imag[..., :n]
-    gr, gi = g.real[..., :n], g.imag[..., :n]
-    re = np.cumsum(fr * gr + fi * gi, axis=-1)[..., -1]
-    im = np.cumsum(fi * gr - fr * gi, axis=-1)[..., -1]
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
 def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:
-    """<f, g> for two series; see `inner_products`."""
-    return complex(inner_products(f.coeffs, g.coeffs))
+    """<f, g> = sum_n a_n conj(b_n) over the common coefficient range."""
+    n = min(f.coeffs.size, g.coeffs.size)
+    return complex(np.vdot(g.coeffs[:n], f.coeffs[:n]))
 
 
 def norm_sq(f: TruncatedSeries) -> float:
-    """Squared norm sum |a_n|^2, accumulated in ascending order."""
-    return float(inner_products(f.coeffs, f.coeffs).real)
+    """Squared norm sum |a_n|^2."""
+    return float(np.vdot(f.coeffs, f.coeffs).real)
 
 
 def norm(f: TruncatedSeries) -> float:
@@ -240,7 +219,7 @@ def norm_via_boundary(samples: BoundarySamples) -> float:
     Equals the coefficient norm exactly (up to rounding) when the grid
     satisfies M > 2N; check `samples.alias_safe` before relying on that.
     """
-    total = float(inner_products(samples.values, samples.values).real)
+    total = float(np.vdot(samples.values, samples.values).real)
     return float(np.sqrt(total / samples.grid.size))
 
 

@@ -65,9 +65,17 @@ def test_orbit_json_format(tmp_path, capsys):
 
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    assert main(["orbit", "--config", str(bad)]) == 2
-    assert "error" in capsys.readouterr().err
+    write_config(bad)
+    payload = json.loads(bad.read_text())
+    bodies = ["{not json"] + [
+        json.dumps({**payload, section: value})
+        for section in ("tolerances", "output")
+        for value in (None, [], "csv")
+    ]
+    for body in bodies:
+        bad.write_text(body, encoding="utf-8")
+        assert main(["orbit", "--config", str(bad)]) == 2, body
+        assert "error" in capsys.readouterr().err
 
 
 def test_config_violating_antialiasing_exits_2(tmp_path, capsys):
@@ -77,6 +85,25 @@ def test_config_violating_antialiasing_exits_2(tmp_path, capsys):
     payload["boundary_grid"] = 32  # <= 4N = 64
     cfg_path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["orbit", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("where", ["--out", "config", "--out-dir"])
+def test_unwritable_output_exits_2(tmp_path, capsys, where):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    missing = str(tmp_path / "missing" / "out.json")
+    if where == "--out":
+        argv = ["orbit", "--config", str(cfg_path), "--out", missing]
+    elif where == "config":
+        payload = json.loads(cfg_path.read_text())
+        payload["output"]["path"] = missing
+        cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["orbit", "--config", str(cfg_path)]
+    else:  # an existing file where the directory should go
+        argv = ["report-all", "--out-dir", str(cfg_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- frame-bounds -----------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""High-precision oracle for the orbit norms, the frame section, the Gram
-matrix, the bounds, the singular spectrum, the rank, the witness and the
-kernel pairings.
+"""High-precision oracle for the orbit norms, the partial frame sums, the
+frame section, the Gram matrix, the bounds, the singular spectrum, the
+rank, the witness and the kernel pairings.
 
 The references are built at 50 digits from the same float64 matrix V the
 package uses (its entries are exact in mpmath): the frame operator
 S~ = sum_n v_n v_n* with its spectrum from `mp.eighe`, the Gram matrix
-G~ = conj(V) V^T, the singular values of V from `mp.svd_c`, and the
+G~ = conj(V) V^T, the singular values of V from `mp.svd_c`, the row
+norms of V, the partial sums of |<g, v_n>|^2 for a fixed probe g, and the
 pairings v_n(z0).  Each float64 quantity is then held to a stated
 multiple of machine epsilon.
 """
@@ -22,7 +23,7 @@ from hardyframes.diagnostics import (
     kernel_orthogonality_witness,
     reproducing_kernel,
 )
-from hardyframes.frames import frame_bounds_estimate, frame_section, gram
+from hardyframes.frames import frame_bounds_estimate, frame_section, gram, partial_frame_sums
 from hardyframes.orbits import decay_profile, orbit
 from hardyframes.series import series_from_coeffs
 from hardyframes.symbols import SymbolSpec, realize
@@ -45,6 +46,11 @@ def _mp_matrix(a: np.ndarray) -> mp.matrix:
     return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in a])
 
 
+def _probe(order: int) -> np.ndarray:
+    rng = np.random.default_rng(order)
+    return rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+
+
 @pytest.fixture(scope="module", params=sorted(CASES))
 def oracle(request):
     spec, seed_coeffs, order, k = CASES[request.param]
@@ -58,8 +64,16 @@ def oracle(request):
         g_ref = np.array((v.conjugate() * v.T).tolist(), dtype=complex)
         sigma = sorted((mp.mpf(x) for x in mp.svd_c(v, compute_uv=False)), reverse=True)
         rank = sum(1 for x in sigma if x > RANK_REL_TOL * sigma[0])
+        rows = v.tolist()
+        norms = [mp.sqrt(mp.fsum(abs(x) ** 2 for x in row)) for row in rows]
+        g = [mp.mpc(complex(x)) for x in _probe(order)]
+        pairings = [mp.fdot(g, row, conjugate=True) for row in rows]
+        sums = np.array([float(x) for x in np.cumsum([abs(p) ** 2 for p in pairings])])
     return SimpleNamespace(
         orb=orb,
+        norms=np.array([float(x) for x in norms]),
+        pairings=np.array([float(abs(p)) for p in pairings]),
+        sums=sums,
         s_ref=s_ref,
         lam_min=lam[0],
         lam_max=lam[-1],
@@ -74,6 +88,22 @@ def _residual(orb, w: np.ndarray) -> float:
     with mp.workdps(50):
         r = _mp_matrix(orb.V) * _mp_matrix(np.conj(w)[:, None])
         return float(mp.sqrt(mp.fsum(abs(x) ** 2 for x in r)))
+
+
+def test_orbit_norms_match_oracle(oracle):
+    ref = oracle.norms
+    assert np.all(np.abs(oracle.orb.norms - ref) <= (oracle.orb.order + 1) * EPS * ref)
+
+
+def test_partial_frame_sums_match_oracle(oracle):
+    # each pairing <g, v_n> is within d_n = (N+1) eps ||g|| ||v_n||, which
+    # |.|^2 turns into (2 |p_n| + d_n) d_n; squaring and summing n + 1
+    # terms add (n + 3) eps of the sum
+    orb, p = oracle.orb, oracle.pairings
+    g = series_from_coeffs(_probe(orb.order))
+    d = (orb.order + 1) * EPS * np.linalg.norm(g.coeffs) * oracle.norms
+    bound = np.cumsum((2 * p + d) * d) + (np.arange(p.size) + 3) * EPS * oracle.sums
+    assert np.all(np.abs(partial_frame_sums(g, orb) - oracle.sums) <= bound)
 
 
 def test_section_entries_match_oracle(oracle):
