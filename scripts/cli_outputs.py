@@ -4,7 +4,8 @@
 
 The configs (Blaschke products with real or complex zeros, monomials and
 polynomials, N = K from 16 to 300) are drawn from a fixed seed; two fixed
-Blaschke configs add K > N and K < N.  All are written to
+Blaschke configs add K > N and K < N, and a complex constant and a complex
+c*z add orbits of scaled shifts at N = K = 64 and 300.  All are written to
 OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds` and
 `gram` as JSON and CSV and through `innerness` and `cyclicity` as JSON;
 `report-all` runs once with its defaults, then once per resolution in
@@ -106,6 +107,22 @@ def configs(rng) -> dict:
             "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
             "output": {"format": "json", "path": None},
         }
+    # one nonzero Taylor coefficient c, complex with |c| <= 1: the orbit
+    # rows are scaled shifts
+    for n in (64, 300):
+        for name, kind, value in (
+            ("constant", "constant", 0.95 * np.exp(0.7j)),
+            ("scaled-shift", "scaled_shift", 0.8 * np.exp(-1.1j)),
+        ):
+            out[f"{name}-complex-{n}"] = {
+                "symbol": {"kind": kind, "value": _complex_list(value)[0]},
+                "seed_coeffs": _complex_list([1, 0.5j, -0.25 + 0.1j]),
+                "truncation_order": n,
+                "orbit_length": n,
+                "boundary_grid": 8 * n,
+                "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+                "output": {"format": "json", "path": None},
+            }
     return out
 
 

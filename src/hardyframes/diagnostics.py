@@ -16,7 +16,7 @@ import numpy as np
 
 from .series import TruncatedSeries
 from .orbits import Orbit
-from .symbols import SymbolRealization, evaluate_symbol
+from .symbols import SymbolRealization, boundary_values
 
 RANK_REL_TOL = 1e-10
 CIRCLE_TOL = 1e-9
@@ -117,19 +117,25 @@ def zeros_in_disk(f: TruncatedSeries, margin: float) -> DiskZeros:
     return DiskZeros(inside=inside, boundary_ambiguous=ambiguous, margin=margin)
 
 
-def cyclicity_rank(orb: Orbit, rank_tol: float = RANK_REL_TOL) -> CyclicityReport:
+def cyclicity_rank(
+    orb: Orbit, rank_tol: float = RANK_REL_TOL, witness: bool = False
+) -> CyclicityReport:
     """Numerical rank of the orbit's coefficient matrix on span{z^0..z^N}.
 
     Full rank is the truncation-level surrogate for a dense span; the full
     singular spectrum is returned so borderline cases stay visible.  The
-    spectrum, the rank and the witness come from one SVD of V.  When the
-    span is deficient, the witness is the last row w of the SVD's right
+    spectrum and the rank come from the singular values of V alone.  Only
+    when `witness` is asked for does the SVD also compute its factors: if
+    the span is deficient, the witness is then the last row w of the right
     factor, so ||V conj(w)|| is the smallest singular value (0 when K < N);
     the frame operator is never formed, so its squared condition number
-    never enters.
+    never enters.  Otherwise the report's witness is None.
     """
-    # full_matrices (the default) keeps a null-space row of Vh when K < N
-    _, singulars, vh = np.linalg.svd(orb.V)
+    if witness:
+        # full_matrices (the default) keeps a null-space row of Vh when K < N
+        _, singulars, vh = np.linalg.svd(orb.V)
+    else:
+        singulars = np.linalg.svd(orb.V, compute_uv=False)
     sigma_max = float(singulars[0]) if singulars.size else 0.0
     if sigma_max == 0.0:
         rank = 0
@@ -140,7 +146,7 @@ def cyclicity_rank(orb: Orbit, rank_tol: float = RANK_REL_TOL) -> CyclicityRepor
         rank=rank,
         span_dimension_deficit=deficit,
         singular_values=singulars,
-        witness=TruncatedSeries(vh[-1]) if deficit > 0 else None,
+        witness=TruncatedSeries(vh[-1]) if witness and deficit > 0 else None,
     )
 
 
@@ -169,7 +175,8 @@ def image_circle_intersection(
 
     Radii approach both 0 and 1 geometrically (2^-i and 1 - 2^-i) so the
     scan sees the near-boundary regime where inner symbols attain modulus
-    close to 1.  The image of a non-constant symbol is open and connected,
+    close to 1.  Each ring is one `boundary_values` call: a closed form at
+    the ring's points, or one FFT for a polynomial symbol.  The image of a non-constant symbol is open and connected,
     so sampled moduli straddling 1 imply the image meets the circle; the
     verdict uses tolerance 1e-9.
     """
@@ -182,8 +189,7 @@ def image_circle_intersection(
     min_mod = np.inf
     max_mod = 0.0
     for r in radii:
-        ring = r * grid.points
-        moduli = np.abs(evaluate_symbol(sym, ring))
+        moduli = np.abs(boundary_values(sym, grid, r))
         min_mod = min(min_mod, float(np.min(moduli)))
         max_mod = max(max_mod, float(np.max(moduli)))
     intersects = (min_mod <= 1.0 + CIRCLE_TOL) and (max_mod >= 1.0 - CIRCLE_TOL)

@@ -83,11 +83,15 @@ def apply(sym: SymbolRealization, f: TruncatedSeries, order: int) -> TruncatedSe
 def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) -> Orbit:
     """Iterate T_phi from the seed: elements phi^n f for n = 0..count.
 
-    Row n is written straight into V by the arithmetic of `mul`, with phi
-    trimmed once and transformed once per transform size, so every row is
-    bit-identical to `mul(sym.series, row n-1, order)`.  A norm whose
-    squared moduli overflow, or sum to less than the smallest normal
-    number, is recomputed from the row scaled exactly by a power of two.
+    When phi, cut to N+1 terms, has a single nonzero coefficient c at index
+    s (a constant, z^m, c*z), row n is c times row n-1 shifted by s: one
+    multiply per row, which for real c rounds the same single product as
+    `mul(sym.series, row n-1, order)` and for complex c may differ from it
+    by one rounding.  Every other row is written straight into V by the
+    arithmetic of `mul`, with phi trimmed once and transformed once per
+    transform size, so it is bit-identical to `mul` of the row before.  A norm whose squared moduli overflow, or
+    sum to less than the smallest normal number, is recomputed from the
+    row scaled exactly by a power of two.
     """
     if count < 0:
         raise ValueError("orbit length must be >= 0")
@@ -98,9 +102,28 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
     v = np.empty((count + 1, order + 1), dtype=complex)
     v[0] = series_from_coeffs(f.coeffs, order).coeffs
     phi = _trim_trailing_zeros(sym.series.coeffs[: order + 1])
-    transforms = {}
-    for n in range(1, count + 1):
-        _mul_into(v[n], phi, transforms, v[n - 1])
+    support = np.flatnonzero(phi)
+    if support.size == 1:
+        s = int(support[0])
+        a, b = float(phi[s].real), float(phi[s].imag)
+        v[1:, :s] = 0
+        # row n (of V[1:]) is c times the first N+1-s terms of row n-1
+        src, dst = v[:-1, : order + 1 - s], v[1:, s:]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for x, y in zip(src, dst):
+                if b == 0.0:
+                    np.multiply(x, a, out=y)
+                else:  # rounded as np.convolve does: (ax - by) + i(ay + bx)
+                    np.subtract(a * x.real, b * x.imag, out=y.real)
+                    np.add(a * x.imag, b * x.real, out=y.imag)
+        v[1:] += 0.0  # -0 becomes +0, the zero a convolution writes
+        if not np.isfinite(v).all():
+            # the seed is finite, so a non-finite row is an overflow
+            raise FloatingPointError(f"series product overflowed at order {order}")
+    else:
+        transforms = {}
+        for n in range(1, count + 1):
+            _mul_into(v[n], phi, transforms, v[n - 1])
     v.flags.writeable = False
 
     truncated = np.zeros(count + 1, dtype=bool)

@@ -275,11 +275,18 @@ def _require_grid(sym: SymbolRealization, grid: BoundaryGrid) -> None:
         )
 
 
-def boundary_values(sym: SymbolRealization, grid: BoundaryGrid) -> np.ndarray:
-    """Symbol values on the boundary grid (exact form when available)."""
+def boundary_values(
+    sym: SymbolRealization, grid: BoundaryGrid, r: float = 1.0
+) -> np.ndarray:
+    """Symbol values on the ring r * grid.points, 0 <= r <= 1.
+
+    The exact form is evaluated at those points when available; a
+    polynomial phi takes one FFT of its coefficients a_n r^n.
+    """
     if uses_exact_evaluation(sym):
-        return evaluate_symbol(sym, grid.points)
-    return boundary_samples(sym.series, grid).values
+        return evaluate_symbol(sym, r * grid.points)
+    coeffs = sym.series.coeffs * r ** np.arange(sym.series.coeffs.size)
+    return boundary_samples(TruncatedSeries(coeffs), grid).values
 
 
 def innerness_test(

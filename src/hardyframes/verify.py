@@ -35,7 +35,10 @@ P6_TENSION_NOTE = (
     "estimate vanishing as N grows; the sufficiency direction is reported as "
     "tension in the data, not decided"
 )
-
+P6_UNDERRESOLVED_REASON = (
+    "K < N: the K+1 orbit elements cannot span the N+1 coefficients, so no "
+    "seed can read numerically cyclic at this resolution"
+)
 
 class UnknownPropositionError(ValueError):
     pass
@@ -168,7 +171,7 @@ def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
         }
         for seed_label, coeffs in seeds.items():
             orb = orbit_for(spec, coeffs, n, k)
-            cyc = cyclicity_rank(orb, config.tolerances.rank_tol)
+            cyc = cyclicity_rank(orb, config.tolerances.rank_tol, witness=True)
             bounds = frame_bounds_estimate(frame_section(orb))
             entry = {
                 "symbol": _describe(spec),
@@ -496,7 +499,11 @@ def _verify_p6(config: ExperimentConfig) -> tuple[str, dict]:
     if tension_cases:
         evidence["note"] = P6_TENSION_NOTE
 
-    if necessity_violated:
+    if k < n:
+        # every case reads non-cyclic, so neither direction can be tested
+        verdict = "inconclusive"
+        evidence["reason"] = P6_UNDERRESOLVED_REASON
+    elif necessity_violated:
         verdict = "inconsistent"
     elif tension_cases:
         verdict = "inconclusive"

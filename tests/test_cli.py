@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,18 @@ def test_overflow_exits_3_not_usage(tmp_path, capsys, n, commands):
                 assert "overflow" in err and "eigensolver" not in err, err
             if command == "orbit":  # stopped at the first overflowed row
                 assert "series product overflowed at order 600" in err, err
+
+
+def test_scaled_shift_overflow_exits_3_with_one_line(tmp_path, capsys):
+    # constant 1e200: row 2 overflows; one error line, no RuntimeWarning
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, symbol=SymbolSpec.constant(1e200), n=4, k=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["orbit", "--config", str(cfg_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: series product overflowed at order 4\n"
 
 
 def test_orbit_norms_do_not_overflow(tmp_path, capsys):

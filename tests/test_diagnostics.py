@@ -162,13 +162,38 @@ def test_cyclicity_full_rank_for_shift():
 
 def test_cyclicity_squared_shift_half_rank():
     orb = make_orbit(SymbolSpec.monomial(2), [1], 16, 16)
-    report = cyclicity_rank(orb)
+    report = cyclicity_rank(orb, witness=True)
     assert report.rank == 9  # even monomials z^0..z^16
     assert report.span_dimension_deficit == 8
     # witness lives in the numerical kernel: odd support, zero frame sum
     assert report.witness is not None
     assert np.max(np.abs(report.witness.coeffs[::2])) < 1e-8
     assert frame_sum(report.witness, orb) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs, k, order",
+    [
+        (SymbolSpec.monomial(2), [1], 16, 16),
+        (SymbolSpec.blaschke([0.5]), [1, 0.5], 40, 40),
+        (SymbolSpec.monomial(1), [1], 8, 20),  # K < N
+    ],
+)
+def test_cyclicity_witness_only_on_request(spec, coeffs, k, order):
+    # without the witness only the singular values are computed; they agree
+    # with the full SVD's to (N+1) eps sigma_max, and rank and deficit match
+    orb = make_orbit(spec, coeffs, k, order)
+    plain = cyclicity_rank(orb)
+    full = cyclicity_rank(orb, witness=True)
+    assert plain.witness is None
+    assert (full.witness is None) == (full.span_dimension_deficit == 0)
+    assert (plain.rank, plain.span_dimension_deficit) == (
+        full.rank,
+        full.span_dimension_deficit,
+    )
+    sigma = full.singular_values
+    tol = (order + 1) * np.finfo(float).eps * sigma[0]
+    assert np.max(np.abs(plain.singular_values - sigma)) <= tol
 
 
 def test_cyclicity_constant_rank_one():

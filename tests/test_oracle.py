@@ -122,7 +122,7 @@ def test_bounds_match_oracle(oracle):
 
 def test_witness_reaches_smallest_singular_value(oracle):
     orb, lam_min, lam_max = oracle.orb, oracle.lam_min, oracle.lam_max
-    report = cyclicity_rank(orb)
+    report = cyclicity_rank(orb, witness=True)
     if report.witness is None:
         assert report.span_dimension_deficit == 0
         return
@@ -164,10 +164,11 @@ def test_kernel_pairings_match_oracle(oracle, z0):
 
 def test_oracle_cases_include_deficient_spans():
     # the witness check above must not pass vacuously
-    deficient = [
-        name for name, (spec, seed_coeffs, order, k) in CASES.items()
-        if cyclicity_rank(_orbit(spec, seed_coeffs, order, k)).witness is not None
-    ]
+    deficient = []
+    for name, (spec, seed_coeffs, order, k) in CASES.items():
+        report = cyclicity_rank(_orbit(spec, seed_coeffs, order, k), witness=True)
+        if report.witness is not None:
+            deficient.append(name)
     assert "blaschke_0.5_seed_1-z/2" in deficient
     assert len(deficient) >= 3
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -114,24 +116,59 @@ _POLY80 = list(_POLY80 / np.abs(_POLY80).sum())
         (SymbolSpec.polynomial(_POLY80), [1], 400, 6),
         # K > N
         (SymbolSpec.blaschke([0.3 + 0.2j]), [1, 0.5j, -0.25], 20, 60),
+        # phi with one nonzero coefficient c at index s: rows are scaled shifts
+        (SymbolSpec.constant(np.exp(1j * np.pi / 7)), [1, 0.5j, -0.25], 40, 40),
+        (SymbolSpec.scaled_shift(0.6 + 0.2j), [1 - 0.3j, 0.5j, -0.25], 60, 40),
+        (SymbolSpec.monomial(3), [1, -2, 0.5j, 0.25, 0, 3], 100, 30),
+        (SymbolSpec.blaschke([0, 0], prefactor=np.exp(0.3j)), [1, 0.5], 30, 12),
+        # K > N with real c < 0: the rows shift out to exact zeros
+        (SymbolSpec.scaled_shift(-0.5), [1, -1, 0.25j], 16, 40),
     ],
-    ids=["direct", "fft", "phi-trimmed", "direct-to-fft", "K>N"],
+    ids=[
+        "direct", "fft", "phi-trimmed", "direct-to-fft", "K>N",
+        "constant-complex", "shift-complex", "z^3", "blaschke-at-0", "shift-K>N",
+    ],
 )
 def test_orbit_recurrence_and_norms_hold_exactly(spec, coeffs, order, count):
-    # the recurrence holds bit for bit; each norm is held to (N+1) eps of
-    # `norm` of its row (worst ratio seen: 0.047 of the bound)
+    # the recurrence holds bit for bit, also for the scaled-shift rows, real
+    # or complex c; each norm is held to (N+1) eps of `norm` of its row
+    # (worst ratio seen: 0.047 of the bound)
     sym = realize(spec, order)
     f = seed(coeffs, order)
     orb = orbit(sym, f, count, order)
     assert np.array_equal(orb.V[0], orb.seed.coeffs)
     assert np.array_equal(orb.seed.coeffs, f.coeffs)
     assert not orb.V.flags.writeable
+    support = np.flatnonzero(sym.series.coeffs)
     for n in range(count + 1):
         if n < count:
             again = mul(sym.series, series_from_coeffs(orb.V[n]), order)
             assert orb.V[n + 1].tobytes() == again.coeffs.tobytes()
+            if support.size == 1:
+                assert orb.V[n + 1].tobytes() == _scaled_shift(sym, orb.V[n]).tobytes()
         expected = norm(series_from_coeffs(orb.V[n]))
         assert abs(orb.norms[n] - expected) <= (order + 1) * EPS * expected
+
+
+def _scaled_shift(sym, row):
+    """c z^s times row, cut to its length: (ax - by) + i(ay + bx) per term
+    for c = a + ib, every zero written as +0."""
+    (s,) = np.flatnonzero(sym.series.coeffs)
+    a, b = sym.series.coeffs[s].real, sym.series.coeffs[s].imag
+    x = row[: row.size - s]
+    out = np.zeros(row.size, dtype=complex)
+    out.real[s:] = a * x.real - b * x.imag
+    out.imag[s:] = a * x.imag + b * x.real
+    return out + 0.0
+
+
+def test_scaled_shift_orbit_overflow_raises():
+    # 1e200^2 overflows at row 2; the error names the order, no row is kept
+    sym = realize(SymbolSpec.constant(1e200), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflowed at order 4"):
+            orbit(sym, seed([1, 0.5j], 4), 3, 4)
 
 
 def test_orbit_truncation_flags_track_degree():

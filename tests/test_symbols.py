@@ -206,3 +206,43 @@ def test_evaluate_symbol_blaschke_matches_oracle_inside():
     got = evaluate_symbol(sym, pts)
     want = blaschke_rational(zeros, np.exp(0.4j), pts)
     assert np.max(np.abs(got - want)) < 1e-14
+
+
+# -- ring values -----------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+RING_RADII = [2.0**-48, 0.5, 1.0 - 2.0**-48]
+
+
+@pytest.mark.parametrize("r", RING_RADII)
+def test_ring_values_of_a_polynomial_match_horner(r):
+    # one FFT of a_n r^n against Horner at r * points, within
+    # (N+1) eps sum |a_n| r^n
+    rng = np.random.default_rng(80)
+    coeffs = rng.standard_normal(81) + 1j * rng.standard_normal(81)
+    sym = realize(SymbolSpec.polynomial(coeffs), 80)
+    grid = BoundaryGrid(512)
+    got = boundary_values(sym, grid, r)
+    horner = evaluate_symbol(sym, r * grid.points)
+    scale = np.sum(np.abs(coeffs) * r ** np.arange(81))
+    assert np.max(np.abs(got - horner)) <= 81 * EPS * scale
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SymbolSpec.constant(0.3 - 0.7j),
+        SymbolSpec.monomial(3),
+        SymbolSpec.scaled_shift(-1.25 + 0.5j),
+        SymbolSpec.blaschke([0.5, -0.3j, 0], prefactor=np.exp(0.4j)),
+    ],
+    ids=["constant", "monomial", "scaled_shift", "blaschke"],
+)
+def test_ring_values_of_closed_forms_are_the_closed_form(spec):
+    sym = realize(spec, 16)
+    grid = BoundaryGrid(128)
+    for r in RING_RADII:
+        got = boundary_values(sym, grid, r)
+        assert got.tobytes() == evaluate_symbol(sym, r * grid.points).tobytes()
+    # the default ring is the circle itself
+    assert boundary_values(sym, grid).tobytes() == evaluate_symbol(sym, grid.points).tobytes()

@@ -9,6 +9,7 @@ from hardyframes.jsonio import dumps_canonical
 from hardyframes.symbols import SymbolSpec
 from hardyframes.verify import (
     P6_TENSION_NOTE,
+    P6_UNDERRESOLVED_REASON,
     PROPOSITIONS,
     UnknownPropositionError,
     report_to_json,
@@ -43,6 +44,25 @@ def test_p6_reports_documented_tension(config):
     # the non-cyclic case never shows a healthy lower bound
     assert not report.evidence["squared_shift_seed_one"]["numerically_cyclic"]
     assert not report.evidence["squared_shift_seed_one"]["frame_trend_positive"]
+
+
+@pytest.mark.parametrize("n, k", [(60, 24), (4, 2)])
+def test_p6_inconclusive_when_k_below_n(n, k):
+    # K + 1 orbit elements cannot span N + 1 coefficients: no case can read
+    # cyclic, so the suite says why it cannot decide instead of refuting
+    config = ExperimentConfig(
+        symbol=SymbolSpec.monomial(1), truncation_order=n, orbit_length=k
+    )
+    report = verify("P6", config)
+    assert report.verdict == "inconclusive"
+    assert report.evidence["reason"] == P6_UNDERRESOLVED_REASON
+    for label in ("shift_seed_one", "squared_shift_seed_one"):
+        assert not report.evidence[label]["numerically_cyclic"]
+        assert report.evidence[label]["rank"] <= k + 1
+
+
+def test_p6_gives_no_reason_when_resolved(config):
+    assert "reason" not in verify("P6", config).evidence
 
 
 def test_unknown_proposition_rejected(config):
