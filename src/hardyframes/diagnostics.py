@@ -176,9 +176,10 @@ def image_circle_intersection(
     Radii approach both 0 and 1 geometrically (2^-i and 1 - 2^-i) so the
     scan sees the near-boundary regime where inner symbols attain modulus
     close to 1.  Each ring is one `boundary_values` call: a closed form at
-    the ring's points, or one FFT for a polynomial symbol.  The image of a non-constant symbol is open and connected,
-    so sampled moduli straddling 1 imply the image meets the circle; the
-    verdict uses tolerance 1e-9.
+    the ring's points, or one FFT for a polynomial symbol.  The image of a
+    non-constant symbol is open and connected, so sampled moduli
+    straddling 1 imply the image meets the circle; the verdict uses
+    tolerance 1e-9.
     """
     if radial_levels < 2:
         raise ValueError("need at least two radial levels")

@@ -85,13 +85,14 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
 
     When phi, cut to N+1 terms, has a single nonzero coefficient c at index
     s (a constant, z^m, c*z), row n is c times row n-1 shifted by s: one
-    multiply per row, which for real c rounds the same single product as
-    `mul(sym.series, row n-1, order)` and for complex c may differ from it
-    by one rounding.  Every other row is written straight into V by the
-    arithmetic of `mul`, with phi trimmed once and transformed once per
-    transform size, so it is bit-identical to `mul` of the row before.  A norm whose squared moduli overflow, or
-    sum to less than the smallest normal number, is recomputed from the
-    row scaled exactly by a power of two.
+    multiply per row, rounded as the one-tap convolution of `mul` rounds
+    it, so the row is bit-identical to `mul(sym.series, row n-1, order)`
+    while `mul` convolves directly (s < FFT_MIN_OPERAND_LEN).  Every other
+    row is written straight into V by the arithmetic of `mul`, with phi
+    trimmed once and transformed once per transform size, so it is
+    bit-identical to `mul` of the row before.  A norm whose squared moduli
+    overflow, or sum to less than the smallest normal number, is
+    recomputed from the row scaled exactly by a power of two.
     """
     if count < 0:
         raise ValueError("orbit length must be >= 0")
@@ -107,7 +108,7 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
         s = int(support[0])
         a, b = float(phi[s].real), float(phi[s].imag)
         v[1:, :s] = 0
-        # row n (of V[1:]) is c times the first N+1-s terms of row n-1
+        # each row of V[1:] is c times the first N+1-s terms of the row above
         src, dst = v[:-1, : order + 1 - s], v[1:, s:]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             for x, y in zip(src, dst):

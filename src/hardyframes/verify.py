@@ -40,6 +40,7 @@ P6_UNDERRESOLVED_REASON = (
     "seed can read numerically cyclic at this resolution"
 )
 
+
 class UnknownPropositionError(ValueError):
     pass
 

@@ -214,7 +214,7 @@ EPS = np.finfo(float).eps
 RING_RADII = [2.0**-48, 0.5, 1.0 - 2.0**-48]
 
 
-@pytest.mark.parametrize("r", RING_RADII)
+@pytest.mark.parametrize("r", RING_RADII, ids=["2^-48", "0.5", "1-2^-48"])
 def test_ring_values_of_a_polynomial_match_horner(r):
     # one FFT of a_n r^n against Horner at r * points, within
     # (N+1) eps sum |a_n| r^n
