@@ -38,6 +38,7 @@ def test_p6_reports_documented_tension(config):
     assert report.verdict == "inconclusive"
     assert report.evidence["tension_cases"] == ["shift_seed_one_minus_z"]
     assert report.evidence["note"] == P6_TENSION_NOTE
+    assert "reason" not in report.evidence  # K = N resolves the span
     # the cyclic tight-frame case supports both directions
     assert report.evidence["shift_seed_one"]["numerically_cyclic"]
     assert report.evidence["shift_seed_one"]["frame_trend_positive"]
@@ -59,10 +60,6 @@ def test_p6_inconclusive_when_k_below_n(n, k):
     for label in ("shift_seed_one", "squared_shift_seed_one"):
         assert not report.evidence[label]["numerically_cyclic"]
         assert report.evidence[label]["rank"] <= k + 1
-
-
-def test_p6_gives_no_reason_when_resolved(config):
-    assert "reason" not in verify("P6", config).evidence
 
 
 def test_unknown_proposition_rejected(config):
