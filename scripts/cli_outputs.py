@@ -4,9 +4,10 @@
 
 The configs (Blaschke products with real or complex zeros, monomials and
 polynomials, N = K from 16 to 300) are drawn from a fixed seed; two fixed
-Blaschke configs add K > N and K < N, and a complex constant and a complex
-c*z add orbits of scaled shifts at N = K = 64 and 300.  All are written to
-OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds` and
+Blaschke configs add K > N and K < N, a complex constant and a complex
+c*z add orbits of scaled shifts at N = K = 64 and 300, and z^2 at N = 64,
+K = 200 adds an orbit whose rows are mostly exactly zero.  All are
+written to OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds` and
 `gram` as JSON and CSV and through `innerness` and `cyclicity` as JSON;
 `report-all` runs once with its defaults, then once per resolution in
 BATTERY_RESOLUTIONS through `--config-dir`, every suite at that (N, K).
@@ -43,8 +44,9 @@ COMMANDS = (
     ("innerness", ("json",)),
     ("cyclicity", ("json",)),
 )
-# (N, K) of the extra report-all runs: coarse N = K, then K > N and K < N
-BATTERY_RESOLUTIONS = ((16, 16), (32, 32), (24, 60), (60, 24))
+# (N, K) of the extra report-all runs: coarse N = K, then K > N and K < N,
+# then an orbit too short to classify decay (K + 1 < 8)
+BATTERY_RESOLUTIONS = ((16, 16), (32, 32), (24, 60), (60, 24), (20, 5))
 
 
 def _complex_list(values) -> list:
@@ -123,6 +125,16 @@ def configs(rng) -> dict:
                 "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
                 "output": {"format": "json", "path": None},
             }
+    # z^2 with K >> N: rows n > N/2 truncate to exactly zero
+    out["monomial-2-N64-K200"] = {
+        "symbol": {"kind": "monomial", "power": 2},
+        "seed_coeffs": _complex_list([1, 0.5j, -0.25 + 0.1j]),
+        "truncation_order": 64,
+        "orbit_length": 200,
+        "boundary_grid": 512,
+        "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+        "output": {"format": "json", "path": None},
+    }
     return out
 
 

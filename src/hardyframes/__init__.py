@@ -45,11 +45,11 @@ from .orbits import (
     orbit_for,
 )
 from .frames import (
-    EigensolverError,
     FrameBounds,
     FrameSection,
     GramMatrix,
     apply_frame_operator,
+    bounds_from_singular_values,
     bounds_vs_truncation,
     frame_bounds_estimate,
     frame_section,

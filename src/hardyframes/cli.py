@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import cyclicity_rank
-from .frames import EigensolverError, frame_bounds_estimate, frame_section, gram
+from .frames import frame_bounds_estimate, gram
 from .jsonio import dumps_canonical, dumps_csv, write_canonical
 from .orbits import orbit_for
 from .series import BoundaryGrid
@@ -88,7 +88,7 @@ def _orbit_columns(payload: dict) -> dict:
 
 
 def _frame_bounds_report(config: ExperimentConfig, args) -> dict:
-    bounds = frame_bounds_estimate(frame_section(_config_orbit(config)))
+    bounds = frame_bounds_estimate(_config_orbit(config).V)
     return dataclasses.asdict(bounds)  # the fields, in order, are the CSV columns
 
 
@@ -272,12 +272,7 @@ def main(argv=None) -> int:
         return run(args)
     # LinAlgError subclasses ValueError, so it must be caught first;
     # FloatingPointError: an orbit overflowed, or a report holds inf or nan
-    except (
-        EigensolverError,
-        np.linalg.LinAlgError,
-        MemoryError,
-        FloatingPointError,
-    ) as exc:
+    except (np.linalg.LinAlgError, MemoryError, FloatingPointError) as exc:
         print(f"numerical failure: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
     # OSError: an output path that cannot be written

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import TruncatedSeries
+from .frames import nonzero_rows
 from .orbits import Orbit
 from .symbols import SymbolRealization, boundary_values
 
@@ -124,18 +125,24 @@ def cyclicity_rank(
 
     Full rank is the truncation-level surrogate for a dense span; the full
     singular spectrum is returned so borderline cases stay visible.  The
-    spectrum and the rank come from the singular values of V alone.  Only
-    when `witness` is asked for does the SVD also compute its factors: if
-    the span is deficient, the witness is then the last row w of the right
-    factor, so ||V conj(w)|| is the smallest singular value (0 when K < N);
-    the frame operator is never formed, so its squared condition number
-    never enters.  Otherwise the report's witness is None.
+    spectrum and the rank come from the singular values of the nonzero
+    rows of V (zero rows add nothing to the span), padded with exact zeros
+    to the min(K+1, N+1) values of V itself.  Only when `witness` is asked
+    for does the SVD also compute its factors: if the span is deficient,
+    the witness is then the last row w of the right factor, so
+    ||V conj(w)|| is the smallest singular value (0 when V has fewer than
+    N+1 nonzero rows); the frame operator is never formed, so its squared
+    condition number never enters.  Otherwise the report's witness is None.
     """
+    rows = nonzero_rows(orb.V)
     if witness:
-        # full_matrices (the default) keeps a null-space row of Vh when K < N
-        _, singulars, vh = np.linalg.svd(orb.V)
+        # full_matrices (the default) keeps a null-space row of Vh when
+        # there are fewer than N+1 nonzero rows
+        _, nonzero, vh = np.linalg.svd(rows)
     else:
-        singulars = np.linalg.svd(orb.V, compute_uv=False)
+        nonzero = np.linalg.svd(rows, compute_uv=False)
+    singulars = np.zeros(min(orb.V.shape))
+    singulars[: nonzero.size] = nonzero
     sigma_max = float(singulars[0]) if singulars.size else 0.0
     if sigma_max == 0.0:
         rank = 0

@@ -2,12 +2,14 @@
 
 All bounds computed here are finite-section estimates carrying their
 (N, K) provenance; nothing claims to be a bound for the infinite system.
-The lower estimate is clamped at zero, and values below 1e-12 * B are
-reported as numerically zero (the span-deficiency signal).
+Values of the lower estimate below 1e-12 * B are reported as numerically
+zero (the span-deficiency signal).
 
-Every quantity here is one BLAS product of the orbit matrix V: the Gram
-matrix (mirrored so it is exactly Hermitian), the frame section, and the
-pairings behind frame sums and the frame operator's action.
+Every quantity here is one BLAS product or one factorization of the orbit
+matrix V: the Gram matrix (mirrored so it is exactly Hermitian), the
+frame section, the pairings behind frame sums and the frame operator's
+action, and the frame bounds, which are the squared extreme singular
+values of V.
 """
 
 from __future__ import annotations
@@ -21,15 +23,6 @@ from .orbits import Orbit, orbit_for
 
 TIGHT_REL_TOL = 1e-8
 NUMERICALLY_ZERO_REL = 1e-12
-
-
-class EigensolverError(RuntimeError):
-    """Raised when the Hermitian eigensolver fails; carries diagnostics."""
-
-    def __init__(self, message: str, size: int, frobenius: float):
-        super().__init__(f"{message} (size={size}, frobenius_norm={frobenius:.6g})")
-        self.size = size
-        self.frobenius = frobenius
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,43 +91,56 @@ def frame_section(orb: Orbit) -> FrameSection:
     return FrameSection(matrix=s, orbit_len=orb.length, order=orb.order)
 
 
-def _hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"Hermitian eigensolver failed: {exc}",
-            size=matrix.shape[0],
-            frobenius=float(np.linalg.norm(matrix)),
-        ) from exc
+def nonzero_rows(v: np.ndarray) -> np.ndarray:
+    """The rows of v that are not exactly zero; v itself, not a copy, when
+    no row is zero.
 
-
-def frame_bounds_estimate(sec: FrameSection) -> FrameBounds:
-    """Extremal eigenvalues of the compressed frame operator.
-
-    A_est is clamped at 0; a lower estimate below 1e-12 * B_est is flagged
-    numerically zero rather than trusted as a genuine frame bound.  A
-    section holding inf or nan (its entries are sums of products of orbit
-    coefficients, which can overflow where the coefficients do not)
-    raises FloatingPointError before the eigensolver sees it.
+    A zero row adds nothing to V^T conj(V) or to the row space, and for a
+    z^m orbit (m >= 2) most rows are zero once m*n exceeds N.
     """
-    if not np.isfinite(sec.matrix).all():
+    keep = np.any(v, axis=1)
+    return v if keep.all() else v[keep]
+
+
+def bounds_from_singular_values(sigma: np.ndarray, shape: tuple) -> FrameBounds:
+    """Frame bounds of a (K+1) x (N+1) coefficient matrix V from its
+    singular values in descending order.
+
+    The section V^T conj(V) has eigenvalues sigma^2, so B_est = sigma_max^2
+    and, when sigma holds N+1 values, A_est = sigma_min^2.  Fewer values
+    (fewer than N+1 nonzero rows, or trailing exact zeros) mean the section
+    has a null space and A_est = 0.  Squaring sigma rather than factoring
+    the section resolves A_est down to eps^2 * B_est.  A B_est that
+    overflows raises FloatingPointError.
+    """
+    k, n = shape[0] - 1, shape[1] - 1
+    with np.errstate(over="ignore"):  # checked below
+        squares = np.asarray(sigma, dtype=float) ** 2
+    b = float(squares[0]) if squares.size else 0.0
+    if not np.isfinite(b):
         raise FloatingPointError(
-            f"frame section overflowed at N={sec.order}, K={sec.orbit_len - 1}: "
-            "it holds non-finite entries"
+            f"frame bound overflowed at N={n}, K={k}: sigma_max^2 is not finite"
         )
-    w = _hermitian_eigenvalues(sec.matrix)
-    a = max(float(w[0]), 0.0)
-    b = max(float(w[-1]), 0.0)
-    tight = b > 0.0 and (b - a) < TIGHT_REL_TOL * b
+    a = float(squares[-1]) if squares.size == n + 1 else 0.0
     return FrameBounds(
         A_est=a,
         B_est=b,
-        N=sec.order,
-        K=sec.orbit_len - 1,
-        tight=tight,
+        N=n,
+        K=k,
+        tight=b > 0.0 and (b - a) < TIGHT_REL_TOL * b,
         numerically_zero_lower=a < NUMERICALLY_ZERO_REL * b,
     )
+
+
+def frame_bounds_estimate(v: np.ndarray) -> FrameBounds:
+    """Frame bounds of the coefficient matrix v, an orbit's V or a leading
+    block of it, from one values-only SVD of its nonzero rows.
+
+    A_est below 1e-12 * B_est is flagged numerically zero rather than
+    trusted as a genuine frame bound.
+    """
+    sigma = np.linalg.svd(nonzero_rows(v), compute_uv=False)
+    return bounds_from_singular_values(sigma, v.shape)
 
 
 def apply_frame_operator(g: TruncatedSeries, orb: Orbit) -> TruncatedSeries:
@@ -146,8 +152,9 @@ def apply_frame_operator(g: TruncatedSeries, orb: Orbit) -> TruncatedSeries:
 def bounds_vs_truncation(spec, seed_coeffs, orders, orbit_lengths) -> list[FrameBounds]:
     """FrameBounds for every (N, K) pair of the two ascending lists.
 
-    The symbol spec is re-expanded at each order (a truncated expansion is
-    only meaningful relative to its own N).
+    One orbit is built, at the largest N and K; the orbit at (n, k) is its
+    leading block V[:k+1, :n+1], because coefficients 0..n of phi * g
+    depend only on coefficients 0..n of phi and of g.
     """
     orders = list(orders)
     orbit_lengths = list(orbit_lengths)
@@ -155,8 +162,9 @@ def bounds_vs_truncation(spec, seed_coeffs, orders, orbit_lengths) -> list[Frame
         raise ValueError("orders and orbit_lengths must be nonempty")
     if sorted(orders) != orders or sorted(orbit_lengths) != orbit_lengths:
         raise ValueError("orders and orbit_lengths must be ascending")
+    v = orbit_for(spec, seed_coeffs, orders[-1], orbit_lengths[-1]).V
     return [
-        frame_bounds_estimate(frame_section(orbit_for(spec, seed_coeffs, n, k)))
+        frame_bounds_estimate(v[: k + 1, : n + 1])
         for n in orders
         for k in orbit_lengths
     ]

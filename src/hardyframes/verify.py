@@ -25,8 +25,13 @@ from .diagnostics import (
     kernel_orthogonality_witness,
     zeros_in_disk,
 )
-from .frames import frame_bounds_estimate, frame_section, frame_sum, partial_frame_sums
-from .orbits import decay_profile, orbit_for
+from .frames import (
+    bounds_from_singular_values,
+    frame_bounds_estimate,
+    frame_sum,
+    partial_frame_sums,
+)
+from .orbits import MIN_ORBIT_FOR_DECAY, decay_profile, orbit_for
 from .series import BoundaryGrid, TruncatedSeries, series_from_coeffs
 from .symbols import SymbolSpec, innerness_test, realize
 
@@ -38,6 +43,10 @@ P6_TENSION_NOTE = (
 P6_UNDERRESOLVED_REASON = (
     "K < N: the K+1 orbit elements cannot span the N+1 coefficients, so no "
     "seed can read numerically cyclic at this resolution"
+)
+SHORT_ORBIT_REASON = (
+    f"K + 1 < {MIN_ORBIT_FOR_DECAY}: too few orbit elements to classify the "
+    "decay of the orbit norms"
 )
 
 
@@ -60,8 +69,27 @@ def report_to_json(report: VerificationReport) -> dict:
 # -- shared helpers ----------------------------------------------------------
 
 
-def _bounds_for(spec: SymbolSpec, seed_coeffs, n: int, k: int):
-    return frame_bounds_estimate(frame_section(orbit_for(spec, seed_coeffs, n, k)))
+def _trend_bounds(orb, seed_coeffs, points, cyc=None) -> list:
+    """FrameBounds at each (n', k') of points for the orbit of seed_coeffs
+    under orb's symbol spec, whose (N, K) orbit is orb.
+
+    Coefficients 0..n' of phi * g depend only on coefficients 0..n' of phi
+    and g, so the orbit at (n', k') is the leading block V[:k'+1, :n'+1]
+    of orb whenever it fits; a point beyond (N, K) builds its own orbit.
+    At (N, K) itself the spectrum of the cyclicity report cyc, when given,
+    is used rather than factoring V again.
+    """
+    out = []
+    for nn, kk in points:
+        if cyc is not None and (nn, kk) == (orb.order, orb.length - 1):
+            out.append(bounds_from_singular_values(cyc.singular_values, orb.V.shape))
+            continue
+        if nn <= orb.order and kk < orb.length:
+            v = orb.V[: kk + 1, : nn + 1]
+        else:
+            v = orbit_for(orb.symbol.spec, seed_coeffs, nn, kk).V
+        out.append(frame_bounds_estimate(v))
+    return out
 
 
 def _describe(spec: SymbolSpec) -> str:
@@ -104,6 +132,8 @@ def _scaled_blaschke_polynomial(factor: float, zero: complex, order: int) -> Sym
 
 def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
     n, k, m = config.truncation_order, config.orbit_length, config.boundary_grid
+    if k + 1 < MIN_ORBIT_FOR_DECAY:
+        return "inconclusive", {"reason": SHORT_ORBIT_REASON}
     grid = BoundaryGrid(m)
     cases = [
         ("constant_half", SymbolSpec.constant(0.5), "normalized"),
@@ -128,7 +158,7 @@ def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
         if inn.verdict != "non_inner":
             consistent = False
         if branch == "normalized":
-            trend = [_bounds_for(spec, (1.0,), nn, nn) for nn in _trend_orders(n)]
+            trend = _trend_bounds(orb, (1.0,), [(nn, nn) for nn in _trend_orders(n)])
             entry["A_trend"] = [b.A_est for b in trend]
             entry["B_at_max_N"] = trend[-1].B_est
             entry["lower_bound_numerically_zero"] = trend[-1].numerically_zero_lower
@@ -137,7 +167,7 @@ def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
                 or trend[-1].A_est < 1e-6 * max(trend[0].A_est, 1e-300)
             )
         else:
-            growth = [_bounds_for(spec, (1.0,), n, kk) for kk in _trend_orders(k)]
+            growth = _trend_bounds(orb, (1.0,), [(n, kk) for kk in _trend_orders(k)])
             entry["B_trend"] = [b.B_est for b in growth]
             no_frame = (
                 decay.classification == "grows"
@@ -173,7 +203,7 @@ def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
         for seed_label, coeffs in seeds.items():
             orb = orbit_for(spec, coeffs, n, k)
             cyc = cyclicity_rank(orb, config.tolerances.rank_tol, witness=True)
-            bounds = frame_bounds_estimate(frame_section(orb))
+            bounds = bounds_from_singular_values(cyc.singular_values, orb.V.shape)
             entry = {
                 "symbol": _describe(spec),
                 "rank": cyc.rank,
@@ -250,6 +280,8 @@ def _verify_p3(config: ExperimentConfig) -> tuple[str, dict]:
 
 def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
     n, k, m = config.truncation_order, config.orbit_length, config.boundary_grid
+    if k + 1 < MIN_ORBIT_FOR_DECAY:
+        return "inconclusive", {"reason": SHORT_ORBIT_REASON}
     grid = BoundaryGrid(m)
     evidence = {}
     consistent = True
@@ -259,7 +291,7 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
     sym = orb.symbol
     scan = image_circle_intersection(sym, grid, radial_levels=48)
     decay = decay_profile(orb)
-    trend = [_bounds_for(inside_spec, (1.0,), nn, nn) for nn in _trend_orders(n)]
+    trend = _trend_bounds(orb, (1.0,), [(nn, nn) for nn in _trend_orders(n)])
     contraction_ok = bool(
         np.all(orb.norms <= 0.9 ** np.arange(orb.length) + 1e-12)
     )
@@ -290,7 +322,7 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
     orb2 = orbit_for(outside_spec, (1.0,), n, k)
     scan2 = image_circle_intersection(orb2.symbol, grid, radial_levels=48)
     decay2 = decay_profile(orb2)
-    growth = [_bounds_for(outside_spec, (1.0,), n, kk) for kk in _trend_orders(k)]
+    growth = _trend_bounds(orb2, (1.0,), [(n, kk) for kk in _trend_orders(k)])
     evidence["outside_constant_two"] = {
         "symbol": _describe(outside_spec),
         "intersects_circle": scan2.intersects_circle,
@@ -326,7 +358,7 @@ def _verify_p4ii(config: ExperimentConfig) -> tuple[str, dict]:
     for label, spec, coeffs in cases:
         orb = orbit_for(spec, coeffs, n, k)
         found = zeros_in_disk(orb.seed, margin=0.05)
-        bounds = frame_bounds_estimate(frame_section(orb))
+        bounds = frame_bounds_estimate(orb.V)
         max_norm = float(np.max(orb.norms))
         pairing_rows = []
         worst_rel = 0.0
@@ -394,8 +426,9 @@ def _verify_ex_half_shift(config: ExperimentConfig) -> tuple[str, dict]:
             exact_failures.append(kk)
     trend_rows = []
     worst = 0.0
-    for nn in (8, 12, 16):
-        bounds = _bounds_for(spec, (1.0,), nn, nn)
+    orders = (8, 12, 16)
+    trend = _trend_bounds(orb, (1.0,), [(nn, nn) for nn in orders])
+    for nn, bounds in zip(orders, trend):
         err = abs(bounds.A_est - 4.0 ** -nn)
         worst = max(worst, err)
         trend_rows.append(
@@ -415,7 +448,7 @@ def _verify_ex_3_1(config: ExperimentConfig) -> tuple[str, dict]:
     n = k = max(config.truncation_order, config.orbit_length)
     spec = SymbolSpec.monomial(1)
     orb = orbit_for(spec, (1.0,), n, k)
-    bounds = frame_bounds_estimate(frame_section(orb))
+    bounds = frame_bounds_estimate(orb.V)
 
     rng = np.random.default_rng(31415926)
     worst_rel = 0.0
@@ -472,7 +505,7 @@ def _verify_p6(config: ExperimentConfig) -> tuple[str, dict]:
     for label, spec, coeffs in cases:
         orb = orbit_for(spec, coeffs, n, k)
         cyc = cyclicity_rank(orb, config.tolerances.rank_tol)
-        trend = [_bounds_for(spec, coeffs, nn, nn) for nn in _trend_orders(n)]
+        trend = _trend_bounds(orb, coeffs, [(nn, nn) for nn in _trend_orders(n)], cyc)
         final = trend[-1]
         cyclic_numerically = cyc.span_dimension_deficit == 0
         frame_trend_ok = (

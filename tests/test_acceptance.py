@@ -58,7 +58,7 @@ def make_orbit(spec, seed_coeffs, k, order):
 
 def test_criterion_1_tight_frame_reproduction():
     orb = make_orbit(SymbolSpec.monomial(1), [1], 64, 64)
-    bounds = frame_bounds_estimate(frame_section(orb))
+    bounds = frame_bounds_estimate(orb.V)
     ok = abs(bounds.A_est - 1.0) <= 1e-10 and abs(bounds.B_est - 1.0) <= 1e-10
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -89,9 +89,7 @@ def test_criterion_3_lower_bound_collapse():
     exact = all(frame_sum(monomial(k, 40), orb) == 4.0 ** -k for k in range(33))
     worst = 0.0
     for n in (8, 12, 16):
-        b = frame_bounds_estimate(
-            frame_section(make_orbit(SymbolSpec.scaled_shift(0.5), [1], n, n))
-        )
+        b = frame_bounds_estimate(make_orbit(SymbolSpec.scaled_shift(0.5), [1], n, n).V)
         worst = max(worst, abs(b.A_est - 4.0 ** -n))
     check(
         "criterion 3: half-shift frame sums 4^-k exact, A_est = 4^-N (1e-12)",
@@ -110,7 +108,7 @@ def test_criterion_4_squared_shift_deficiency():
     for coeffs in seeds:
         orb = make_orbit(SymbolSpec.monomial(2), coeffs, 64, 64)
         deficit = cyclicity_rank(orb).span_dimension_deficit
-        bounds = frame_bounds_estimate(frame_section(orb))
+        bounds = frame_bounds_estimate(orb.V)
         fs_z = frame_sum(monomial(1, 64), orb)
         ok = ok and deficit >= 31
         ok = ok and bounds.A_est < 1e-12 * bounds.B_est
@@ -157,7 +155,7 @@ def test_criterion_6_dichotomy():
 def test_criterion_7_kernel_witness():
     orb = make_orbit(SymbolSpec.monomial(1), [-0.5, 1], 64, 64)
     witness = kernel_orthogonality_witness(orb, 0.5)
-    bounds = frame_bounds_estimate(frame_section(orb))
+    bounds = frame_bounds_estimate(orb.V)
     ok = witness.max_pairing < 1e-10 and bounds.A_est < 1e-12 * bounds.B_est
     check(
         "criterion 7: seed zero at 1/2 kills pairings (1e-10) and lower bound",

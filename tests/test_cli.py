@@ -12,10 +12,11 @@ from hardyframes.config import (
     config_to_json,
     load_config,
 )
-from hardyframes.frames import FrameBounds, frame_bounds_estimate, frame_section, gram
+from hardyframes.frames import FrameBounds, frame_bounds_estimate, gram
 from hardyframes.jsonio import dumps_canonical
 from hardyframes.orbits import orbit_for
 from hardyframes.symbols import SymbolSpec
+from hardyframes.verify import PROPOSITIONS, SHORT_ORBIT_REASON
 
 
 def write_config(path, symbol=None, seed=(1.0,), n=16, k=8, m=128, fmt="json"):
@@ -139,14 +140,14 @@ def test_frame_bounds_csv(tmp_path, capsys):
     assert lines[1].startswith("8,8,1,1,true")
 
 
-def test_eigensolver_failure_exits_3(tmp_path, capsys, monkeypatch):
+def test_svd_failure_in_frame_bounds_exits_3(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, n=8, k=8)
 
-    def boom(_mat):
-        raise np.linalg.LinAlgError("did not converge")
+    def boom(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    monkeypatch.setattr(np.linalg, "svd", boom)
     assert main(["frame-bounds", "--config", str(cfg_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -183,9 +184,9 @@ CSV_COMMANDS = ("orbit", "frame-bounds", "gram")
 @pytest.mark.parametrize(
     "n, commands",
     [
-        # 4^300 is finite but the Gram entries and the frame section's sums
-        # of products overflow: the writer refuses inf, and frame-bounds
-        # names the overflow before any eigensolver runs
+        # 4^300 is finite, and so is sigma_max, but the Gram entries and
+        # B = sigma_max^2 overflow: the writer refuses inf, and frame-bounds
+        # names the overflow
         (300, ["frame-bounds", "gram"]),
         # 4^n overflows at n = 512, inside the orbit itself
         (600, ["orbit", "frame-bounds", "gram", "cyclicity"]),
@@ -312,7 +313,7 @@ def _per_entry_outputs(command, cfg):
             for n in range(orb.length)
         ]
     elif command == "frame-bounds":
-        b = frame_bounds_estimate(frame_section(orb))
+        b = frame_bounds_estimate(orb.V)
         payload = {
             "N": b.N,
             "K": b.K,
@@ -473,6 +474,22 @@ def test_report_all_config_dir_subset(tmp_path):
     assert files == ["P3.json", "index.json"]
     report = json.loads((out_dir / "P3.json").read_text())
     assert report["parameters"]["N"] == 8
+
+
+def test_report_all_short_orbit_exits_0(tmp_path):
+    # K + 1 = 6 elements are too few to classify decay: P1 and P4i say
+    # inconclusive with a reason instead of aborting the battery with exit 2
+    cdir = tmp_path / "configs"
+    cdir.mkdir()
+    for prop in PROPOSITIONS:
+        write_config(cdir / f"{prop}.json", n=20, k=5, m=512)
+    out_dir = tmp_path / "reports"
+    assert main(["report-all", "--config-dir", str(cdir), "--out-dir", str(out_dir)]) == 0
+    assert len(list(out_dir.glob("*.json"))) == 10  # 9 propositions + index
+    for prop in ("P1", "P4i"):
+        report = json.loads((out_dir / f"{prop}.json").read_text())
+        assert report["verdict"] == "inconclusive"
+        assert report["evidence"]["reason"] == SHORT_ORBIT_REASON
 
 
 def test_report_all_unknown_config_name_exits_2(tmp_path, capsys):

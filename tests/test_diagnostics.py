@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardyframes.diagnostics import (
+    RANK_REL_TOL,
     class_support,
     cyclicity_rank,
     image_circle_intersection,
@@ -10,7 +11,7 @@ from hardyframes.diagnostics import (
     residue_projection,
     zeros_in_disk,
 )
-from hardyframes.frames import frame_bounds_estimate, frame_section, frame_sum
+from hardyframes.frames import frame_bounds_estimate, frame_sum
 from hardyframes.orbits import orbit
 from hardyframes.series import (
     BoundaryGrid,
@@ -196,6 +197,29 @@ def test_cyclicity_witness_only_on_request(spec, coeffs, k, order):
     assert np.max(np.abs(plain.singular_values - sigma)) <= tol
 
 
+def test_cyclicity_drops_zero_rows_and_keeps_the_spectrum_length():
+    # z^2 with K >> N: rows n > N/2 truncate to zero and are not factored;
+    # the spectrum is padded back to min(K+1, N+1) values with exact zeros
+    order, k = 16, 64
+    orb = make_orbit(SymbolSpec.monomial(2), [1, 0.5j, -0.25, 0.3], k, order)
+    nonzero = int(np.count_nonzero(np.any(orb.V, axis=1)))
+    assert nonzero == order // 2 + 1
+    sigma_ref = np.linalg.svd(orb.V, compute_uv=False)
+    rank_ref = int(np.count_nonzero(sigma_ref > RANK_REL_TOL * sigma_ref[0]))
+    report = cyclicity_rank(orb, witness=True)
+    assert report.rank == rank_ref == nonzero
+    assert report.singular_values.size == min(k, order) + 1
+    assert np.all(report.singular_values[nonzero:] == 0.0)
+    tol = (order + 1) * np.finfo(float).eps * sigma_ref[0]
+    assert np.max(np.abs(report.singular_values - sigma_ref)) <= tol
+    residual = np.linalg.norm(orb.V @ np.conj(report.witness.coeffs))
+    assert residual <= 10 * np.finfo(float).eps * sigma_ref[0]
+    # the bounds factor the same nonzero rows, values only
+    bounds = frame_bounds_estimate(orb.V)
+    assert bounds.A_est == 0.0 and bounds.numerically_zero_lower
+    assert bounds.B_est == cyclicity_rank(orb).singular_values[0] ** 2
+
+
 def test_cyclicity_constant_rank_one():
     report = cyclicity_rank(make_orbit(SymbolSpec.constant(0.5), [1], 12, 8))
     assert report.rank == 1
@@ -212,7 +236,7 @@ def test_deficit_and_lower_bound_agree():
     for spec, coeffs in battery:
         orb = make_orbit(spec, coeffs, 16, 16)
         deficit = cyclicity_rank(orb).span_dimension_deficit
-        bounds = frame_bounds_estimate(frame_section(orb))
+        bounds = frame_bounds_estimate(orb.V)
         assert (deficit > 0) == bounds.numerically_zero_lower
 
 

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from hardyframes.frames import (
-    EigensolverError,
     apply_frame_operator,
+    bounds_from_singular_values,
     bounds_vs_truncation,
     frame_bounds_estimate,
     frame_section,
     frame_sum,
     gram,
+    nonzero_rows,
     partial_frame_sums,
 )
 from hardyframes.diagnostics import kernel_orthogonality_witness, reproducing_kernel
@@ -298,29 +299,27 @@ def test_section_quadratic_form_matches_frame_sum():
 
 
 def test_bounds_identity_section_tight():
-    b = frame_bounds_estimate(frame_section(make_orbit(SymbolSpec.monomial(1), [1], 16, 16)))
+    b = frame_bounds_estimate(make_orbit(SymbolSpec.monomial(1), [1], 16, 16).V)
     assert b.A_est == 1.0 and b.B_est == 1.0
     assert b.tight and not b.numerically_zero_lower
 
 
 @pytest.mark.parametrize("order", [8, 12, 16])
 def test_bounds_half_shift_collapse(order):
-    b = frame_bounds_estimate(
-        frame_section(make_orbit(SymbolSpec.scaled_shift(0.5), [1], order, order))
-    )
+    b = frame_bounds_estimate(make_orbit(SymbolSpec.scaled_shift(0.5), [1], order, order).V)
     assert abs(b.A_est - 4.0 ** -order) < 1e-12
     assert abs(b.B_est - 1.0) < 1e-12
 
 
 def test_bounds_squared_shift_degenerate():
-    b = frame_bounds_estimate(frame_section(make_orbit(SymbolSpec.monomial(2), [1], 16, 16)))
+    b = frame_bounds_estimate(make_orbit(SymbolSpec.monomial(2), [1], 16, 16).V)
     assert b.A_est == 0.0
     assert b.numerically_zero_lower
 
 
 def test_eigen_bound_sandwich():
     orb = make_orbit(SymbolSpec.blaschke([0.3]), [1, -0.5], 16, 16)
-    b = frame_bounds_estimate(frame_section(orb))
+    b = frame_bounds_estimate(orb.V)
     rng = np.random.default_rng(29)
     for _ in range(100):
         g = series_from_coeffs(
@@ -330,6 +329,34 @@ def test_eigen_bound_sandwich():
         nsq = norm_sq(g)
         assert fs >= b.A_est * nsq - 1e-10 * max(1.0, nsq)
         assert fs <= b.B_est * nsq + 1e-10 * max(1.0, nsq)
+
+
+def test_bounds_are_squared_extreme_singular_values():
+    orb = make_orbit(SymbolSpec.blaschke([0.3]), [1, -0.5], 16, 16)
+    sigma = np.linalg.svd(orb.V, compute_uv=False)
+    b = frame_bounds_estimate(orb.V)
+    assert b.B_est == sigma[0] ** 2 and b.A_est == sigma[-1] ** 2
+    assert bounds_from_singular_values(sigma, orb.V.shape) == b
+
+
+def test_bounds_lower_is_zero_with_fewer_nonzero_rows_than_columns():
+    # K < N: the section has rank <= K + 1 < N + 1
+    b = frame_bounds_estimate(make_orbit(SymbolSpec.blaschke([0.3]), [1], 8, 16).V)
+    assert (b.N, b.K) == (16, 8)
+    assert b.A_est == 0.0 and b.B_est > 0.0 and b.numerically_zero_lower
+
+
+def test_nonzero_rows_passes_a_full_matrix_without_copy():
+    full = make_orbit(SymbolSpec.monomial(1), [1], 8, 8).V
+    assert nonzero_rows(full) is full
+    sparse = make_orbit(SymbolSpec.monomial(2), [1], 12, 8).V
+    assert np.array_equal(nonzero_rows(sparse), sparse[:5])
+
+
+def test_bounds_overflow_raises_floating_point_error():
+    # sigma_max = 1e200 is finite, B = sigma_max^2 is not
+    with pytest.raises(FloatingPointError, match="overflow"):
+        bounds_from_singular_values(np.array([1e200, 1.0]), (2, 2))
 
 
 def test_bounds_monotone_in_orbit_length():
@@ -423,14 +450,3 @@ def test_bounds_vs_truncation_validates_lists():
     with pytest.raises(ValueError):
         bounds_vs_truncation(SymbolSpec.monomial(1), (1.0,), [8, 4], [4])
 
-
-def test_eigensolver_failure_wrapped(monkeypatch):
-    sec = frame_section(make_orbit(SymbolSpec.monomial(1), [1], 4, 4))
-
-    def boom(_mat):
-        raise np.linalg.LinAlgError("did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
-    with pytest.raises(EigensolverError) as excinfo:
-        frame_bounds_estimate(sec)
-    assert excinfo.value.size == 5

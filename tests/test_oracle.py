@@ -4,11 +4,11 @@ rank, the witness and the kernel pairings.
 
 The references are built at 50 digits from the same float64 matrix V the
 package uses (its entries are exact in mpmath): the frame operator
-S~ = sum_n v_n v_n* with its spectrum from `mp.eighe`, the Gram matrix
-G~ = conj(V) V^T, the singular values of V from `mp.svd_c`, the row
-norms of V, the partial sums of |<g, v_n>|^2 for a fixed probe g, and the
-pairings v_n(z0).  Each float64 quantity is then held to a stated
-multiple of machine epsilon.
+S~ = sum_n v_n v_n*, the Gram matrix G~ = conj(V) V^T, the singular
+values of V from `mp.svd_c` (whose squares are the spectrum of S~), the
+row norms of V, the partial sums of |<g, v_n>|^2 for a fixed probe g,
+and the pairings v_n(z0).  Each float64 quantity is then held to a
+stated multiple of machine epsilon.
 """
 
 from types import SimpleNamespace
@@ -58,8 +58,6 @@ def oracle(request):
     with mp.workdps(50):
         v = _mp_matrix(orb.V)
         s_ref = v.T * v.conjugate()
-        lam = mp.eighe(s_ref, eigvals_only=True)
-        lam = sorted(float(x) for x in lam)
         s_ref = np.array(s_ref.tolist(), dtype=complex)
         g_ref = np.array((v.conjugate() * v.T).tolist(), dtype=complex)
         sigma = sorted((mp.mpf(x) for x in mp.svd_c(v, compute_uv=False)), reverse=True)
@@ -75,8 +73,6 @@ def oracle(request):
         pairings=np.array([float(abs(p)) for p in pairings]),
         sums=sums,
         s_ref=s_ref,
-        lam_min=lam[0],
-        lam_max=lam[-1],
         g_ref=g_ref,
         sigma=np.array([float(x) for x in sigma]),
         rank=rank,
@@ -113,22 +109,32 @@ def test_section_entries_match_oracle(oracle):
     assert np.max(np.abs(s - s_ref)) <= tol
 
 
+def _sigma_min(oracle) -> float:
+    """Smallest singular value of V on the N+1 columns: 0 when K < N."""
+    sigma = oracle.sigma
+    return sigma[-1] if sigma.size == oracle.orb.order + 1 else 0.0
+
+
 def test_bounds_match_oracle(oracle):
-    orb, lam_min, lam_max = oracle.orb, oracle.lam_min, oracle.lam_max
-    b = frame_bounds_estimate(frame_section(orb))
-    assert abs(b.B_est - lam_max) <= 4 * EPS * lam_max
-    assert abs(b.A_est - max(lam_min, 0.0)) <= 4 * EPS * b.B_est
+    # each computed singular value is within d = (N+1) eps sigma_max of the
+    # reference, so its square is within (2 sigma + d) d of sigma^2: A_est
+    # is resolved down to about eps^2 * B, far below eps * B
+    orb = oracle.orb
+    b = frame_bounds_estimate(orb.V)
+    d = (orb.order + 1) * EPS * oracle.sigma[0]
+    for est, sigma in ((b.B_est, oracle.sigma[0]), (b.A_est, _sigma_min(oracle))):
+        assert abs(est - sigma**2) <= (2 * sigma + d) * d
 
 
 def test_witness_reaches_smallest_singular_value(oracle):
-    orb, lam_min, lam_max = oracle.orb, oracle.lam_min, oracle.lam_max
+    orb = oracle.orb
     report = cyclicity_rank(orb, witness=True)
     if report.witness is None:
         assert report.span_dimension_deficit == 0
         return
     w = report.witness.coeffs
     assert abs(np.linalg.norm(w) - 1.0) <= 4 * EPS
-    bound = np.sqrt(max(lam_min, 0.0)) + 10 * EPS * np.sqrt(lam_max)
+    bound = _sigma_min(oracle) + 10 * EPS * oracle.sigma[0]
     assert _residual(orb, w) <= bound
 
 

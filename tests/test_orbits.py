@@ -51,6 +51,54 @@ def test_orbit_for_realizes_the_spec_and_pads_the_seed_at_order_n(spec, coeffs):
     assert built.norms.tobytes() == direct.norms.tobytes()
 
 
+# -- leading blocks ------------------------------------------------------------
+# Coefficients 0..n' of phi * g depend only on coefficients 0..n' of phi and
+# g, so the orbit at (n', k') is the block V[:k'+1, :n'+1] of the orbit at
+# (N, K); the trend points of the verification suites are read this way.
+
+BLOCKS = ((2, 5), (16, 16), (64, 64), (100, 40), (128, 90))
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs",
+    [
+        (SymbolSpec.monomial(1), (1.0, -1.0)),
+        (SymbolSpec.monomial(3), (1.0, 0.5j, -0.25)),
+        (SymbolSpec.constant(np.exp(1j * np.pi / 7)), (1.0,)),
+        (SymbolSpec.scaled_shift(0.8 * np.exp(-1.1j)), (1.0, 0.5j, -0.25 + 0.1j)),
+    ],
+)
+def test_leading_block_is_the_smaller_orbit_bitwise(spec, coeffs):
+    # one nonzero coefficient: every row is one multiply of the row above,
+    # the same arithmetic at every order
+    big = orbit_for(spec, coeffs, 128, 128)
+    for nn, kk in BLOCKS:
+        small = orbit_for(spec, coeffs, nn, kk)
+        assert big.V[: kk + 1, : nn + 1].tobytes() == small.V.tobytes(), (nn, kk)
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs",
+    [
+        (SymbolSpec.blaschke([0.5]), (1.0,)),
+        (SymbolSpec.blaschke([0.35 + 0.25j, -0.4j]), (1.0, 0.5j, -0.25)),
+        (SymbolSpec.blaschke([0.7, 0.6 + 0.2j, -0.5j], prefactor=np.exp(0.4j)), (1.0, -0.3)),
+    ],
+)
+def test_leading_block_is_the_smaller_orbit_within_rounding(spec, coeffs):
+    # the two sides take FFT products of different sizes, or the direct
+    # path below 64 terms, for phi and for every row: row n differs by a
+    # few eps per product of the largest row before it (|phi| = 1 on the
+    # circle), so by at most 4 (n+1) eps max_{j<=n} ||v_j||; the worst
+    # ratio to that bound seen on these orbits is about 0.4
+    big = orbit_for(spec, coeffs, 128, 128)
+    for nn, kk in BLOCKS:
+        small = orbit_for(spec, coeffs, nn, kk)
+        err = np.linalg.norm(big.V[: kk + 1, : nn + 1] - small.V, axis=1)
+        scale = np.maximum.accumulate(np.linalg.norm(small.V, axis=1))
+        assert np.all(err <= 4 * (np.arange(kk + 1) + 1) * EPS * scale), (nn, kk)
+
+
 # -- apply ---------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from hardyframes.cli import default_config
@@ -89,6 +90,22 @@ def test_p2_confinement_recorded(config):
     assert report.evidence["m3_class_one_random"]["orbit_confined_to_seed_classes"]
     for key, entry in report.evidence.items():
         assert entry["span_dimension_deficit"] > 0, key
+
+
+def test_p2_factors_each_orbit_once(config, monkeypatch):
+    # rank, witness and both bounds of each of the 8 orbits come from one
+    # SVD of its nonzero rows
+    svd = np.linalg.svd
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    verify("P2", config)
+    assert len(shapes) == 8
+    assert all(rows < config.orbit_length + 1 for rows, _ in shapes)
 
 
 def test_p3_slope_matches_pairing(config):
