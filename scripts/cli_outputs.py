@@ -6,11 +6,15 @@ The configs (Blaschke products with real or complex zeros, monomials and
 polynomials, N = K from 16 to 300) are drawn from a fixed seed; two fixed
 Blaschke configs add K > N and K < N, a complex constant and a complex
 c*z add orbits of scaled shifts at N = K = 64 and 300, and z^2 at N = 64,
-K = 200 adds an orbit whose rows are mostly exactly zero.  All are
-written to OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds` and
-`gram` as JSON and CSV and through `innerness` and `cyclicity` as JSON;
+K = 200 adds an orbit whose rows are mostly exactly zero, and a Blaschke
+product with two positive real zeros adds a real orbit (real seed,
+N = K = 300) and a complex orbit of a real symbol (complex seed,
+N = K = 128).  All are written to OUT_DIR/configs.  Each one then goes
+through `orbit`, `frame-bounds` and `gram` as JSON and CSV and through
+`innerness` and `cyclicity` as JSON;
 `report-all` runs once with its defaults, then once per resolution in
-BATTERY_RESOLUTIONS through `--config-dir`, every suite at that (N, K).
+BATTERY_RESOLUTIONS through `--config-dir`, every suite at that (N, K),
+and `verify` runs once per entry of VERIFY_RESOLUTIONS.
 Exit codes, and the stderr of any call that fails, go to
 OUT_DIR/exit_codes.txt.
 
@@ -47,6 +51,9 @@ COMMANDS = (
 # (N, K) of the extra report-all runs: coarse N = K, then K > N and K < N,
 # then an orbit too short to classify decay (K + 1 < 8)
 BATTERY_RESOLUTIONS = ((16, 16), (32, 32), (24, 60), (60, 24), (20, 5))
+# (suite, N, K) of single `verify` runs, with M = 8N: P4i at N = K = 512
+# holds a growth trend whose B would overflow past K' = 511
+VERIFY_RESOLUTIONS = (("P4i", 512, 512),)
 
 
 def _complex_list(values) -> list:
@@ -135,6 +142,22 @@ def configs(rng) -> dict:
         "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
         "output": {"format": "json", "path": None},
     }
+    # positive real zeros: the symbol's coefficients are exactly real, so
+    # a real seed takes the real FFT and the real SVD, and a complex seed
+    # the complex ones
+    for name, seed, n in (
+        ("real-seed", [1, -0.5, 0.25], 300),
+        ("complex-seed", [1, 0.5j, -0.25 + 0.1j], 128),
+    ):
+        out[f"blaschke-real-zeros-{name}-{n}"] = {
+            "symbol": {"kind": "blaschke", "zeros": _complex_list([0.45, 0.2])},
+            "seed_coeffs": _complex_list(seed),
+            "truncation_order": n,
+            "orbit_length": n,
+            "boundary_grid": 8 * n,
+            "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+            "output": {"format": "json", "path": None},
+        }
     return out
 
 
@@ -200,6 +223,13 @@ def main(argv=None) -> int:
         code, err = _run(cli_main, argv, index)
         (args.out_dir / f"{name}.stdout").write_text(index.getvalue(), encoding="utf-8")
         log.append(f"{name} {code}" + (f" {err.strip()}" if err.strip() else ""))
+    for prop, n, k in VERIFY_RESOLUTIONS:
+        out = args.out_dir / f"verify-{prop}-N{n}-K{k}.json"
+        code, err = _run(cli_main, [
+            "verify", prop, "--truncation", str(n), "--orbit-len", str(k),
+            "--grid", str(8 * n), "--out", str(out),
+        ])
+        log.append(f"{out.name} {code}" + (f" {err.strip()}" if code else ""))
     (args.out_dir / "exit_codes.txt").write_text("\n".join(log) + "\n", encoding="utf-8")
     print(f"{len(log)} calls written to {args.out_dir}")
     return 0

@@ -3,7 +3,8 @@
 The subcommands are the entries of `COMMANDS`.  Exit codes form a CI
 contract: 0 for success or a consistent/inconclusive verdict, 1 for an
 inconsistent verdict, 2 for usage/config errors and unwritable output
-paths, 3 for numerical failures.
+paths, 3 for numerical failures and for any other internal error, so that
+1 always means a verdict.
 """
 
 from __future__ import annotations
@@ -279,6 +280,10 @@ def main(argv=None) -> int:
     except (ConfigError, UnknownPropositionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # anything else is a fault of the program, never a verdict
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import TruncatedSeries
-from .frames import nonzero_rows
+from .frames import _svd_nonzero_rows
 from .orbits import Orbit
 from .symbols import SymbolRealization, boundary_values
 
@@ -126,21 +126,21 @@ def cyclicity_rank(
     Full rank is the truncation-level surrogate for a dense span; the full
     singular spectrum is returned so borderline cases stay visible.  The
     spectrum and the rank come from the singular values of the nonzero
-    rows of V (zero rows add nothing to the span), padded with exact zeros
-    to the min(K+1, N+1) values of V itself.  Only when `witness` is asked
-    for does the SVD also compute its factors: if the span is deficient,
-    the witness is then the last row w of the right factor, so
-    ||V conj(w)|| is the smallest singular value (0 when V has fewer than
-    N+1 nonzero rows); the frame operator is never formed, so its squared
-    condition number never enters.  Otherwise the report's witness is None.
+    rows of V (zero rows add nothing to the span; a real SVD when they are
+    real), padded with exact zeros to the min(K+1, N+1) values of V itself.
+    Only when `witness` is asked for does the SVD also compute its factors:
+    if the span is deficient, the witness is then the last row w of the
+    right factor, so ||V conj(w)|| is the smallest singular value (0 when V
+    has fewer than N+1 nonzero rows); the frame operator is never formed,
+    so its squared condition number never enters.  Otherwise the report's
+    witness is None.
     """
-    rows = nonzero_rows(orb.V)
     if witness:
-        # full_matrices (the default) keeps a null-space row of Vh when
-        # there are fewer than N+1 nonzero rows
-        _, nonzero, vh = np.linalg.svd(rows)
+        # full matrices keep a null-space row of Vh when there are fewer
+        # than N+1 nonzero rows
+        _, nonzero, vh = _svd_nonzero_rows(orb.V, compute_uv=True)
     else:
-        nonzero = np.linalg.svd(rows, compute_uv=False)
+        nonzero = _svd_nonzero_rows(orb.V)
     singulars = np.zeros(min(orb.V.shape))
     singulars[: nonzero.size] = nonzero
     sigma_max = float(singulars[0]) if singulars.size else 0.0

@@ -102,6 +102,19 @@ def nonzero_rows(v: np.ndarray) -> np.ndarray:
     return v if keep.all() else v[keep]
 
 
+def _svd_nonzero_rows(v: np.ndarray, compute_uv: bool = False):
+    """np.linalg.svd of the nonzero rows of v (full matrices when
+    compute_uv), factored in float64 when no imaginary part is nonzero.
+
+    Most orbits of a real symbol and a real seed are real, and a real SVD
+    costs about half as much as the complex one of the same data.
+    """
+    rows = nonzero_rows(v)
+    if not rows.imag.any():
+        rows = rows.real
+    return np.linalg.svd(rows, compute_uv=compute_uv)
+
+
 def bounds_from_singular_values(sigma: np.ndarray, shape: tuple) -> FrameBounds:
     """Frame bounds of a (K+1) x (N+1) coefficient matrix V from its
     singular values in descending order.
@@ -134,12 +147,13 @@ def bounds_from_singular_values(sigma: np.ndarray, shape: tuple) -> FrameBounds:
 
 def frame_bounds_estimate(v: np.ndarray) -> FrameBounds:
     """Frame bounds of the coefficient matrix v, an orbit's V or a leading
-    block of it, from one values-only SVD of its nonzero rows.
+    block of it, from one values-only SVD of its nonzero rows (a real SVD
+    when they are real).
 
     A_est below 1e-12 * B_est is flagged numerically zero rather than
     trusted as a genuine frame bound.
     """
-    sigma = np.linalg.svd(nonzero_rows(v), compute_uv=False)
+    sigma = _svd_nonzero_rows(v)
     return bounds_from_singular_values(sigma, v.shape)
 
 

@@ -89,10 +89,10 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
     it, so the row is bit-identical to `mul(sym.series, row n-1, order)`
     while `mul` convolves directly (s < FFT_MIN_OPERAND_LEN).  Every other
     row is written straight into V by the arithmetic of `mul`, with phi
-    trimmed once and transformed once per transform size, so it is
-    bit-identical to `mul` of the row before.  A norm whose squared moduli
-    overflow, or sum to less than the smallest normal number, is
-    recomputed from the row scaled exactly by a power of two.
+    trimmed once and transformed once per transform size and kind (real or
+    complex), so it is bit-identical to `mul` of the row before.  A norm
+    whose squared moduli overflow, or sum to less than the smallest normal
+    number, is recomputed from the row scaled exactly by a power of two.
     """
     if count < 0:
         raise ValueError("orbit length must be >= 0")

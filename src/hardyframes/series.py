@@ -135,11 +135,13 @@ def _mul_into(out: np.ndarray, xa: np.ndarray, transforms: dict, b: np.ndarray) 
     """Write the Cauchy product xa * b, truncated to out.size terms, into out.
 
     xa is the fixed operand, already cut to out.size terms and trimmed of
-    trailing zeros; `transforms` caches its FFT by transform size, so a
-    caller multiplying many series by one factor transforms it once per
-    size.  b is trimmed here.  Direct convolution is used while either
-    operand is at most FFT_MIN_OPERAND_LEN long, else a zero-padded FFT of
-    the next power-of-two size.
+    trailing zeros; `transforms` caches its FFT by (transform size, real),
+    so a caller multiplying many series by one factor transforms it once
+    per size and kind.  b is trimmed here.  Direct convolution is used
+    while either operand is at most FFT_MIN_OPERAND_LEN long, else a
+    zero-padded FFT of the next power-of-two size: a real FFT of the real
+    parts when neither operand has a nonzero imaginary part, so the
+    product's imaginary part is exactly +0.0, else a complex one.
     """
     xb = _trim_trailing_zeros(b[: out.size])
     if xa.size == 0 or xb.size == 0:
@@ -150,10 +152,15 @@ def _mul_into(out: np.ndarray, xa: np.ndarray, transforms: dict, b: np.ndarray) 
     else:
         n = xa.size + xb.size - 1
         size = 1 << (n - 1).bit_length()
-        fa = transforms.get(size)
+        real = not (xa.imag.any() or xb.imag.any())
+        if real:
+            fft, ifft, xa, xb = np.fft.rfft, np.fft.irfft, xa.real, xb.real
+        else:
+            fft, ifft = np.fft.fft, np.fft.ifft
+        fa = transforms.get((size, real))
         if fa is None:
-            fa = transforms[size] = np.fft.fft(xa, size)
-        full = np.fft.ifft(fa * np.fft.fft(xb, size))[:n]
+            fa = transforms[size, real] = fft(xa, size)
+        full = ifft(fa * fft(xb, size), size)[:n]
     m = min(full.size, out.size)
     out[:m] = full[:m]
     out[m:] = 0

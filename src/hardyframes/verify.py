@@ -92,6 +92,29 @@ def _trend_bounds(orb, seed_coeffs, points, cyc=None) -> list:
     return out
 
 
+def _growth_trend(orb, n: int, k: int) -> tuple[list, str | None]:
+    """FrameBounds at (N, k') for the k' of _trend_orders(K), with a reason
+    when a k' was capped (else None).
+
+    B at (N, k') is at most the sum of the first k'+1 squared orbit norms.
+    When that sum overflows within orb, each k' is capped at the last row
+    for which it is finite, so B cannot overflow; otherwise every k' is
+    kept, and a k' beyond K gets its own orbit.
+    """
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.cumsum(orb.norms**2))
+    orders = _trend_orders(k)
+    if finite.all():
+        return _trend_bounds(orb, (1.0,), [(n, kk) for kk in orders]), None
+    last = int(np.count_nonzero(finite)) - 1
+    reason = (
+        f"K' capped at {last}: beyond it the sum of squared orbit norms, "
+        "which bounds B, overflows"
+    )
+    points = [(n, min(kk, last)) for kk in orders]
+    return _trend_bounds(orb, (1.0,), points), reason
+
+
 def _describe(spec: SymbolSpec) -> str:
     if spec.kind == "constant":
         return f"constant({spec.value})"
@@ -167,8 +190,10 @@ def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
                 or trend[-1].A_est < 1e-6 * max(trend[0].A_est, 1e-300)
             )
         else:
-            growth = _trend_bounds(orb, (1.0,), [(n, kk) for kk in _trend_orders(k)])
+            growth, reason = _growth_trend(orb, n, k)
             entry["B_trend"] = [b.B_est for b in growth]
+            if reason:
+                entry["reason"] = reason
             no_frame = (
                 decay.classification == "grows"
                 and growth[-1].B_est > 10.0 * growth[0].B_est
@@ -322,7 +347,7 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
     orb2 = orbit_for(outside_spec, (1.0,), n, k)
     scan2 = image_circle_intersection(orb2.symbol, grid, radial_levels=48)
     decay2 = decay_profile(orb2)
-    growth = _trend_bounds(orb2, (1.0,), [(n, kk) for kk in _trend_orders(k)])
+    growth, reason = _growth_trend(orb2, n, k)
     evidence["outside_constant_two"] = {
         "symbol": _describe(outside_spec),
         "intersects_circle": scan2.intersects_circle,
@@ -332,6 +357,8 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
         "decay_rate": decay2.rate_estimate,
         "B_trend": [b.B_est for b in growth],
     }
+    if reason:
+        evidence["outside_constant_two"]["reason"] = reason
     if (
         scan2.intersects_circle
         or decay2.classification != "grows"

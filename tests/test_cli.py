@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hardyframes import orbits
+from hardyframes import cli, orbits
 from hardyframes.cli import main
 from hardyframes.config import (
     ExperimentConfig,
@@ -176,6 +176,19 @@ def test_memory_error_exits_3_not_inconsistent(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(orbits, "orbit", boom)
     assert main(["frame-bounds", "--config", str(cfg_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3_not_inconsistent(capsys, monkeypatch):
+    # an exception no other clause maps is a fault of the program: exit 3
+    # with one stderr line, never 1 ("inconsistent")
+    def boom(*_args, **_kwargs):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(cli, "verify", boom)
+    assert main(["verify", "P3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: unexpected state\n"
 
 
 CSV_COMMANDS = ("orbit", "frame-bounds", "gram")
@@ -416,6 +429,19 @@ def test_verify_ex31_exits_0(capsys):
 def test_verify_p6_inconclusive_exits_0(capsys):
     assert main(["verify", "P6"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
+
+
+def test_verify_p4i_growth_trend_capped_at_512(capsys):
+    # B of the constant(2) orbit at K = 512 would be about 4^513; the
+    # trend caps K' where the squared norms still sum to a finite value
+    argv = ["verify", "P4i", "--truncation", "512", "--orbit-len", "512", "--grid", "4096"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "consistent"
+    growth = payload["evidence"]["outside_constant_two"]
+    assert "K' capped at 511" in growth["reason"]
+    assert all(np.isfinite(growth["B_trend"]))
+    assert "reason" not in payload["evidence"]["inside_scaled_blaschke"]
 
 
 def test_verify_unknown_id_exits_2(capsys):

@@ -220,6 +220,26 @@ def test_cyclicity_drops_zero_rows_and_keeps_the_spectrum_length():
     assert bounds.B_est == cyclicity_rank(orb).singular_values[0] ** 2
 
 
+def test_complex_seed_orbit_is_factored_in_complex_arithmetic(monkeypatch):
+    # z^2 is real, the seed is not: every SVD sees complex128 rows, and a
+    # real orbit of the same symbol sees float64 rows
+    svd = np.linalg.svd
+    dtypes = []
+
+    def census(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", census)
+    for coeffs, dtype in (([1, 0.5j, -0.25], np.complex128), ([1, 0.5, -0.25], np.float64)):
+        dtypes.clear()
+        orb = make_orbit(SymbolSpec.monomial(2), coeffs, 32, 32)
+        cyclicity_rank(orb, witness=True)
+        cyclicity_rank(orb)
+        frame_bounds_estimate(orb.V)
+        assert dtypes == [dtype] * 3
+
+
 def test_cyclicity_constant_rank_one():
     report = cyclicity_rank(make_orbit(SymbolSpec.constant(0.5), [1], 12, 8))
     assert report.rank == 1

@@ -332,11 +332,21 @@ def test_eigen_bound_sandwich():
 
 
 def test_bounds_are_squared_extreme_singular_values():
+    # a real symbol and a real seed give a real V, factored in float64
     orb = make_orbit(SymbolSpec.blaschke([0.3]), [1, -0.5], 16, 16)
-    sigma = np.linalg.svd(orb.V, compute_uv=False)
+    assert not orb.V.imag.any()
+    sigma = np.linalg.svd(orb.V.real, compute_uv=False)
     b = frame_bounds_estimate(orb.V)
     assert b.B_est == sigma[0] ** 2 and b.A_est == sigma[-1] ** 2
     assert bounds_from_singular_values(sigma, orb.V.shape) == b
+
+
+def test_bounds_of_a_complex_orbit_are_its_complex_singular_values():
+    orb = make_orbit(SymbolSpec.blaschke([0.3 + 0.2j]), [1, -0.5], 16, 16)
+    assert orb.V.imag.any()
+    sigma = np.linalg.svd(orb.V, compute_uv=False)
+    b = frame_bounds_estimate(orb.V)
+    assert b.B_est == sigma[0] ** 2 and b.A_est == sigma[-1] ** 2
 
 
 def test_bounds_lower_is_zero_with_fewer_nonzero_rows_than_columns():

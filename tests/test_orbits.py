@@ -99,6 +99,52 @@ def test_leading_block_is_the_smaller_orbit_within_rounding(spec, coeffs):
         assert np.all(err <= 4 * (np.arange(kk + 1) + 1) * EPS * scale), (nn, kk)
 
 
+@pytest.mark.parametrize(
+    "spec, coeffs",
+    [
+        (SymbolSpec.blaschke([0.5]), (1.0,)),
+        (SymbolSpec.blaschke([0.6, 0.35]), (1.0, 0.5)),
+    ],
+)
+def test_real_fft_orbit_is_within_rounding_of_direct_convolution(spec, coeffs):
+    # a real symbol and seed take the real FFT from row 1 on (phi has 257
+    # nonzero terms); against rows built by np.convolve each row stays
+    # within the leading-block bound 4 (n+1) eps max_{j<=n} ||v_j||; the
+    # worst ratio to it seen on these orbits is about 0.11
+    n = k = 256
+    orb = orbit_for(spec, coeffs, n, k)
+    assert not orb.V.imag.any() and not np.signbit(orb.V.imag).any()
+    phi = orb.symbol.series.coeffs[: n + 1].real
+    ref = np.zeros((k + 1, n + 1))
+    ref[0] = orb.V[0].real
+    for j in range(1, k + 1):
+        ref[j] = np.convolve(phi, ref[j - 1])[: n + 1]
+    err = np.linalg.norm(orb.V.real - ref, axis=1)
+    scale = np.maximum.accumulate(np.linalg.norm(ref, axis=1))
+    assert np.all(err <= 4 * (np.arange(k + 1) + 1) * EPS * scale)
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs",
+    [
+        (SymbolSpec.blaschke([0.35 + 0.25j]), (1.0, -0.5)),  # complex phi
+        (SymbolSpec.blaschke([0.5]), (1.0, 0.5j)),  # complex seed
+    ],
+)
+def test_complex_orbit_keeps_the_complex_transform(spec, coeffs, monkeypatch):
+    # one complex operand is enough to keep every FFT-path row complex
+    calls = {"fft": 0, "rfft": 0}
+    for name in calls:
+        def counting(*args, _f=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    orb = orbit_for(spec, coeffs, 128, 128)
+    assert calls["rfft"] == 0 and calls["fft"] > 0
+    assert np.all(orb.V[1:].imag.any(axis=1))
+
+
 # -- apply ---------------------------------------------------------------------
 
 

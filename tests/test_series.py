@@ -4,7 +4,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from hardyframes.series import (
+    FFT_MIN_OPERAND_LEN,
     BoundaryGrid,
+    _mul_into,
     add,
     boundary_samples,
     eval_at,
@@ -138,6 +140,39 @@ def test_mul_fft_matches_direct(size, seed):
     want = np.convolve(a, b)[: t + 1]
     scale_ref = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(got - want)) < 1e-12 * scale_ref
+
+
+@given(st.integers(70, 100), st.integers(0, 2**32 - 1))
+def test_mul_fft_of_real_operands_is_exactly_real(size, seed):
+    # two real operands take the real transform: the imaginary part is
+    # +0.0 everywhere, the real part within the complex path's bound
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(size)
+    b = rng.standard_normal(size)
+    t = 2 * size - 2
+    got = mul(series_from_coeffs(a), series_from_coeffs(b), t).coeffs
+    assert np.all(got.imag == 0.0) and not np.signbit(got.imag).any()
+    want = np.convolve(a, b)[: t + 1]
+    scale_ref = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) < 1e-12 * scale_ref
+
+
+def test_one_transform_cache_serves_real_and_complex_products():
+    # the fixed factor is transformed once per (size, kind); interleaved
+    # real and complex products through one cache stay correct
+    rng = np.random.default_rng(7)
+    size = FFT_MIN_OPERAND_LEN + 30
+    xa = rng.standard_normal(size).astype(complex)
+    real_b = rng.standard_normal(size).astype(complex)
+    complex_b = real_b + 1j * rng.standard_normal(size)
+    transforms = {}
+    out = np.empty(2 * size - 1, dtype=complex)
+    for b in (real_b, complex_b, real_b, complex_b):
+        _mul_into(out, xa, transforms, b)
+        want = np.convolve(xa, b)
+        assert np.max(np.abs(out - want)) < 1e-12 * float(np.max(np.abs(want)))
+        assert np.all(out.imag == 0.0) == (b is real_b)
+    assert sorted(transforms) == [(256, False), (256, True)]
 
 
 # -- inner product and norms ---------------------------------------------------

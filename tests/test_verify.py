@@ -108,6 +108,40 @@ def test_p2_factors_each_orbit_once(config, monkeypatch):
     assert all(rows < config.orbit_length + 1 for rows, _ in shapes)
 
 
+@pytest.mark.parametrize("prop", ["P1", "P4i"])
+@pytest.mark.parametrize("k", [7, 8, 13])
+def test_growth_trend_past_a_short_orbit_is_not_capped(prop, k):
+    # for K < 16 the growth trend reads B beyond row K; nothing overflows,
+    # so those points need their own orbits rather than a cap at K
+    config = ExperimentConfig(
+        symbol=SymbolSpec.monomial(1), truncation_order=32, orbit_length=k
+    )
+    report = verify(prop, config)
+    assert report.verdict == "consistent", report.evidence
+    assert "reason" not in json.dumps(report_to_json(report))
+    trends = [
+        e["B_trend"]
+        for e in report.evidence.values()
+        if isinstance(e, dict) and "B_trend" in e
+    ]
+    assert trends and all(t[-1] > 10.0 * t[0] for t in trends)
+
+
+def test_p6_factors_only_real_matrices(config, monkeypatch):
+    # every P6 case has a real symbol and a real seed, so each orbit is
+    # real and every SVD runs in float64
+    svd = np.linalg.svd
+    dtypes = []
+
+    def census(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", census)
+    verify("P6", config)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
 def test_p3_slope_matches_pairing(config):
     report = verify("P3", config)
     for entry in report.evidence.values():
