@@ -17,6 +17,11 @@ from .jsonio import complex_to_json, json_to_complex
 from .symbols import SymbolSpec
 
 
+# Most coefficients an orbit built from one config may hold: 2^24, that is
+# 256 MiB as complex128, or max(N, K) up to 4095.
+MAX_ORBIT_ENTRIES = 2**24
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration or malformed config file."""
 
@@ -57,6 +62,16 @@ class ExperimentConfig:
             raise ConfigError("truncation_order must be >= 1")
         if self.orbit_length < 1:
             raise ConfigError("orbit_length must be >= 1")
+        # the largest orbit any command builds is Ex_3_1's square of side
+        # max(N, K) + 1 (every other one fits in it or in 61 x 61): reject
+        # it before anything is allocated
+        side = max(self.truncation_order, self.orbit_length) + 1
+        if side * side > MAX_ORBIT_ENTRIES:
+            raise ConfigError(
+                f"N = {self.truncation_order}, K = {self.orbit_length} too large: "
+                f"an orbit of {side} x {side} coefficients exceeds the limit of "
+                f"{MAX_ORBIT_ENTRIES}"
+            )
         if self.boundary_grid <= 4 * self.truncation_order:
             raise ConfigError(
                 f"boundary_grid {self.boundary_grid} too small: "

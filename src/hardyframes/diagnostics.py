@@ -182,17 +182,21 @@ def image_circle_intersection(
 
     Radii approach both 0 and 1 geometrically (2^-i and 1 - 2^-i) so the
     scan sees the near-boundary regime where inner symbols attain modulus
-    close to 1.  Each ring is one `boundary_values` call: a closed form at
-    the ring's points, or one FFT for a polynomial symbol.  The image of a
-    non-constant symbol is open and connected, so sampled moduli
-    straddling 1 imply the image meets the circle; the verdict uses
-    tolerance 1e-9.
+    close to 1; a radius in both sequences is scanned once.  Each ring is
+    one `boundary_values` call: a closed form at the ring's points, or one
+    FFT for a polynomial symbol.  The image of a non-constant symbol is
+    open and connected, so sampled moduli straddling 1 imply the image
+    meets the circle; the verdict uses tolerance 1e-9.
     """
     if radial_levels < 2:
         raise ValueError("need at least two radial levels")
     halves = 2.0 ** -np.arange(1, radial_levels + 1)
-    radii = np.unique(np.concatenate([halves, 1.0 - halves]))
-    radii = radii[(radii > 0.0) & (radii < 1.0)]
+    radii = np.sort(np.concatenate([halves, 1.0 - halves]))
+    # the radii of np.unique, without the numpy.ma import it costs: keep
+    # the first of each run of equal sorted values
+    keep = (radii > 0.0) & (radii < 1.0)
+    keep[1:] &= radii[1:] != radii[:-1]
+    radii = radii[keep]
 
     min_mod = np.inf
     max_mod = 0.0

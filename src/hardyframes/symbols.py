@@ -134,6 +134,10 @@ def _blaschke_factor_series(a: complex, order: int) -> TruncatedSeries:
     if order >= 1:
         n = np.arange(1, order + 1)
         out[1:] = -(abs(a) / a) * (1.0 - abs(a) ** 2) * np.conj(a) ** (n - 1)
+    if a.imag == 0:
+        # a real zero has real coefficients; the complex power of a negative
+        # one leaves imaginary rounding, which would make real orbits complex
+        out.imag = 0.0
     return TruncatedSeries(out)
 
 

@@ -207,23 +207,64 @@ def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
 
 # -- P2: powers of z never frame, any seed -----------------------------------
 
+# P2's random seed coefficients, by power m: 4 for the class-one seed, then 6
+# for the mixed seed.  They are the standard normals of
+# np.random.default_rng(20240211), drawn for m = 2 and then m = 3, in the
+# order listed, each real part before its imaginary part, and written out
+# exactly so that no CLI path imports numpy.random.
+_P2_RANDOM_COEFFS = {
+    2: (
+        (
+            0.3378929961449536 + 2.7543286330760606j,
+            1.3098144170486663 + 0.14945938110981827j,
+            0.13249107308674327 + 0.9111973841926783j,
+            0.48454503280896755 + 1.0517440329773122j,
+        ),
+        (
+            0.08094733325296635 + 0.8326546476509249j,
+            -0.0911936292598738 + 1.0369431562946754j,
+            -1.4363389679754106 - 2.286852584294499j,
+            -0.5804594787310821 + 1.0561809431240046j,
+            1.8466603035635138 - 1.1186245609099117j,
+            0.6558627298208981 + 0.34686541403250526j,
+        ),
+    ),
+    3: (
+        (
+            0.00048406580734860176 - 2.170822873762393j,
+            -1.4091973405439298 + 0.056988312700930376j,
+            -0.5066110194756502 - 0.2545019238386715j,
+            -0.8514110744315929 - 1.392826467891006j,
+        ),
+        (
+            0.9318422640154562 - 0.7255794385000937j,
+            0.24671836931180705 - 0.657556106078543j,
+            0.532554440534264 - 1.279770045478816j,
+            -0.9593383633191441 - 0.9202048067340743j,
+            -0.3431346475423611 + 0.036975360820767286j,
+            -0.954440477503775 + 1.2985084034113563j,
+        ),
+    ),
+}
+
 
 def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
     n, k = config.truncation_order, config.orbit_length
-    rng = np.random.default_rng(20240211)
     evidence = {}
     consistent = True
     for m in (2, 3):
         spec = SymbolSpec.monomial(m)
+        class_one, mixed = _P2_RANDOM_COEFFS[m]
+        # class_one on the indices 1, 1 + m, 1 + 2m, 1 + 3m: residue class 1
+        class_one_seed = [0j] * (2 + m * (len(class_one) - 1))
+        class_one_seed[1::m] = class_one
         seeds = {
             "one": (1.0,),
             "one_plus_z_m": tuple(
                 1.0 if i in (0, m) else 0.0 for i in range(m + 1)
             ),
-            "class_one_random": _class_random(rng, m, residue=1, terms=4),
-            "mixed_random": tuple(
-                (rng.standard_normal() + 1j * rng.standard_normal()) for _ in range(6)
-            ),
+            "class_one_random": tuple(class_one_seed),
+            "mixed_random": mixed,
         }
         for seed_label, coeffs in seeds.items():
             orb = orbit_for(spec, coeffs, n, k)
@@ -248,14 +289,6 @@ def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
                 consistent = False
             evidence[f"m{m}_{seed_label}"] = entry
     return _verdict(consistent), evidence
-
-
-def _class_random(rng, m: int, residue: int, terms: int) -> tuple:
-    degree = residue + m * (terms - 1)
-    coeffs = [0.0j] * (degree + 1)
-    for t in range(terms):
-        coeffs[residue + m * t] = rng.standard_normal() + 1j * rng.standard_normal()
-    return tuple(coeffs)
 
 
 def _confinement_holds(orb, m: int) -> bool:
@@ -477,10 +510,13 @@ def _verify_ex_3_1(config: ExperimentConfig) -> tuple[str, dict]:
     orb = orbit_for(spec, (1.0,), n, k)
     bounds = frame_bounds_estimate(orb.V)
 
-    rng = np.random.default_rng(31415926)
+    # 100 deterministic probes: Weyl sequences in the golden ratio and in
+    # sqrt(2) give each coefficient its own modulus in [0.5, 1.5) and phase
+    idx = np.arange(100 * (n + 1), dtype=float).reshape(100, n + 1)
+    moduli = 0.5 + np.mod(idx * ((np.sqrt(5.0) - 1.0) / 2.0), 1.0)
+    phases = 2.0 * np.pi * np.mod(idx * (np.sqrt(2.0) - 1.0), 1.0)
     worst_rel = 0.0
-    for _ in range(100):
-        coeffs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    for coeffs in moduli * np.exp(1j * phases):
         g = TruncatedSeries(coeffs)
         fs = frame_sum(g, orb)
         nsq = hs.norm_sq(g)

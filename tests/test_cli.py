@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import pytest
 from hardyframes import cli, orbits
 from hardyframes.cli import main
 from hardyframes.config import (
+    MAX_ORBIT_ENTRIES,
+    ConfigError,
     ExperimentConfig,
     config_from_json,
     config_to_json,
@@ -270,6 +276,54 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, field, value):
     for command in ("orbit", "innerness", "cyclicity"):
         assert main([command, "--config", str(cfg_path)]) == 2, command
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, k", [(10**6, 10**6), (64, 10**6), (4096, 8)])
+def test_oversized_config_is_rejected(n, k):
+    with pytest.raises(ConfigError, match="too large"):
+        ExperimentConfig(
+            symbol=SymbolSpec.monomial(1),
+            truncation_order=n,
+            orbit_length=k,
+            boundary_grid=4 * n + 1,
+        )
+
+
+def test_largest_allowed_config_has_max_orbit_entries():
+    cfg = ExperimentConfig(
+        symbol=SymbolSpec.monomial(1),
+        truncation_order=4095,
+        orbit_length=4095,
+        boundary_grid=4 * 4095 + 1,
+    )
+    side = max(cfg.truncation_order, cfg.orbit_length) + 1
+    assert side * side == MAX_ORBIT_ENTRIES
+
+
+def test_oversized_config_exits_2_before_any_orbit(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("an orbit was built")
+
+    monkeypatch.setattr(orbits, "orbit", refuse)  # every orbit_for call builds with it
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    big = ["--truncation", str(10**6), "--orbit-len", str(10**6), "--grid", str(4 * 10**6 + 1)]
+    for argv in (
+        ["orbit", "--config", str(cfg_path), *big],
+        ["gram", "--config", str(cfg_path), *big],
+        ["verify", "Ex_3_1", *big],
+    ):
+        assert main(argv) == 2, argv
+        assert "too large" in capsys.readouterr().err
+    payload = json.loads(cfg_path.read_text())
+    payload.update(truncation_order=10**6, orbit_length=10**6, boundary_grid=4 * 10**6 + 1)
+    cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["cyclicity", "--config", str(cfg_path)]) == 2
+    assert "too large" in capsys.readouterr().err
+    assert built == []
 
 
 def test_flag_overrides_config(tmp_path, capsys):
@@ -553,3 +607,46 @@ def test_config_json_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(dumps_canonical(config_to_json(cfg)), encoding="utf-8")
     assert load_config(path) == cfg
+
+
+# -- import hygiene ---------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# numpy submodules no command needs, each an import of 10-25 ms at start-up
+UNUSED_NUMPY_MODULES = ("numpy.ma", "numpy.random")
+HYGIENE_SCRIPT = """
+import contextlib, io, sys
+from hardyframes.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+loaded = [m for m in {modules!r} if m in sys.modules]
+assert code in (0, 1) and not loaded, (code, loaded)
+"""
+
+
+def _run_cli_in_fresh_process(argv):
+    # the pytest process has imported both modules already, so only a new
+    # interpreter shows what a command imports
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    script = HYGIENE_SCRIPT.format(modules=UNUSED_NUMPY_MODULES)
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report-all"]]
+    + [["verify", prop] for prop in PROPOSITIONS]
+    + [[command] for command in ("orbit", "frame-bounds", "gram", "innerness", "cyclicity")],
+    ids=lambda argv: "-".join(argv),
+)
+def test_cli_never_imports_numpy_ma_or_random(tmp_path, argv):
+    if argv[0] == "report-all":
+        argv = [*argv, "--out-dir", str(tmp_path / "reports")]
+    elif argv[0] != "verify":
+        cfg_path = tmp_path / "cfg.json"
+        write_config(cfg_path, symbol=SymbolSpec.blaschke([0.5, -0.3]), seed=(1.0, 0.5j))
+        argv = [*argv, "--config", str(cfg_path)]
+    proc = _run_cli_in_fresh_process(argv)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hardyframes import diagnostics
 from hardyframes.diagnostics import (
     RANK_REL_TOL,
     class_support,
@@ -22,7 +23,7 @@ from hardyframes.series import (
     series_from_coeffs,
     zero_series,
 )
-from hardyframes.symbols import SymbolSpec, realize
+from hardyframes.symbols import SymbolSpec, boundary_values, realize
 
 
 def seed(coeffs, order):
@@ -319,6 +320,25 @@ def test_image_constant_two_outside():
     report = image_circle_intersection(sym, BoundaryGrid(128), radial_levels=48)
     assert report.min_modulus == 2.0
     assert not report.intersects_circle
+
+
+def test_image_rings_are_the_unique_radii(monkeypatch):
+    # the rings are the radii np.unique would give, bit for bit and in order
+    ring_radii = []
+
+    def recording(sym, grid, r):
+        ring_radii.append(r)
+        return boundary_values(sym, grid, r)
+
+    monkeypatch.setattr(diagnostics, "boundary_values", recording)
+    sym = realize(SymbolSpec.monomial(1), 8)
+    for levels in range(2, 65):
+        ring_radii.clear()
+        image_circle_intersection(sym, BoundaryGrid(64), radial_levels=levels)
+        halves = 2.0 ** -np.arange(1, levels + 1)
+        radii = np.unique(np.concatenate([halves, 1.0 - halves]))
+        expected = radii[(radii > 0.0) & (radii < 1.0)]
+        assert np.array(ring_radii).tobytes() == expected.tobytes(), levels
 
 
 def test_image_requires_two_levels():

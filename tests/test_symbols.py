@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hardyframes.orbits import orbit_for
 from hardyframes.series import BoundaryGrid, mul
 from hardyframes.symbols import (
     SymbolSpec,
@@ -72,6 +73,37 @@ def test_realize_blaschke_half_coefficients():
     n = np.arange(1, 9)
     assert np.allclose(sym.series.coeffs[1:], -(0.75) * 0.5 ** (n - 1), atol=1e-15)
     assert not sym.series_exact and sym.degree is None
+
+
+def _parent_factor_coeffs(a, order):
+    """Coefficients 1..order of a Blaschke factor in plain complex
+    arithmetic: the reference for a complex zero, and for the real parts
+    of a real one."""
+    n = np.arange(1, order + 1)
+    return -(abs(a) / a) * (1.0 - abs(a) ** 2) * np.conj(a) ** (n - 1)
+
+
+def test_negative_real_zero_gives_exactly_real_coefficients():
+    a = -0.35 + 0j
+    coeffs = realize(SymbolSpec.blaschke([a]), 256).series.coeffs
+    # the complex power of conj(a) leaves imaginary rounding up to ~1e-60
+    assert np.count_nonzero(_parent_factor_coeffs(a, 256).imag) > 0
+    assert np.count_nonzero(coeffs.imag) == 0
+    assert coeffs[0] == abs(a)
+    assert coeffs.real[1:].tobytes() == _parent_factor_coeffs(a, 256).real.tobytes()
+
+
+def test_real_seed_orbit_of_real_zeros_is_real():
+    orb = orbit_for(SymbolSpec.blaschke([-0.35, 0.2]), (1.0, -0.5), 256, 64)
+    assert np.count_nonzero(orb.symbol.series.coeffs.imag) == 0
+    assert np.count_nonzero(orb.V.imag) == 0
+
+
+def test_complex_zero_expansion_is_unchanged():
+    a = 0.3 + 0.4j
+    coeffs = realize(SymbolSpec.blaschke([a]), 256).series.coeffs
+    assert coeffs[0] == abs(a)
+    assert coeffs[1:].tobytes() == _parent_factor_coeffs(a, 256).tobytes()
 
 
 def test_realize_blaschke_zeros_at_origin_is_monomial():

@@ -9,6 +9,7 @@ from hardyframes.config import ExperimentConfig, ToleranceSettings
 from hardyframes.jsonio import dumps_canonical
 from hardyframes.symbols import SymbolSpec
 from hardyframes.verify import (
+    _P2_RANDOM_COEFFS,
     P6_TENSION_NOTE,
     P6_UNDERRESOLVED_REASON,
     PROPOSITIONS,
@@ -90,6 +91,19 @@ def test_p2_confinement_recorded(config):
     assert report.evidence["m3_class_one_random"]["orbit_confined_to_seed_classes"]
     for key, entry in report.evidence.items():
         assert entry["span_dimension_deficit"] > 0, key
+
+
+def test_p2_seed_literals_are_the_seeded_draws():
+    # P2 once drew its random seeds from this generator at run time, for
+    # m = 2 then m = 3: 4 class-one coefficients, then 6 mixed ones, each
+    # real part before its imaginary part
+    rng = np.random.default_rng(20240211)
+    for m in (2, 3):
+        for literals in _P2_RANDOM_COEFFS[m]:
+            drawn = [complex(rng.standard_normal(), rng.standard_normal())
+                     for _ in literals]
+            assert list(literals) == drawn
+    assert [len(group) for group in _P2_RANDOM_COEFFS[2]] == [4, 6]
 
 
 def test_p2_factors_each_orbit_once(config, monkeypatch):
