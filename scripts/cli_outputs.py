@@ -9,7 +9,9 @@ c*z add orbits of scaled shifts at N = K = 64 and 300, and z^2 at N = 64,
 K = 200 adds an orbit whose rows are mostly exactly zero, and a Blaschke
 product with two positive real zeros adds a real orbit (real seed,
 N = K = 300) and a complex orbit of a real symbol (complex seed,
-N = K = 128).  All are written to OUT_DIR/configs.  Each one then goes
+N = K = 128), and four dense Blaschke products at N = 100 and 128 add
+orbits built in blocks, at K = 1, 72, 75 and 300.  All are written to
+OUT_DIR/configs.  Each one then goes
 through `orbit`, `frame-bounds` and `gram` as JSON and CSV and through
 `innerness` and `cyclicity` as JSON;
 `report-all` runs once with its defaults, then once per resolution in
@@ -154,6 +156,25 @@ def configs(rng) -> dict:
             "seed_coeffs": _complex_list(seed),
             "truncation_order": n,
             "orbit_length": n,
+            "boundary_grid": 8 * n,
+            "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+            "output": {"format": "json", "path": None},
+        }
+    # dense Blaschke products (phi has N + 1 > 64 terms), whose rows are
+    # built in blocks of b = isqrt(K // 2) by FFT: K = 1, K a multiple of
+    # its b (72 = 12 * 6), K not a multiple (75 = 12 * 6 + 3) and K > N;
+    # the K = 72 one is real (real zeros, real seed)
+    for zeros, seed, n, k in (
+        ([0.45, 0.2 + 0.1j], [1, 0.5j, -0.25 + 0.1j], 128, 1),
+        ([0.45, 0.2], [1, -0.5, 0.25], 128, 72),
+        ([0.45, 0.2 + 0.1j], [1, 0.5j, -0.25 + 0.1j], 128, 75),
+        ([0.5 - 0.3j, -0.4], [1, 0.5j], 100, 300),
+    ):
+        out[f"blaschke-dense-N{n}-K{k}"] = {
+            "symbol": {"kind": "blaschke", "zeros": _complex_list(zeros)},
+            "seed_coeffs": _complex_list(seed),
+            "truncation_order": n,
+            "orbit_length": k,
             "boundary_grid": 8 * n,
             "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
             "output": {"format": "json", "path": None},

@@ -26,6 +26,7 @@ from .symbols import SymbolSpec, innerness_test, realize
 from .verify import (
     PROPOSITIONS,
     UnknownPropositionError,
+    check_resolution,
     report_to_json,
     verify,
 )
@@ -98,6 +99,8 @@ def _one_row(payload: dict) -> dict:
 
 
 def _gram_report(config: ExperimentConfig, args) -> dict:
+    k = config.orbit_length
+    config.check_size(k + 1, k + 1, "a Gram matrix")
     g = gram(_config_orbit(config))
     return {"K": g.orbit_len - 1, "entries": g.entries}
 
@@ -189,6 +192,8 @@ def _report_all(args) -> int:
             configs[prop] = load_config(path)
     else:
         configs = {prop: default_config() for prop in PROPOSITIONS}
+    for config in configs.values():  # before any suite runs or file is written
+        check_resolution(config)
 
     out_path = Path(args.out_dir)
     out_path.mkdir(parents=True, exist_ok=True)

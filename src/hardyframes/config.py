@@ -17,8 +17,8 @@ from .jsonio import complex_to_json, json_to_complex
 from .symbols import SymbolSpec
 
 
-# Most coefficients an orbit built from one config may hold: 2^24, that is
-# 256 MiB as complex128, or max(N, K) up to 4095.
+# Most coefficients one array built from a config may hold: 2^24, that is
+# 256 MiB as complex128, or (N+1)(K+1) up to 4096 x 4096.
 MAX_ORBIT_ENTRIES = 2**24
 
 
@@ -62,16 +62,9 @@ class ExperimentConfig:
             raise ConfigError("truncation_order must be >= 1")
         if self.orbit_length < 1:
             raise ConfigError("orbit_length must be >= 1")
-        # the largest orbit any command builds is Ex_3_1's square of side
-        # max(N, K) + 1 (every other one fits in it or in 61 x 61): reject
-        # it before anything is allocated
-        side = max(self.truncation_order, self.orbit_length) + 1
-        if side * side > MAX_ORBIT_ENTRIES:
-            raise ConfigError(
-                f"N = {self.truncation_order}, K = {self.orbit_length} too large: "
-                f"an orbit of {side} x {side} coefficients exceeds the limit of "
-                f"{MAX_ORBIT_ENTRIES}"
-            )
+        # every command builds the (K+1) x (N+1) orbit: reject it before
+        # anything is allocated
+        self.check_size(self.orbit_length + 1, self.truncation_order + 1)
         if self.boundary_grid <= 4 * self.truncation_order:
             raise ConfigError(
                 f"boundary_grid {self.boundary_grid} too small: "
@@ -83,6 +76,16 @@ class ExperimentConfig:
         if not all(np.isfinite(c.real) and np.isfinite(c.imag) for c in coeffs):
             raise ConfigError("seed_coeffs must be finite")
         object.__setattr__(self, "seed_coeffs", coeffs)
+
+    def check_size(self, rows: int, cols: int, what: str = "an orbit") -> None:
+        """Raise ConfigError when a rows x cols array that a command builds
+        from this config would hold more than MAX_ORBIT_ENTRIES coefficients."""
+        if rows * cols > MAX_ORBIT_ENTRIES:
+            raise ConfigError(
+                f"N = {self.truncation_order}, K = {self.orbit_length} too large: "
+                f"{what} of {rows} x {cols} coefficients exceeds the limit of "
+                f"{MAX_ORBIT_ENTRIES}"
+            )
 
 
 # -- symbol spec <-> JSON ---------------------------------------------------

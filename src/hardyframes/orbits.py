@@ -9,11 +9,13 @@ so that coefficient loss is never mistaken for genuine norm decay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .series import (
+    FFT_MIN_OPERAND_LEN,
     TruncatedSeries,
     _mul_into,
     _trim_trailing_zeros,
@@ -83,22 +85,21 @@ def apply(sym: SymbolRealization, f: TruncatedSeries, order: int) -> TruncatedSe
 def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) -> Orbit:
     """Iterate T_phi from the seed: elements phi^n f for n = 0..count.
 
-    When phi, cut to N+1 terms, has a single nonzero coefficient c at index
-    s (a constant, z^m, c*z), row n is c times row n-1 shifted by s: one
-    multiply per row, rounded as the one-tap convolution of `mul` rounds
-    it, so the row is bit-identical to `mul(sym.series, row n-1, order)`
-    while `mul` convolves directly (s < FFT_MIN_OPERAND_LEN).  Every other
-    row is written straight into V by the arithmetic of `mul`, with phi
-    trimmed once and transformed once per transform size and kind (real or
-    complex), so it is bit-identical to `mul` of the row before.  A norm
-    whose squared moduli overflow, or sum to less than the smallest normal
+    phi is cut to N+1 terms and trimmed of trailing zeros once.  When it
+    has a single nonzero coefficient c at index s (a constant, z^m, c*z),
+    row n is c times row n-1 shifted by s: one multiply per row, rounded
+    as the one-tap convolution of `mul` rounds it, so the row is
+    bit-identical to `mul(sym.series, row n-1, order)` while `mul`
+    convolves directly (s < FFT_MIN_OPERAND_LEN).  When phi has at most
+    FFT_MIN_OPERAND_LEN terms, each row is `mul`'s direct convolution of
+    the row before, bit for bit.  Longer phi fills the rows in blocks by
+    FFT (`_fft_rows`); each row is then within a few eps per product of
+    the largest row before it, not bit-identical to `mul`.  A norm whose
+    squared moduli overflow, or sum to less than the smallest normal
     number, is recomputed from the row scaled exactly by a power of two.
     """
     if count < 0:
         raise ValueError("orbit length must be >= 0")
-    seed_degree = f.exact_degree()
-    sym_degree = sym.degree if sym.series_exact else None
-    symbol_is_zero = sym.series_exact and sym.degree is None
 
     v = np.empty((count + 1, order + 1), dtype=complex)
     v[0] = series_from_coeffs(f.coeffs, order).coeffs
@@ -121,23 +122,27 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
         if not np.isfinite(v).all():
             # the seed is finite, so a non-finite row is an overflow
             raise FloatingPointError(f"series product overflowed at order {order}")
-    else:
-        transforms = {}
+    elif phi.size <= FFT_MIN_OPERAND_LEN:
         for n in range(1, count + 1):
-            _mul_into(v[n], phi, transforms, v[n - 1])
+            _mul_into(v[n], phi, {}, v[n - 1])
+    else:
+        _fft_rows(v, phi)
     v.flags.writeable = False
 
+    # row n is phi^n f exactly while deg f + n deg phi <= N; from the first
+    # row past N on, and after the seed for an inexact symbol or a seed cut
+    # to order N, coefficients are lost; a zero symbol or seed loses none
     truncated = np.zeros(count + 1, dtype=bool)
-    truncated[0] = seed_degree is not None and seed_degree > order
-    for n in range(1, count + 1):
-        if seed_degree is None or symbol_is_zero:
-            break  # all elements identically zero: nothing is lost
-        if not sym.series_exact:
-            truncated[n:] = True
-            break
-        if truncated[n - 1] or seed_degree + n * sym_degree > order:
-            truncated[n:] = True
-            break
+    seed_degree = f.exact_degree()
+    if seed_degree is not None:
+        truncated[0] = seed_degree > order
+        if not sym.series_exact or (truncated[0] and sym.degree is not None):
+            first = 1
+        elif not sym.degree:  # a constant keeps the degree, zero has none
+            first = count + 1
+        else:
+            first = (order - seed_degree) // sym.degree + 1
+        truncated[first:] = True
 
     with np.errstate(over="ignore"):  # an overflowed square is redone below
         norms = np.linalg.norm(v, axis=1)
@@ -152,6 +157,58 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
         rows = np.ldexp(parts, -exp[:, None]).view(complex)
         norms[redo] = np.ldexp(np.linalg.norm(rows, axis=1), exp)
     return Orbit(symbol=sym, V=v, norms=norms, truncated=truncated)
+
+
+def _fft_rows(v: np.ndarray, phi: np.ndarray) -> None:
+    """Fill rows 1..K of v with P_N(phi * row above), in blocks of
+    b = max(1, isqrt(K // 2)) rows.
+
+    Phi_j = P_N(phi^j), j = 1..b, are the first b rows of the seed-1
+    orbit, and their transforms are kept as one (b, L) batch.  The block
+    after row n0 is P_N(Phi_j * v[n0]), j = 1..b: one forward transform
+    of v[n0], one product into a buffer kept for the orbit and one batched
+    inverse transform, about K + K/b + 2b transforms in all where one
+    product per row takes 2K.  L is the power of two >= 2N + 1, so no
+    product wraps onto orders 0..N.  The transforms are real (rfft) when
+    phi and the seed are real, and the rows then have imaginary part +0.0.
+    Coefficients above a row's exact degree are written as 0, as a
+    convolution writes them.  A non-finite row is an overflow.
+    """
+    count, order = v.shape[0] - 1, v.shape[1] - 1
+    seed = _trim_trailing_zeros(v[0])
+    if seed.size == 0:
+        v[1:] = 0
+        return
+    size = 1 << (2 * order).bit_length()
+    real = not (phi.imag.any() or seed.imag.any())
+    if real:
+        fft, ifft, part, width = np.fft.rfft, np.fft.irfft, np.real, size // 2 + 1
+    else:
+        fft, ifft, part, width = np.fft.fft, np.fft.ifft, np.asarray, size
+    b = max(1, math.isqrt(count // 2))
+    phi_degree = phi.size - 1
+    powers = np.empty((b, width), dtype=complex)
+    product = np.empty_like(powers)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        powers[0] = fft(part(phi), size)
+        for j in range(1, b):
+            row = ifft(powers[0] * powers[j - 1], size)[: order + 1]
+            row[(j + 1) * phi_degree + 1 :] = 0
+            powers[j] = fft(row, size)
+        for n0 in range(0, count, b):
+            m = min(b, count - n0)
+            np.multiply(powers[:m], fft(part(v[n0]), size), out=product[:m])
+            rows = v[n0 + 1 : n0 + m + 1]
+            rows[:] = ifft(product[:m], size)[:, : order + 1]
+            # only rows of degree below N end early: at most N / 64 of them
+            for n in range(n0 + 1, n0 + m + 1):
+                top = seed.size - 1 + n * phi_degree
+                if top >= order:
+                    break
+                v[n, top + 1 :] = 0
+            if not np.isfinite(rows).all():
+                # the seed is finite, so a non-finite row is an overflow
+                raise FloatingPointError(f"series product overflowed at order {order}")
 
 
 def orbit_for(spec: SymbolSpec, seed_coeffs, order: int, count: int) -> Orbit:

@@ -136,8 +136,10 @@ def _mul_into(out: np.ndarray, xa: np.ndarray, transforms: dict, b: np.ndarray) 
 
     xa is the fixed operand, already cut to out.size terms and trimmed of
     trailing zeros; `transforms` caches its FFT by (transform size, real),
-    so a caller multiplying many series by one factor transforms it once
-    per size and kind.  b is trimmed here.  Direct convolution is used
+    so products of many series by one factor through one cache transform
+    it once per size and kind (`mul` passes a fresh cache; `orbits.orbit`
+    calls this only for phi of at most FFT_MIN_OPERAND_LEN terms, which
+    never transforms).  b is trimmed here.  Direct convolution is used
     while either operand is at most FFT_MIN_OPERAND_LEN long, else a
     zero-padded FFT of the next power-of-two size: a real FFT of the real
     parts when neither operand has a nonzero imaginary part, so the
@@ -177,9 +179,10 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, target_order: int) -> TruncatedS
     FFT convolution is used; both paths agree to 1e-12 and are tested
     against each other.  Trailing exact zeros are stripped first, so a
     sparse operand (a shift, a constant) always takes the exact path
-    regardless of its padded order.  `orbits.orbit` runs the same
-    arithmetic row by row with a's transform computed once, so each of its
-    rows is bit-identical to `mul` of the row before.
+    regardless of its padded order.  `orbits.orbit` runs this arithmetic
+    row by row only for a of at most FFT_MIN_OPERAND_LEN terms, whose rows
+    are then bit-identical to `mul` of the row before; a longer a takes its
+    blocked FFT, within rounding of `mul`.
     """
     if target_order < 0:
         raise ValueError("target_order must be >= 0")

@@ -623,11 +623,25 @@ _SUITES = {
 PROPOSITIONS = tuple(_SUITES)
 
 
+def check_resolution(config: ExperimentConfig) -> None:
+    """Raise ConfigError when a suite at the config's (N, K) would build an
+    array of more than MAX_ORBIT_ENTRIES coefficients.
+
+    The largest is a square of side max(N, K) + 1: Ex_3_1's orbit, P2's
+    SVD factors, and the trend orbits of P1, P4i and P6 at (N, N) when
+    K < N (side max(16, N) + 1); Ex_constant's 61 rows fit in it, or in
+    61 x 61.
+    """
+    side = max(config.truncation_order, config.orbit_length) + 1
+    config.check_size(side, side)
+
+
 def verify(proposition: str, config: ExperimentConfig) -> VerificationReport:
     """Run the scripted suite for one proposition id.
 
     The config contributes resolutions and tolerances; the (symbol, seed)
     batteries are fixed per proposition so that reports are reproducible.
+    A resolution too large for the suites raises ConfigError first.
     """
     try:
         suite = _SUITES[proposition]
@@ -635,5 +649,6 @@ def verify(proposition: str, config: ExperimentConfig) -> VerificationReport:
         raise UnknownPropositionError(
             f"unknown proposition {proposition!r}; known: {', '.join(PROPOSITIONS)}"
         ) from None
+    check_resolution(config)
     verdict, evidence = suite(config)
     return VerificationReport(proposition, verdict, evidence, _parameters(config))

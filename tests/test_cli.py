@@ -278,7 +278,7 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, field, value):
         assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n, k", [(10**6, 10**6), (64, 10**6), (4096, 8)])
+@pytest.mark.parametrize("n, k", [(10**6, 10**6), (64, 10**6), (10**7, 1)])
 def test_oversized_config_is_rejected(n, k):
     with pytest.raises(ConfigError, match="too large"):
         ExperimentConfig(
@@ -296,8 +296,7 @@ def test_largest_allowed_config_has_max_orbit_entries():
         orbit_length=4095,
         boundary_grid=4 * 4095 + 1,
     )
-    side = max(cfg.truncation_order, cfg.orbit_length) + 1
-    assert side * side == MAX_ORBIT_ENTRIES
+    assert (cfg.truncation_order + 1) * (cfg.orbit_length + 1) == MAX_ORBIT_ENTRIES
 
 
 def test_oversized_config_exits_2_before_any_orbit(tmp_path, capsys, monkeypatch):
@@ -323,6 +322,49 @@ def test_oversized_config_exits_2_before_any_orbit(tmp_path, capsys, monkeypatch
     cfg_path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["cyclicity", "--config", str(cfg_path)]) == 2
     assert "too large" in capsys.readouterr().err
+    assert built == []
+
+
+# N = 5000, K = 1: the orbit is 2 x 5001, the square of the suites 5001 x 5001
+LONG_SHORT = ["--truncation", "5000", "--orbit-len", "1", "--grid", "20001"]
+
+
+def test_long_short_orbit_is_not_refused(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    for command in ("orbit", "frame-bounds", "cyclicity", "gram"):
+        assert main([command, "--config", str(cfg_path), *LONG_SHORT]) == 0, command
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["K"] == 1, command
+
+
+def test_square_too_large_for_the_suites_exits_2_before_any_orbit(
+    tmp_path, capsys, monkeypatch
+):
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("an orbit was built")
+
+    monkeypatch.setattr(orbits, "orbit", refuse)
+    for prop in ("Ex_3_1", "P3"):
+        assert main(["verify", prop, *LONG_SHORT]) == 2, prop
+        assert "an orbit of 5001 x 5001 coefficients" in capsys.readouterr().err
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    write_config(config_dir / "P3.json")  # small: it would run first
+    write_config(config_dir / "Ex_3_1.json", n=5000, k=1, m=20001)
+    out_dir = tmp_path / "reports"
+    argv = ["report-all", "--config-dir", str(config_dir), "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert "5001 x 5001" in capsys.readouterr().err
+    assert built == [] and not out_dir.exists()
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    argv = ["gram", "--config", str(cfg_path), "--truncation", "1", "--orbit-len", "5000"]
+    assert main(argv) == 2
+    assert "a Gram matrix of 5001 x 5001" in capsys.readouterr().err
     assert built == []
 
 

@@ -12,7 +12,14 @@ from hardyframes.orbits import (
     orbit,
     orbit_for,
 )
-from hardyframes.series import monomial, mul, norm, series_from_coeffs, zero_series
+from hardyframes.series import (
+    FFT_MIN_OPERAND_LEN,
+    monomial,
+    mul,
+    norm,
+    series_from_coeffs,
+    zero_series,
+)
 from hardyframes.symbols import SymbolSpec, realize
 
 EPS = np.finfo(float).eps
@@ -224,24 +231,128 @@ _POLY80 = list(_POLY80 / np.abs(_POLY80).sum())
     ],
 )
 def test_orbit_recurrence_and_norms_hold_exactly(spec, coeffs, order, count):
-    # the recurrence holds bit for bit, also for the scaled-shift rows, real
-    # or complex c; each norm is held to (N+1) eps of `norm` of its row
-    # (worst ratio seen: 0.047 of the bound)
+    # while phi has at most 64 terms the recurrence holds bit for bit, also
+    # for the scaled-shift rows, real or complex c; a longer phi ("fft",
+    # "phi-trimmed", "direct-to-fft") builds its rows in blocks by FFT,
+    # held to the leading-block bound against an extended-precision direct
+    # convolution (worst ratio seen: 0.12); each norm is held to (N+1) eps
+    # of `norm` of its row (worst ratio seen: 0.047 of the bound)
     sym = realize(spec, order)
     f = seed(coeffs, order)
     orb = orbit(sym, f, count, order)
     assert np.array_equal(orb.V[0], orb.seed.coeffs)
     assert np.array_equal(orb.seed.coeffs, f.coeffs)
     assert not orb.V.flags.writeable
-    support = np.flatnonzero(sym.series.coeffs)
+    support = np.flatnonzero(sym.series.coeffs[: order + 1])
+    blocked = support[-1] >= FFT_MIN_OPERAND_LEN
+    if blocked:
+        _assert_within_leading_block_bound(orb)
     for n in range(count + 1):
-        if n < count:
+        if n < count and not blocked:
             again = mul(sym.series, series_from_coeffs(orb.V[n]), order)
             assert orb.V[n + 1].tobytes() == again.coeffs.tobytes()
             if support.size == 1:
                 assert orb.V[n + 1].tobytes() == _scaled_shift(sym, orb.V[n]).tobytes()
         expected = norm(series_from_coeffs(orb.V[n]))
         assert abs(orb.norms[n] - expected) <= (order + 1) * EPS * expected
+
+
+def _extended_rows(phi, seed_row, count):
+    """Rows P_N(phi^n f), n = 0..count, by direct convolution in extended
+    precision (long double: 64-bit significand on x86, eps 1.1e-19)."""
+    if np.finfo(np.longdouble).eps > EPS / 1024:
+        pytest.skip("needs a long double wider than float64")
+    order = seed_row.size - 1
+    phi = np.asarray(phi[: order + 1], dtype=np.clongdouble)
+    ref = np.zeros((count + 1, order + 1), dtype=np.clongdouble)
+    ref[0] = seed_row
+    for n in range(1, count + 1):
+        ref[n] = np.convolve(phi, ref[n - 1])[: order + 1]
+    return ref
+
+
+def _assert_within_leading_block_bound(orb) -> float:
+    """Hold row n of the orbit to 4 (n+1) eps max_{j<=n} ||v_j|| of the
+    extended-precision orbit; return the worst ratio to that bound."""
+    ref = _extended_rows(orb.symbol.series.coeffs, orb.V[0], orb.length - 1)
+    err = np.sqrt(np.sum(np.abs(orb.V - ref) ** 2, axis=1)).astype(float)
+    scale = np.maximum.accumulate(np.sqrt(np.sum(np.abs(ref) ** 2, axis=1)).astype(float))
+    bound = 4 * (np.arange(orb.length) + 1) * EPS * scale
+    assert np.all(err <= bound), int(np.argmax(err > bound))
+    return float(np.max(err / np.where(bound > 0, bound, 1.0)))
+
+
+# -- rows in blocks ------------------------------------------------------------
+# phi of more than 64 terms: blocks of b = isqrt(K // 2) rows, each
+# P_N(phi^j * row n0) for j = 1..b.  K = 1 is one block of one row; at
+# N = 100, K = 32 is 8 blocks of b = 4, K = 33 ends with a block of one
+# row and K = 35 with one of b - 1 = 3; K = 300 = 3N is 25 blocks of 12.
+
+
+@pytest.mark.parametrize("count", [1, 8, 32, 33, 35, 300])
+@pytest.mark.parametrize(
+    "spec, coeffs, real",
+    [
+        (SymbolSpec.blaschke([0.6, 0.35]), (1.0, -0.5), True),
+        (SymbolSpec.blaschke([0.35 + 0.25j, -0.4j]), (1.0, 0.5j), False),
+        # coefficients that do not decay: phi^j reaches past L = 256 for j >= 4
+        (SymbolSpec.polynomial(_POLY80), (1.0, -0.5), False),
+    ],
+    ids=["real", "complex", "poly80"],
+)
+def test_block_rows_are_within_rounding_of_the_exact_orbit(spec, coeffs, real, count):
+    # worst ratio to the leading-block bound seen on these orbits: 0.14
+    orb = orbit_for(spec, coeffs, 100, count)
+    _assert_within_leading_block_bound(orb)
+    assert (not orb.V.imag.any()) == real
+
+
+def test_dense_blaschke_orbit_at_512_is_within_rounding():
+    # one complex symbol at N = K = 512 (b = 16): the worst row error is
+    # 3.2e-13 of its own row norm (4.0e-12 row by row through `mul`), and
+    # 0.13 of the leading-block bound
+    orb = orbit_for(SymbolSpec.blaschke([0.45, 0.2 + 0.1j]), (1.0,), 512, 512)
+    assert _assert_within_leading_block_bound(orb) < 0.5
+
+
+def test_block_rows_take_one_batched_inverse_transform_per_block(monkeypatch):
+    # N = K = 128, real: b = 8, so b forward transforms of phi^j, 16 of the
+    # block seeds, b - 1 inverse transforms for phi^2..phi^b and 16 batched
+    # ones for the blocks (a product per row takes 2K = 256 transforms)
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        def counting(*args, _f=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    orbit_for(SymbolSpec.blaschke([0.5]), (1.0, -0.5), 128, 128)
+    assert calls == {"rfft": 8 + 16, "irfft": 7 + 16}
+
+
+def test_block_rows_are_exactly_zero_above_their_degree():
+    # a degree-80 phi at N = 400: row n has degree 80n, and every
+    # coefficient above it is +0.0, as a convolution writes it; a zero seed
+    # gives zero rows
+    orb = orbit_for(SymbolSpec.polynomial(_POLY80), (1.0,), 400, 12)
+    for n in range(1, 5):
+        tail = orb.V[n, 80 * n + 1 :]
+        assert not tail.any() and not np.signbit(tail.view(float)).any(), n
+        assert orb.V[n, 80 * n] != 0
+    assert orb.V[5, -1] != 0  # degree 400 = N
+    zero = orbit_for(SymbolSpec.polynomial(_POLY80), (0.0,), 400, 12)
+    assert not zero.V.any() and not np.signbit(zero.V.view(float)).any()
+    assert not zero.truncated.any() and not zero.norms.any()
+
+
+def test_block_rows_overflow_raises():
+    # 2 (1 + z + ... + z^99) at N = 100: the rows grow like 6^n and
+    # overflow before K = 400; the error names the order, no warning escapes
+    sym = realize(SymbolSpec.polynomial([2.0] * 100), 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflowed at order 100"):
+            orbit(sym, seed([1.0], 100), 400, 100)
 
 
 def _scaled_shift(sym, row):
