@@ -10,10 +10,11 @@ K = 200 adds an orbit whose rows are mostly exactly zero, and a Blaschke
 product with two positive real zeros adds a real orbit (real seed,
 N = K = 300) and a complex orbit of a real symbol (complex seed,
 N = K = 128), and four dense Blaschke products at N = 100 and 128 add
-orbits built in blocks, at K = 1, 72, 75 and 300.  All are written to
-OUT_DIR/configs.  Each one then goes
-through `orbit`, `frame-bounds` and `gram` as JSON and CSV and through
-`innerness` and `cyclicity` as JSON;
+orbits built in blocks, at K = 1, 72, 75 and 300, and a dense polynomial
+that exceeds 1 on the circle adds direct rows at N = 100, K = 300.  All
+are written to OUT_DIR/configs.  Each one then goes through `orbit`,
+`frame-bounds` and `gram` as JSON and CSV and through `innerness` and
+`cyclicity` as JSON;
 `report-all` runs once with its defaults, then once per resolution in
 BATTERY_RESOLUTIONS through `--config-dir`, every suite at that (N, K),
 and `verify` runs once per entry of VERIFY_RESOLUTIONS.
@@ -179,6 +180,18 @@ def configs(rng) -> dict:
             "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
             "output": {"format": "json", "path": None},
         }
+    # 2 (1 + z + ... + z^99) is dense but not contractive (|phi| = 200 at
+    # z = 1): its rows are direct convolutions, exact to a few eps per
+    # coefficient although they grow to 3.4e186 by row 300
+    out["polynomial-dense-N100-K300"] = {
+        "symbol": {"kind": "polynomial", "coeffs": _complex_list([2.0] * 100)},
+        "seed_coeffs": _complex_list(1.0),
+        "truncation_order": 100,
+        "orbit_length": 300,
+        "boundary_grid": 800,
+        "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+        "output": {"format": "json", "path": None},
+    }
     return out
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import (
-    FFT_MIN_OPERAND_LEN,
     TruncatedSeries,
     _mul_into,
     _trim_trailing_zeros,
@@ -24,6 +23,9 @@ from .series import (
 )
 from .symbols import SymbolRealization, SymbolSpec, realize
 
+# A contractive phi of more than this many terms builds its rows in
+# blocks by FFT; a shorter one convolves directly, row by row.
+FFT_MIN_OPERAND_LEN = 64
 DECAY_SLOPE_DEADBAND = 1e-3
 MIN_ORBIT_FOR_DECAY = 8
 # Below this norm the sum of squared moduli is subnormal or 0.
@@ -89,14 +91,18 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
     has a single nonzero coefficient c at index s (a constant, z^m, c*z),
     row n is c times row n-1 shifted by s: one multiply per row, rounded
     as the one-tap convolution of `mul` rounds it, so the row is
-    bit-identical to `mul(sym.series, row n-1, order)` while `mul`
-    convolves directly (s < FFT_MIN_OPERAND_LEN).  When phi has at most
-    FFT_MIN_OPERAND_LEN terms, each row is `mul`'s direct convolution of
-    the row before, bit for bit.  Longer phi fills the rows in blocks by
-    FFT (`_fft_rows`); each row is then within a few eps per product of
-    the largest row before it, not bit-identical to `mul`.  A norm whose
-    squared moduli overflow, or sum to less than the smallest normal
-    number, is recomputed from the row scaled exactly by a power of two.
+    bit-identical to `mul(sym.series, row n-1, order)`.  When phi has at
+    most FFT_MIN_OPERAND_LEN terms, or its sup norm estimate exceeds 1,
+    each row is `mul`'s direct convolution of the row before, bit for
+    bit.  A longer contractive phi fills the rows in blocks by FFT
+    (`_fft_rows`); each row is then within a few eps per product of the
+    largest row before it, not bit-identical to `mul`.  That normwise
+    error is spread over every coefficient, and a phi with |phi| > 1
+    somewhere on the circle would amplify it from row to row past the
+    orbit's own growth, so such a phi keeps the direct convolution, whose
+    error is componentwise.  A norm whose squared moduli overflow, or sum
+    to less than the smallest normal number, is recomputed from the row
+    scaled exactly by a power of two.
     """
     if count < 0:
         raise ValueError("orbit length must be >= 0")
@@ -122,9 +128,9 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
         if not np.isfinite(v).all():
             # the seed is finite, so a non-finite row is an overflow
             raise FloatingPointError(f"series product overflowed at order {order}")
-    elif phi.size <= FFT_MIN_OPERAND_LEN:
+    elif phi.size <= FFT_MIN_OPERAND_LEN or sym.sup_norm_estimate > 1:
         for n in range(1, count + 1):
-            _mul_into(v[n], phi, {}, v[n - 1])
+            _mul_into(v[n], phi, v[n - 1])
     else:
         _fft_rows(v, phi)
     v.flags.writeable = False

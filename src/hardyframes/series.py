@@ -13,10 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-# Direct convolution is exact and cheap while either operand is short;
-# the FFT path takes over only when both operands exceed this length.
-FFT_MIN_OPERAND_LEN = 64
-
 
 @dataclass(frozen=True, eq=False)
 class TruncatedSeries:
@@ -131,38 +127,20 @@ def _trim_trailing_zeros(x: np.ndarray) -> np.ndarray:
     return x[: nz[-1] + 1] if nz.size else x[:0]
 
 
-def _mul_into(out: np.ndarray, xa: np.ndarray, transforms: dict, b: np.ndarray) -> None:
+def _mul_into(out: np.ndarray, xa: np.ndarray, b: np.ndarray) -> None:
     """Write the Cauchy product xa * b, truncated to out.size terms, into out.
 
-    xa is the fixed operand, already cut to out.size terms and trimmed of
-    trailing zeros; `transforms` caches its FFT by (transform size, real),
-    so products of many series by one factor through one cache transform
-    it once per size and kind (`mul` passes a fresh cache; `orbits.orbit`
-    calls this only for phi of at most FFT_MIN_OPERAND_LEN terms, which
-    never transforms).  b is trimmed here.  Direct convolution is used
-    while either operand is at most FFT_MIN_OPERAND_LEN long, else a
-    zero-padded FFT of the next power-of-two size: a real FFT of the real
-    parts when neither operand has a nonzero imaginary part, so the
-    product's imaginary part is exactly +0.0, else a complex one.
+    xa is already cut to out.size terms and trimmed of trailing zeros; b
+    is trimmed here.  The product is np.convolve's direct convolution,
+    whose rounding error is componentwise: a coefficient of m terms is
+    off by at most about m eps times the sum of their moduli.  Two
+    operands with no nonzero imaginary part give an imaginary part of +0.0.
     """
     xb = _trim_trailing_zeros(b[: out.size])
     if xa.size == 0 or xb.size == 0:
         out[:] = 0
         return
-    if min(xa.size, xb.size) <= FFT_MIN_OPERAND_LEN:
-        full = np.convolve(xa, xb)
-    else:
-        n = xa.size + xb.size - 1
-        size = 1 << (n - 1).bit_length()
-        real = not (xa.imag.any() or xb.imag.any())
-        if real:
-            fft, ifft, xa, xb = np.fft.rfft, np.fft.irfft, xa.real, xb.real
-        else:
-            fft, ifft = np.fft.fft, np.fft.ifft
-        fa = transforms.get((size, real))
-        if fa is None:
-            fa = transforms[size, real] = fft(xa, size)
-        full = ifft(fa * fft(xb, size), size)[:n]
+    full = np.convolve(xa, xb)
     m = min(full.size, out.size)
     out[:m] = full[:m]
     out[m:] = 0
@@ -175,20 +153,19 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, target_order: int) -> TruncatedS
     """Cauchy product truncated to target_order.
 
     Retained coefficients c_k = sum_{i+j=k} a_i b_j are computed by direct
-    convolution (exact) unless both operands are long, in which case an
-    FFT convolution is used; both paths agree to 1e-12 and are tested
-    against each other.  Trailing exact zeros are stripped first, so a
-    sparse operand (a shift, a constant) always takes the exact path
-    regardless of its padded order.  `orbits.orbit` runs this arithmetic
-    row by row only for a of at most FFT_MIN_OPERAND_LEN terms, whose rows
-    are then bit-identical to `mul` of the row before; a longer a takes its
-    blocked FFT, within rounding of `mul`.
+    convolution, after trailing exact zeros are stripped from both
+    operands, so a sparse operand (a shift, a constant) costs one term.
+    `orbits.orbit` runs this arithmetic row by row for phi of at most
+    `orbits.FFT_MIN_OPERAND_LEN` terms, and for a non-contractive phi of
+    any length, whose rows are then bit-identical to `mul` of the row
+    before; a longer contractive phi takes its blocked FFT, within
+    rounding of `mul`.
     """
     if target_order < 0:
         raise ValueError("target_order must be >= 0")
     out = np.empty(target_order + 1, dtype=complex)
     # The product only needs coefficients up to target_order.
-    _mul_into(out, _trim_trailing_zeros(a.coeffs[: target_order + 1]), {}, b.coeffs)
+    _mul_into(out, _trim_trailing_zeros(a.coeffs[: target_order + 1]), b.coeffs)
     return TruncatedSeries(out)
 
 

@@ -7,6 +7,10 @@ tolerance, `inconsistent` when one fails beyond tolerance, and
 `inconclusive` when the data neither confirms nor refutes (the cyclicity
 suite reports a documented tension instead of guessing).
 
+P1, P2, P4i, P4ii and P6 are each a list of cases and one check, which
+`_cases` runs on one orbit per case; the evidence columns they share are
+each written by one helper.
+
 Verdicts describe finite-truncation evidence, never proofs.
 """
 
@@ -69,15 +73,35 @@ def report_to_json(report: VerificationReport) -> dict:
 # -- shared helpers ----------------------------------------------------------
 
 
-def _trend_bounds(orb, seed_coeffs, points, cyc=None) -> list:
-    """FrameBounds at each (n', k') of points for the orbit of seed_coeffs
-    under orb's symbol spec, whose (N, K) orbit is orb.
+def _cases(config: ExperimentConfig, cases, check) -> tuple[bool, dict]:
+    """Run check on the orbit of each (label, spec, seed, *args) case at the
+    config's (N, K).
+
+    check(orb, *args) returns the case's evidence entry and whether it
+    agrees with the proposition.  Each entry is keyed by its label and
+    gets a `symbol` column, which the check may override.  Returns whether
+    every case agrees, and the evidence.
+    """
+    n, k = config.truncation_order, config.orbit_length
+    agree, evidence = True, {}
+    for label, spec, seed, *args in cases:
+        entry, ok = check(orbit_for(spec, seed, n, k), *args)
+        evidence[label] = {"symbol": _describe(spec), **entry}
+        agree = agree and bool(ok)
+    return agree, evidence
+
+
+def _trend_bounds(orb, points, cyc=None) -> list:
+    """FrameBounds at each (n', k') of points for the orbit of orb's seed
+    row under orb's symbol spec.
 
     Coefficients 0..n' of phi * g depend only on coefficients 0..n' of phi
     and g, so the orbit at (n', k') is the leading block V[:k'+1, :n'+1]
-    of orb whenever it fits; a point beyond (N, K) builds its own orbit.
-    At (N, K) itself the spectrum of the cyclicity report cyc, when given,
-    is used rather than factoring V again.
+    of orb whenever it fits; a point beyond (N, K) builds its own orbit
+    from the seed row, which is the whole seed for every suite's seed (of
+    degree at most 1 <= N).  At (N, K) itself the spectrum of the
+    cyclicity report cyc, when given, is used rather than factoring V
+    again.
     """
     out = []
     for nn, kk in points:
@@ -87,14 +111,21 @@ def _trend_bounds(orb, seed_coeffs, points, cyc=None) -> list:
         if nn <= orb.order and kk < orb.length:
             v = orb.V[: kk + 1, : nn + 1]
         else:
-            v = orbit_for(orb.symbol.spec, seed_coeffs, nn, kk).V
+            v = orbit_for(orb.symbol.spec, orb.V[0], nn, kk).V
         out.append(frame_bounds_estimate(v))
     return out
 
 
-def _growth_trend(orb, n: int, k: int) -> tuple[list, str | None]:
-    """FrameBounds at (N, k') for the k' of _trend_orders(K), with a reason
-    when a k' was capped (else None).
+def _square_trend(orb, cyc=None) -> tuple[list, dict]:
+    """FrameBounds at the square sections (n', n') for the n' of
+    _trend_orders(N), and the `A_trend` column."""
+    trend = _trend_bounds(orb, [(nn, nn) for nn in _trend_orders(orb.order)], cyc)
+    return trend, {"A_trend": [b.A_est for b in trend]}
+
+
+def _growth_trend(orb) -> tuple[list, dict]:
+    """FrameBounds at (N, k') for the k' of _trend_orders(K), and the
+    `B_trend` column, with a `reason` when a k' was capped.
 
     B at (N, k') is at most the sum of the first k'+1 squared orbit norms.
     When that sum overflows within orb, each k' is capped at the last row
@@ -103,16 +134,34 @@ def _growth_trend(orb, n: int, k: int) -> tuple[list, str | None]:
     """
     with np.errstate(over="ignore"):
         finite = np.isfinite(np.cumsum(orb.norms**2))
-    orders = _trend_orders(k)
-    if finite.all():
-        return _trend_bounds(orb, (1.0,), [(n, kk) for kk in orders]), None
-    last = int(np.count_nonzero(finite)) - 1
-    reason = (
-        f"K' capped at {last}: beyond it the sum of squared orbit norms, "
-        "which bounds B, overflows"
-    )
-    points = [(n, min(kk, last)) for kk in orders]
-    return _trend_bounds(orb, (1.0,), points), reason
+    orders, columns = _trend_orders(orb.length - 1), {}
+    if not finite.all():
+        last = int(np.count_nonzero(finite)) - 1
+        orders = [min(kk, last) for kk in orders]
+        columns["reason"] = (
+            f"K' capped at {last}: beyond it the sum of squared orbit norms, "
+            "which bounds B, overflows"
+        )
+    growth = _trend_bounds(orb, [(orb.order, kk) for kk in orders])
+    columns["B_trend"] = [b.B_est for b in growth]
+    return growth, columns
+
+
+def _decay(orb) -> tuple:
+    """The orbit's DecayReport, and its two evidence columns."""
+    decay = decay_profile(orb)
+    return decay, {
+        "decay_classification": decay.classification,
+        "decay_rate": decay.rate_estimate,
+    }
+
+
+def _bounds_columns(bounds) -> dict:
+    return {
+        "A_est": bounds.A_est,
+        "B_est": bounds.B_est,
+        "lower_bound_numerically_zero": bounds.numerically_zero_lower,
+    }
 
 
 def _describe(spec: SymbolSpec) -> str:
@@ -154,35 +203,22 @@ def _scaled_blaschke_polynomial(factor: float, zero: complex, order: int) -> Sym
 
 
 def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
-    n, k, m = config.truncation_order, config.orbit_length, config.boundary_grid
-    if k + 1 < MIN_ORBIT_FOR_DECAY:
+    if config.orbit_length + 1 < MIN_ORBIT_FOR_DECAY:
         return "inconclusive", {"reason": SHORT_ORBIT_REASON}
-    grid = BoundaryGrid(m)
-    cases = [
-        ("constant_half", SymbolSpec.constant(0.5), "normalized"),
-        ("shift_half", SymbolSpec.scaled_shift(0.5), "normalized"),
-        ("constant_5_4", SymbolSpec.constant(1.25), "unnormalized"),
-        ("shift_5_4", SymbolSpec.scaled_shift(1.25), "unnormalized"),
-    ]
-    evidence = {}
-    consistent = True
-    for label, spec, branch in cases:
-        orb = orbit_for(spec, (1.0,), n, k)
+    grid = BoundaryGrid(config.boundary_grid)
+
+    def check(orb, branch):
         inn = innerness_test(orb.symbol, grid, config.tolerances.inner_tol)
-        decay = decay_profile(orb)
+        decay, decay_columns = _decay(orb)
         entry = {
-            "symbol": _describe(spec),
             "branch": branch,
             "innerness_verdict": inn.verdict,
             "sub_unit_fraction": inn.sub_unit_fraction,
-            "decay_classification": decay.classification,
-            "decay_rate": decay.rate_estimate,
+            **decay_columns,
         }
-        if inn.verdict != "non_inner":
-            consistent = False
         if branch == "normalized":
-            trend = _trend_bounds(orb, (1.0,), [(nn, nn) for nn in _trend_orders(n)])
-            entry["A_trend"] = [b.A_est for b in trend]
+            trend, trend_columns = _square_trend(orb)
+            entry.update(trend_columns)
             entry["B_at_max_N"] = trend[-1].B_est
             entry["lower_bound_numerically_zero"] = trend[-1].numerically_zero_lower
             no_frame = decay.classification == "decays_to_zero" and (
@@ -190,18 +226,21 @@ def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
                 or trend[-1].A_est < 1e-6 * max(trend[0].A_est, 1e-300)
             )
         else:
-            growth, reason = _growth_trend(orb, n, k)
-            entry["B_trend"] = [b.B_est for b in growth]
-            if reason:
-                entry["reason"] = reason
+            growth, growth_columns = _growth_trend(orb)
+            entry.update(growth_columns)
             no_frame = (
                 decay.classification == "grows"
                 and growth[-1].B_est > 10.0 * growth[0].B_est
             )
         entry["no_frame_signature"] = bool(no_frame)
-        if not no_frame:
-            consistent = False
-        evidence[label] = entry
+        return entry, inn.verdict == "non_inner" and no_frame
+
+    consistent, evidence = _cases(config, [
+        ("constant_half", SymbolSpec.constant(0.5), (1.0,), "normalized"),
+        ("shift_half", SymbolSpec.scaled_shift(0.5), (1.0,), "normalized"),
+        ("constant_5_4", SymbolSpec.constant(1.25), (1.0,), "unnormalized"),
+        ("shift_5_4", SymbolSpec.scaled_shift(1.25), (1.0,), "unnormalized"),
+    ], check)
     return _verdict(consistent), evidence
 
 
@@ -249,50 +288,45 @@ _P2_RANDOM_COEFFS = {
 
 
 def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
-    n, k = config.truncation_order, config.orbit_length
-    evidence = {}
-    consistent = True
+    def check(orb, confined_seed):
+        cyc = cyclicity_rank(orb, config.tolerances.rank_tol, witness=True)
+        bounds = bounds_from_singular_values(cyc.singular_values, orb.V.shape)
+        entry = {
+            "rank": cyc.rank,
+            "span_dimension_deficit": cyc.span_dimension_deficit,
+            **_bounds_columns(bounds),
+        }
+        if cyc.witness is not None:
+            entry["witness_frame_sum"] = frame_sum(cyc.witness, orb)
+        ok = cyc.span_dimension_deficit > 0 and bounds.numerically_zero_lower
+        if confined_seed:
+            confined = _confinement_holds(orb)
+            entry["orbit_confined_to_seed_classes"] = confined
+            ok = ok and confined
+        return entry, ok
+
+    cases = []
     for m in (2, 3):
         spec = SymbolSpec.monomial(m)
         class_one, mixed = _P2_RANDOM_COEFFS[m]
         # class_one on the indices 1, 1 + m, 1 + 2m, 1 + 3m: residue class 1
         class_one_seed = [0j] * (2 + m * (len(class_one) - 1))
         class_one_seed[1::m] = class_one
-        seeds = {
-            "one": (1.0,),
-            "one_plus_z_m": tuple(
-                1.0 if i in (0, m) else 0.0 for i in range(m + 1)
-            ),
-            "class_one_random": tuple(class_one_seed),
-            "mixed_random": mixed,
-        }
-        for seed_label, coeffs in seeds.items():
-            orb = orbit_for(spec, coeffs, n, k)
-            cyc = cyclicity_rank(orb, config.tolerances.rank_tol, witness=True)
-            bounds = bounds_from_singular_values(cyc.singular_values, orb.V.shape)
-            entry = {
-                "symbol": _describe(spec),
-                "rank": cyc.rank,
-                "span_dimension_deficit": cyc.span_dimension_deficit,
-                "A_est": bounds.A_est,
-                "B_est": bounds.B_est,
-                "lower_bound_numerically_zero": bounds.numerically_zero_lower,
-            }
-            if cyc.witness is not None:
-                entry["witness_frame_sum"] = frame_sum(cyc.witness, orb)
-            if seed_label in ("one", "class_one_random"):
-                confined = _confinement_holds(orb, m)
-                entry["orbit_confined_to_seed_classes"] = confined
-                if not confined:
-                    consistent = False
-            if cyc.span_dimension_deficit <= 0 or not bounds.numerically_zero_lower:
-                consistent = False
-            evidence[f"m{m}_{seed_label}"] = entry
+        one_plus_z_m = tuple(1.0 if i in (0, m) else 0.0 for i in range(m + 1))
+        cases += [
+            (f"m{m}_one", spec, (1.0,), True),
+            (f"m{m}_one_plus_z_m", spec, one_plus_z_m, False),
+            (f"m{m}_class_one_random", spec, tuple(class_one_seed), True),
+            (f"m{m}_mixed_random", spec, mixed, False),
+        ]
+    consistent, evidence = _cases(config, cases, check)
     return _verdict(consistent), evidence
 
 
-def _confinement_holds(orb, m: int) -> bool:
-    """Every exactly-nonzero coefficient of the orbit lies in a seed class."""
+def _confinement_holds(orb) -> bool:
+    """Every exactly-nonzero coefficient of the orbit of z^m lies in a
+    residue class mod m of the seed."""
+    m = orb.symbol.spec.power
     columns = np.nonzero(np.any(orb.V != 0, axis=0))[0]
     return {int(j) % m for j in columns} <= set(class_support(orb.seed, m))
 
@@ -337,69 +371,54 @@ def _verify_p3(config: ExperimentConfig) -> tuple[str, dict]:
 
 
 def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
-    n, k, m = config.truncation_order, config.orbit_length, config.boundary_grid
-    if k + 1 < MIN_ORBIT_FOR_DECAY:
+    if config.orbit_length + 1 < MIN_ORBIT_FOR_DECAY:
         return "inconclusive", {"reason": SHORT_ORBIT_REASON}
-    grid = BoundaryGrid(m)
-    evidence = {}
-    consistent = True
+    grid = BoundaryGrid(config.boundary_grid)
 
-    inside_spec = _scaled_blaschke_polynomial(0.9, 0.5, n)
-    orb = orbit_for(inside_spec, (1.0,), n, k)
-    sym = orb.symbol
-    scan = image_circle_intersection(sym, grid, radial_levels=48)
-    decay = decay_profile(orb)
-    trend = _trend_bounds(orb, (1.0,), [(nn, nn) for nn in _trend_orders(n)])
-    contraction_ok = bool(
-        np.all(orb.norms <= 0.9 ** np.arange(orb.length) + 1e-12)
-    )
-    evidence["inside_scaled_blaschke"] = {
-        "symbol": "0.9 * blaschke(0.5) (as polynomial)",
-        "sup_norm_estimate": sym.sup_norm_estimate,
-        "intersects_circle": scan.intersects_circle,
-        "min_modulus": scan.min_modulus,
-        "max_modulus": scan.max_modulus,
-        "decay_classification": decay.classification,
-        "decay_rate": decay.rate_estimate,
-        "norms_below_geometric_envelope": contraction_ok,
-        "A_trend": [b.A_est for b in trend],
-        "lower_bound_numerically_zero": trend[-1].numerically_zero_lower,
-    }
-    if (
-        scan.intersects_circle
-        or decay.classification != "decays_to_zero"
-        or not contraction_ok
-        or not (
-            trend[-1].numerically_zero_lower
-            or trend[-1].A_est < 1e-8 * trend[-1].B_est
-        )
-    ):
-        consistent = False
+    def check(orb, inside):
+        scan = image_circle_intersection(orb.symbol, grid, radial_levels=48)
+        decay, decay_columns = _decay(orb)
+        entry = {
+            "intersects_circle": scan.intersects_circle,
+            "min_modulus": scan.min_modulus,
+            "max_modulus": scan.max_modulus,
+            **decay_columns,
+        }
+        if inside:
+            trend, trend_columns = _square_trend(orb)
+            contraction_ok = bool(
+                np.all(orb.norms <= 0.9 ** np.arange(orb.length) + 1e-12)
+            )
+            entry.update(trend_columns)
+            entry.update({
+                "symbol": "0.9 * blaschke(0.5) (as polynomial)",
+                "sup_norm_estimate": orb.symbol.sup_norm_estimate,
+                "norms_below_geometric_envelope": contraction_ok,
+                "lower_bound_numerically_zero": trend[-1].numerically_zero_lower,
+            })
+            ok = (
+                decay.classification == "decays_to_zero"
+                and contraction_ok
+                and (
+                    trend[-1].numerically_zero_lower
+                    or trend[-1].A_est < 1e-8 * trend[-1].B_est
+                )
+            )
+        else:
+            growth, growth_columns = _growth_trend(orb)
+            entry.update(growth_columns)
+            ok = (
+                decay.classification == "grows"
+                and abs(decay.rate_estimate - 2.0) <= 1e-6
+                and growth[-1].B_est > 10.0 * growth[0].B_est
+            )
+        return entry, ok and not scan.intersects_circle
 
-    outside_spec = SymbolSpec.constant(2.0)
-    orb2 = orbit_for(outside_spec, (1.0,), n, k)
-    scan2 = image_circle_intersection(orb2.symbol, grid, radial_levels=48)
-    decay2 = decay_profile(orb2)
-    growth, reason = _growth_trend(orb2, n, k)
-    evidence["outside_constant_two"] = {
-        "symbol": _describe(outside_spec),
-        "intersects_circle": scan2.intersects_circle,
-        "min_modulus": scan2.min_modulus,
-        "max_modulus": scan2.max_modulus,
-        "decay_classification": decay2.classification,
-        "decay_rate": decay2.rate_estimate,
-        "B_trend": [b.B_est for b in growth],
-    }
-    if reason:
-        evidence["outside_constant_two"]["reason"] = reason
-    if (
-        scan2.intersects_circle
-        or decay2.classification != "grows"
-        or abs(decay2.rate_estimate - 2.0) > 1e-6
-        or not growth[-1].B_est > 10.0 * growth[0].B_est
-    ):
-        consistent = False
-
+    inside_spec = _scaled_blaschke_polynomial(0.9, 0.5, config.truncation_order)
+    consistent, evidence = _cases(config, [
+        ("inside_scaled_blaschke", inside_spec, (1.0,), True),
+        ("outside_constant_two", SymbolSpec.constant(2.0), (1.0,), False),
+    ], check)
     return _verdict(consistent), evidence
 
 
@@ -407,16 +426,7 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
 
 
 def _verify_p4ii(config: ExperimentConfig) -> tuple[str, dict]:
-    n, k = config.truncation_order, config.orbit_length
-    cases = [
-        ("shift_seed_z_minus_half", SymbolSpec.monomial(1), (-0.5, 1.0)),
-        ("shift_seed_quadratic", SymbolSpec.monomial(1), (-0.12, 0.1, 1.0)),
-        ("blaschke_seed_z_minus_half", SymbolSpec.blaschke([0.3]), (-0.5, 1.0)),
-    ]
-    evidence = {}
-    consistent = True
-    for label, spec, coeffs in cases:
-        orb = orbit_for(spec, coeffs, n, k)
+    def check(orb):
         found = zeros_in_disk(orb.seed, margin=0.05)
         bounds = frame_bounds_estimate(orb.V)
         max_norm = float(np.max(orb.norms))
@@ -435,20 +445,18 @@ def _verify_p4ii(config: ExperimentConfig) -> tuple[str, dict]:
                 }
             )
         entry = {
-            "symbol": _describe(spec),
             "n_interior_zeros": len(found.inside),
             "kernel_pairings": pairing_rows,
-            "A_est": bounds.A_est,
-            "B_est": bounds.B_est,
-            "lower_bound_numerically_zero": bounds.numerically_zero_lower,
+            **_bounds_columns(bounds),
         }
-        if (
-            not found.inside
-            or worst_rel >= 1e-10
-            or not bounds.numerically_zero_lower
-        ):
-            consistent = False
-        evidence[label] = entry
+        ok = bool(found.inside) and worst_rel < 1e-10 and bounds.numerically_zero_lower
+        return entry, ok
+
+    consistent, evidence = _cases(config, [
+        ("shift_seed_z_minus_half", SymbolSpec.monomial(1), (-0.5, 1.0)),
+        ("shift_seed_quadratic", SymbolSpec.monomial(1), (-0.12, 0.1, 1.0)),
+        ("blaschke_seed_z_minus_half", SymbolSpec.blaschke([0.3]), (-0.5, 1.0)),
+    ], check)
     return _verdict(consistent), evidence
 
 
@@ -487,7 +495,7 @@ def _verify_ex_half_shift(config: ExperimentConfig) -> tuple[str, dict]:
     trend_rows = []
     worst = 0.0
     orders = (8, 12, 16)
-    trend = _trend_bounds(orb, (1.0,), [(nn, nn) for nn in orders])
+    trend = _trend_bounds(orb, [(nn, nn) for nn in orders])
     for nn, bounds in zip(orders, trend):
         err = abs(bounds.A_est - 4.0 ** -nn)
         worst = max(worst, err)
@@ -555,20 +563,9 @@ def _verify_ex_3_1(config: ExperimentConfig) -> tuple[str, dict]:
 
 
 def _verify_p6(config: ExperimentConfig) -> tuple[str, dict]:
-    n, k = config.truncation_order, config.orbit_length
-    cases = [
-        ("shift_seed_one", SymbolSpec.monomial(1), (1.0,)),
-        ("squared_shift_seed_one", SymbolSpec.monomial(2), (1.0,)),
-        ("blaschke_half_seed_one", SymbolSpec.blaschke([0.5]), (1.0,)),
-        ("shift_seed_one_minus_z", SymbolSpec.monomial(1), (1.0, -1.0)),
-    ]
-    evidence = {}
-    necessity_violated = False
-    tension_cases = []
-    for label, spec, coeffs in cases:
-        orb = orbit_for(spec, coeffs, n, k)
+    def check(orb):
         cyc = cyclicity_rank(orb, config.tolerances.rank_tol)
-        trend = _trend_bounds(orb, coeffs, [(nn, nn) for nn in _trend_orders(n)], cyc)
+        trend, trend_columns = _square_trend(orb, cyc)
         final = trend[-1]
         cyclic_numerically = cyc.span_dimension_deficit == 0
         frame_trend_ok = (
@@ -577,30 +574,34 @@ def _verify_p6(config: ExperimentConfig) -> tuple[str, dict]:
             and trend[-1].A_est >= 0.5 * trend[0].A_est
         )
         entry = {
-            "symbol": _describe(spec),
             "rank": cyc.rank,
             "span_dimension_deficit": cyc.span_dimension_deficit,
             "numerically_cyclic": cyclic_numerically,
-            "A_trend": [b.A_est for b in trend],
+            **trend_columns,
             "B_at_max_N": final.B_est,
             "frame_trend_positive": bool(frame_trend_ok),
         }
-        if not cyclic_numerically and frame_trend_ok:
-            # a non-cyclic seed showing healthy bounds would refute necessity
-            necessity_violated = True
         if cyclic_numerically and not frame_trend_ok:
-            tension_cases.append(label)
             entry["tension"] = True
-        evidence[label] = entry
+        # a non-cyclic seed showing healthy bounds would refute necessity
+        return entry, cyclic_numerically or not frame_trend_ok
+
+    necessity_holds, evidence = _cases(config, [
+        ("shift_seed_one", SymbolSpec.monomial(1), (1.0,)),
+        ("squared_shift_seed_one", SymbolSpec.monomial(2), (1.0,)),
+        ("blaschke_half_seed_one", SymbolSpec.blaschke([0.5]), (1.0,)),
+        ("shift_seed_one_minus_z", SymbolSpec.monomial(1), (1.0, -1.0)),
+    ], check)
+    tension_cases = [label for label, e in evidence.items() if e.get("tension")]
     evidence["tension_cases"] = tension_cases
     if tension_cases:
         evidence["note"] = P6_TENSION_NOTE
 
-    if k < n:
+    if config.orbit_length < config.truncation_order:
         # every case reads non-cyclic, so neither direction can be tested
         verdict = "inconclusive"
         evidence["reason"] = P6_UNDERRESOLVED_REASON
-    elif necessity_violated:
+    elif not necessity_holds:
         verdict = "inconsistent"
     elif tension_cases:
         verdict = "inconclusive"

@@ -6,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from hardyframes.orbits import (
+    FFT_MIN_OPERAND_LEN,
     apply,
     decay_profile,
     matrix_section,
@@ -13,7 +14,6 @@ from hardyframes.orbits import (
     orbit_for,
 )
 from hardyframes.series import (
-    FFT_MIN_OPERAND_LEN,
     monomial,
     mul,
     norm,
@@ -224,15 +224,19 @@ _POLY80 = list(_POLY80 / np.abs(_POLY80).sum())
         (SymbolSpec.blaschke([0, 0], prefactor=np.exp(0.3j)), [1, 0.5], 30, 12),
         # K > N with real c < 0: the rows shift out to exact zeros
         (SymbolSpec.scaled_shift(-0.5), [1, -1, 0.25j], 16, 40),
+        # 100 terms, but |phi| reaches 200 on the circle: direct rows
+        (SymbolSpec.polynomial([2.0, 1j] * 50), [1, -0.5j], 100, 30),
     ],
     ids=[
         "direct", "fft", "phi-trimmed", "direct-to-fft", "K>N",
         "constant-complex", "shift-complex", "z^3", "blaschke-at-0", "shift-K>N",
+        "dense-non-contractive",
     ],
 )
 def test_orbit_recurrence_and_norms_hold_exactly(spec, coeffs, order, count):
-    # while phi has at most 64 terms the recurrence holds bit for bit, also
-    # for the scaled-shift rows, real or complex c; a longer phi ("fft",
+    # while phi has at most 64 terms, or |phi| exceeds 1 somewhere on the
+    # circle, the recurrence holds bit for bit, also for the scaled-shift
+    # rows, real or complex c; a longer contractive phi ("fft",
     # "phi-trimmed", "direct-to-fft") builds its rows in blocks by FFT,
     # held to the leading-block bound against an extended-precision direct
     # convolution (worst ratio seen: 0.12); each norm is held to (N+1) eps
@@ -244,7 +248,7 @@ def test_orbit_recurrence_and_norms_hold_exactly(spec, coeffs, order, count):
     assert np.array_equal(orb.seed.coeffs, f.coeffs)
     assert not orb.V.flags.writeable
     support = np.flatnonzero(sym.series.coeffs[: order + 1])
-    blocked = support[-1] >= FFT_MIN_OPERAND_LEN
+    blocked = support[-1] >= FFT_MIN_OPERAND_LEN and sym.sup_norm_estimate <= 1
     if blocked:
         _assert_within_leading_block_bound(orb)
     for n in range(count + 1):
@@ -346,13 +350,62 @@ def test_block_rows_are_exactly_zero_above_their_degree():
 
 
 def test_block_rows_overflow_raises():
-    # 2 (1 + z + ... + z^99) at N = 100: the rows grow like 6^n and
-    # overflow before K = 400; the error names the order, no warning escapes
-    sym = realize(SymbolSpec.polynomial([2.0] * 100), 100)
+    # a contractive dense phi whose true product overflows: blaschke(0.5)
+    # has phi_0 = 1/2 and phi_j < 0 after it, so against a seed of -M up
+    # to z^98 and M at z^99, M = 1.5e308, coefficient 99 of phi f is about
+    # 2M, past the largest double; the error names the order, no warning
+    # escapes
+    sym = realize(SymbolSpec.blaschke([0.5]), 100)
+    assert sym.series.coeffs.size > FFT_MIN_OPERAND_LEN and sym.sup_norm_estimate <= 1
+    big = 1.5e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="overflowed at order 100"):
-            orbit(sym, seed([1.0], 100), 400, 100)
+            orbit(sym, seed([-big] * 99 + [big], 100), 4, 100)
+
+
+def _exact_sum_orbit(order, count):
+    """Rows of 2 (1 + z + ... + z^99) to the power n, n = 0..count, cut to
+    order 100, in Python integers: P_N(phi v) is twice the prefix sums of
+    v, less 2 v_0 at z^100."""
+    rows = [[1] + [0] * order]
+    for _ in range(count):
+        v, acc, row = rows[-1], 0, []
+        for c in v:
+            acc += c
+            row.append(2 * acc)
+        row[100] -= 2 * v[0]
+        rows.append(row)
+    return rows
+
+
+def test_non_contractive_dense_orbit_matches_the_exact_orbit():
+    # |phi| = 200 at z = 1: plain FFT rows amplify their normwise error
+    # row by row (1e-4 of the row's largest coefficient at row 50, 3e69 at
+    # row 300); direct rows hold every coefficient of row n within
+    # n (N + 1) eps of the exact positive integer, relative to it (worst
+    # seen: 7.7e-16, 6.5e-4 of that bound)
+    order, count = 100, 300
+    sym = realize(SymbolSpec.polynomial([2.0] * 100), order)
+    orb = orbit(sym, seed([1.0], order), count, order)
+    exact = np.array(_exact_sum_orbit(order, count), dtype=float)
+    assert not orb.V.imag.any()
+    rel = np.abs(orb.V.real - exact) / np.where(exact > 0, exact, 1.0)
+    assert np.all(rel <= np.arange(count + 1)[:, None] * (order + 1) * EPS)
+    assert np.array_equal(orb.V.real == 0, exact == 0)
+
+
+def test_non_contractive_dense_orbit_overflows_where_the_exact_rows_do():
+    # the exact row 611 peaks at 0.45 of the largest double and row 612
+    # at 1.04 of it: K = 611 builds, K = 612 raises, no warning escapes
+    sym = realize(SymbolSpec.polynomial([2.0] * 100), 100)
+    assert max(_exact_sum_orbit(100, 612)[612]) > int(np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orb = orbit(sym, seed([1.0], 100), 611, 100)
+        assert np.isfinite(orb.V).all() and np.isfinite(orb.norms).all()
+        with pytest.raises(FloatingPointError, match="overflowed at order 100"):
+            orbit(sym, seed([1.0], 100), 612, 100)
 
 
 def _scaled_shift(sym, row):

@@ -1,9 +1,11 @@
 import dataclasses
+import importlib
 import json
 
 import numpy as np
 import pytest
 
+from hardyframes import orbits
 from hardyframes.cli import default_config
 from hardyframes.config import ExperimentConfig, ToleranceSettings
 from hardyframes.jsonio import dumps_canonical
@@ -17,6 +19,9 @@ from hardyframes.verify import (
     report_to_json,
     verify,
 )
+
+# the package re-exports the function `verify` under the module's name
+verify_module = importlib.import_module("hardyframes.verify")
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +209,100 @@ def test_p1_honours_inner_tol(config):
     assert report.parameters["tolerances"]["inner_tol"] == 0.6
     assert report.evidence["constant_half"]["sub_unit_fraction"] == 0.0
     assert verify("P1", config).evidence["constant_half"]["sub_unit_fraction"] == 1.0
+
+
+def _is_orbit_of(orb, spec, seed_coeffs) -> bool:
+    seed_row = np.zeros(orb.order + 1, dtype=complex)
+    seed_row[: len(seed_coeffs)] = seed_coeffs
+    return orb.symbol.spec == spec and np.array_equal(orb.V[0], seed_row)
+
+
+def _innerness_reads_inner(report, sym, *args):
+    if sym.spec == SymbolSpec.constant(1.25):
+        return dataclasses.replace(report, verdict="inner")
+    return report
+
+
+def _m3_seed_one_reads_cyclic(report, orb, *args, **kwargs):
+    if _is_orbit_of(orb, SymbolSpec.monomial(3), (1.0,)):
+        return dataclasses.replace(report, span_dimension_deficit=0)
+    return report
+
+
+def _constant_two_meets_the_circle(report, sym, *args, **kwargs):
+    if sym.spec == SymbolSpec.constant(2.0):
+        return dataclasses.replace(report, intersects_circle=True)
+    return report
+
+
+def _blaschke_kernel_pairs(report, orb, z0):
+    if orb.symbol.spec.kind == "blaschke":
+        return dataclasses.replace(report, max_pairing=1.0)
+    return report
+
+
+def _shift_seed_one_reads_non_cyclic(report, orb, *args, **kwargs):
+    if _is_orbit_of(orb, SymbolSpec.monomial(1), (1.0,)):
+        return dataclasses.replace(report, span_dimension_deficit=1)
+    return report
+
+
+@pytest.mark.parametrize(
+    "prop, name, label, patch",
+    [
+        ("P1", "innerness_test", "constant_5_4", _innerness_reads_inner),
+        ("P2", "cyclicity_rank", "m3_one", _m3_seed_one_reads_cyclic),
+        ("P4i", "image_circle_intersection", "outside_constant_two",
+         _constant_two_meets_the_circle),
+        ("P4ii", "kernel_orthogonality_witness", "blaschke_seed_z_minus_half",
+         _blaschke_kernel_pairs),
+        # a non-cyclic seed with a healthy frame trend refutes necessity
+        ("P6", "cyclicity_rank", "shift_seed_one", _shift_seed_one_reads_non_cyclic),
+    ],
+    ids=["P1", "P2", "P4i", "P4ii", "P6"],
+)
+def test_one_disagreeing_case_makes_the_suite_inconsistent(
+    config, monkeypatch, prop, name, label, patch
+):
+    # one diagnostic is made to refute the proposition on one case: the
+    # verdict folds to inconsistent and every other entry is unchanged
+    before = verify(prop, config)
+    real = getattr(verify_module, name)
+    monkeypatch.setattr(
+        verify_module, name, lambda *a, **kw: patch(real(*a, **kw), *a, **kw)
+    )
+    after = verify(prop, config)
+    assert before.verdict != "inconsistent"
+    assert after.verdict == "inconsistent"
+    assert after.evidence[label] != before.evidence[label]
+    assert after.evidence.keys() == before.evidence.keys()
+    for key in before.evidence.keys() - {label}:
+        assert after.evidence[key] == before.evidence[key], key
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_each_suite_builds_a_fixed_number_of_orbits(n, monkeypatch):
+    # one orbit per case or worked example, plus Ex_3_1's three seed 1 - z
+    # orbits: 29 builds per battery; at K = N every trend point is a
+    # leading block of a case orbit, so none builds its own
+    built = []
+    real = orbits.orbit
+
+    def counting(*args, **kwargs):
+        built.append(prop)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orbits, "orbit", counting)
+    config = ExperimentConfig(
+        symbol=SymbolSpec.monomial(1),
+        truncation_order=n,
+        orbit_length=n,
+        boundary_grid=8 * n,
+    )
+    for prop in PROPOSITIONS:
+        verify(prop, config)
+    counts = {prop: built.count(prop) for prop in PROPOSITIONS}
+    assert counts == {
+        "P1": 4, "P2": 8, "P3": 2, "P4i": 2, "P4ii": 3,
+        "Ex_constant": 1, "Ex_half_shift": 1, "Ex_3_1": 4, "P6": 4,
+    }
