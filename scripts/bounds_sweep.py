@@ -33,9 +33,12 @@ def main() -> int:
     parser.add_argument("--orbit-lens", type=int, nargs="+", default=[8, 16, 32, 64])
     args = parser.parse_args()
 
-    rows = bounds_vs_truncation(
-        SYMBOLS[args.symbol], (1.0,), args.orders, args.orbit_lens
-    )
+    try:
+        rows = bounds_vs_truncation(
+            SYMBOLS[args.symbol], (1.0,), args.orders, args.orbit_lens
+        )
+    except ValueError as exc:  # unsorted lists, or a negative N or K
+        parser.error(str(exc))
     print("N,K,A_est,B_est,tight,numerically_zero_lower")
     for b in rows:
         print(

@@ -10,20 +10,14 @@ orbit can be a frame.
 
 from .series import (
     BoundaryGrid,
-    BoundarySamples,
     TruncatedSeries,
-    add,
     boundary_samples,
-    eval_at,
     inner_product,
     monomial,
     mul,
     norm,
     norm_sq,
-    norm_via_boundary,
-    scale,
     series_from_coeffs,
-    zero_series,
 )
 from .symbols import (
     InnernessReport,
@@ -32,27 +26,19 @@ from .symbols import (
     evaluate_symbol,
     innerness_test,
     realize,
-    sup_norm_estimate,
 )
 from .orbits import (
     DecayReport,
-    OperatorSection,
     Orbit,
-    apply,
     decay_profile,
-    matrix_section,
     orbit,
     orbit_for,
 )
 from .frames import (
     FrameBounds,
-    FrameSection,
-    GramMatrix,
-    apply_frame_operator,
     bounds_from_singular_values,
     bounds_vs_truncation,
     frame_bounds_estimate,
-    frame_section,
     frame_sum,
     gram,
     partial_frame_sums,
@@ -61,13 +47,10 @@ from .diagnostics import (
     CyclicityReport,
     DiskZeros,
     ImageCircleReport,
-    KernelVector,
-    ResidueClassDecomposition,
     cyclicity_rank,
     image_circle_intersection,
     kernel_orthogonality_witness,
     reproducing_kernel,
-    residue_projection,
     zeros_in_disk,
 )
 from .config import ConfigError, ExperimentConfig, OutputSettings, ToleranceSettings

@@ -101,8 +101,7 @@ def _one_row(payload: dict) -> dict:
 def _gram_report(config: ExperimentConfig, args) -> dict:
     k = config.orbit_length
     config.check_size(k + 1, k + 1, "a Gram matrix")
-    g = gram(_config_orbit(config))
-    return {"K": g.orbit_len - 1, "entries": g.entries}
+    return {"K": k, "entries": gram(_config_orbit(config))}
 
 
 def _gram_columns(payload: dict) -> dict:

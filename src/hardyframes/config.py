@@ -91,6 +91,15 @@ class ExperimentConfig:
 # -- symbol spec <-> JSON ---------------------------------------------------
 
 
+def _json_int(obj: dict, name: str) -> int:
+    """obj[name] when it is a JSON integer; a float, a string or a bool
+    (an int to Python) is not a size."""
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def symbol_spec_to_json(spec: SymbolSpec) -> dict:
     out: dict = {"kind": spec.kind}
     if spec.kind in ("constant", "scaled_shift"):
@@ -113,7 +122,7 @@ def symbol_spec_from_json(obj: dict) -> SymbolSpec:
         if kind == "scaled_shift":
             return SymbolSpec.scaled_shift(json_to_complex(obj["value"]))
         if kind == "monomial":
-            return SymbolSpec.monomial(int(obj["power"]))
+            return SymbolSpec.monomial(_json_int(obj, "power"))
         if kind == "polynomial":
             return SymbolSpec.polynomial([json_to_complex(c) for c in obj["coeffs"]])
         if kind == "blaschke":
@@ -153,9 +162,9 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         return ExperimentConfig(
             symbol=symbol_spec_from_json(obj["symbol"]),
             seed_coeffs=tuple(json_to_complex(c) for c in obj["seed_coeffs"]),
-            truncation_order=int(obj["truncation_order"]),
-            orbit_length=int(obj["orbit_length"]),
-            boundary_grid=int(obj["boundary_grid"]),
+            truncation_order=_json_int(obj, "truncation_order"),
+            orbit_length=_json_int(obj, "orbit_length"),
+            boundary_grid=_json_int(obj, "boundary_grid"),
             tolerances=ToleranceSettings(
                 inner_tol=float(tol.get("inner_tol", 1e-9)),
                 rank_tol=float(tol.get("rank_tol", 1e-10)),
@@ -166,7 +175,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    # int() of an infinite float raises OverflowError
+    # float() of an integer beyond the double range raises OverflowError
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 

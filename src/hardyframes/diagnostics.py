@@ -1,5 +1,5 @@
 """Structural diagnostics: reproducing kernels, disk zeros, cyclicity rank,
-residue-class decompositions, and the image-vs-circle scan.
+residue-class support, and the image-vs-circle scan.
 
 These are the finite surrogates for the structural obstructions to the
 frame property: a seed zero inside the disk pairs the whole orbit against
@@ -24,14 +24,6 @@ CIRCLE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class KernelVector:
-    """Truncated reproducing kernel at a disk point: coefficients conj(z0)^n."""
-
-    center: complex
-    series: TruncatedSeries
-
-
-@dataclass(frozen=True, eq=False)
 class KernelPairingReport:
     max_pairing: float
     argmax_n: int
@@ -53,14 +45,6 @@ class CyclicityReport:
     witness: TruncatedSeries | None
 
 
-@dataclass(frozen=True, eq=False)
-class ResidueClassDecomposition:
-    """Orthogonal split of a series by coefficient index mod m."""
-
-    modulus: int
-    projections: tuple  # m series on the full index range
-
-
 @dataclass(frozen=True)
 class ImageCircleReport:
     min_modulus: float
@@ -69,13 +53,14 @@ class ImageCircleReport:
     radial_levels: int
 
 
-def reproducing_kernel(z0: complex, order: int) -> KernelVector:
-    """Point-evaluation vector: <g, K_z0> = g(z0) for deg(g) <= order."""
+def reproducing_kernel(z0: complex, order: int) -> TruncatedSeries:
+    """Truncated reproducing kernel at a disk point, coefficients conj(z0)^n:
+    <g, K_z0> = g(z0) for deg(g) <= order."""
     z0 = complex(z0)
     if abs(z0) >= 1.0:
         raise ValueError("kernel center must lie strictly inside the disk")
     coeffs = np.conj(z0) ** np.arange(order + 1)
-    return KernelVector(center=z0, series=TruncatedSeries(coeffs))
+    return TruncatedSeries(coeffs)
 
 
 def kernel_orthogonality_witness(orb: Orbit, z0: complex) -> KernelPairingReport:
@@ -86,7 +71,7 @@ def kernel_orthogonality_witness(orb: Orbit, z0: complex) -> KernelPairingReport
     the span.
     """
     kernel = reproducing_kernel(z0, orb.order)
-    pairings = np.abs(orb.V @ kernel.series.coeffs.conj())
+    pairings = np.abs(orb.V @ kernel.coeffs.conj())
     n = int(np.argmax(pairings))
     return KernelPairingReport(
         max_pairing=float(pairings[n]), argmax_n=n, pairings=pairings
@@ -155,18 +140,6 @@ def cyclicity_rank(
         singular_values=singulars,
         witness=TruncatedSeries(vh[-1]) if witness and deficit > 0 else None,
     )
-
-
-def residue_projection(g: TruncatedSeries, m: int) -> ResidueClassDecomposition:
-    """Split coefficients by index mod m; Pythagoras holds by construction."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    projections = []
-    for r in range(m):
-        out = np.zeros(g.coeffs.size, dtype=complex)
-        out[r::m] = g.coeffs[r::m]
-        projections.append(TruncatedSeries(out))
-    return ResidueClassDecomposition(modulus=m, projections=tuple(projections))
 
 
 def class_support(g: TruncatedSeries, m: int) -> tuple:

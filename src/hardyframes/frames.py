@@ -1,4 +1,4 @@
-"""Frame sums, Gram matrices, and finite sections of the frame operator.
+"""Frame sums, Gram matrices and frame-bound estimates of an orbit.
 
 All bounds computed here are finite-section estimates carrying their
 (N, K) provenance; nothing claims to be a bound for the infinite system.
@@ -7,9 +7,8 @@ zero (the span-deficiency signal).
 
 Every quantity here is one BLAS product or one factorization of the orbit
 matrix V: the Gram matrix (mirrored so it is exactly Hermitian), the
-frame section, the pairings behind frame sums and the frame operator's
-action, and the frame bounds, which are the squared extreme singular
-values of V.
+pairings behind frame sums, and the frame bounds, which are the squared
+extreme singular values of V.
 """
 
 from __future__ import annotations
@@ -25,23 +24,6 @@ TIGHT_REL_TOL = 1e-8
 NUMERICALLY_ZERO_REL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """entries[m, n] = <phi^n f, phi^m f>."""
-
-    entries: np.ndarray
-    orbit_len: int
-
-
-@dataclass(frozen=True, eq=False)
-class FrameSection:
-    """Frame operator compressed to span{z^0..z^N}: S = V^T conj(V)."""
-
-    matrix: np.ndarray
-    orbit_len: int
-    order: int
-
-
 @dataclass(frozen=True)
 class FrameBounds:
     N: int
@@ -52,16 +34,14 @@ class FrameBounds:
     numerically_zero_lower: bool
 
 
-def _conj_pairings(g: TruncatedSeries, orb: Orbit) -> np.ndarray:
-    """conj(<g, phi^n f>) for every n: V conj(g) over the common coefficient
-    range, one matrix-vector product."""
-    n = min(g.coeffs.size, orb.order + 1)
-    return orb.V[:, :n] @ g.coeffs[:n].conj()
-
-
 def partial_frame_sums(g: TruncatedSeries, orb: Orbit) -> np.ndarray:
-    """Cumulative sums of |<g, phi^n f>|^2 in n; monotone nondecreasing."""
-    p = _conj_pairings(g, orb)
+    """Cumulative sums of |<g, phi^n f>|^2 in n; monotone nondecreasing.
+
+    The pairings, conjugated, are V conj(g) over the common coefficient
+    range: one matrix-vector product.
+    """
+    n = min(g.coeffs.size, orb.order + 1)
+    p = orb.V[:, :n] @ g.coeffs[:n].conj()
     return np.cumsum(p.real**2 + p.imag**2)
 
 
@@ -70,25 +50,26 @@ def frame_sum(g: TruncatedSeries, orb: Orbit) -> float:
     return float(partial_frame_sums(g, orb)[-1])
 
 
-def gram(orb: Orbit) -> GramMatrix:
-    """Hermitian Gram matrix of the orbit elements, G = conj(V) V^T.
+def gram(orb: Orbit) -> np.ndarray:
+    """Hermitian Gram matrix of the orbit elements, G = conj(V) V^T:
+    G[m, n] = <phi^n f, phi^m f>.
 
     One BLAS product; the strict lower triangle is then overwritten with
     the conjugate of the strict upper one and the diagonal's imaginary
-    part set to +0.0, so the result is exactly Hermitian.
+    part set to +0.0, so the result is exactly Hermitian.  An entry that
+    overflows raises FloatingPointError.
     """
-    k = orb.length
-    g = orb.V.conj() @ orb.V.T
-    lower = np.tril_indices(k, -1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        g = orb.V.conj() @ orb.V.T
+    if not np.isfinite(g).all():
+        raise FloatingPointError(
+            f"Gram matrix overflowed at N={orb.order}, K={orb.length - 1}: "
+            "an entry is not finite"
+        )
+    lower = np.tril_indices(orb.length, -1)
     g[lower] = np.conj(g.T[lower])
     np.fill_diagonal(g.imag, 0.0)
-    return GramMatrix(entries=g, orbit_len=k)
-
-
-def frame_section(orb: Orbit) -> FrameSection:
-    """S = sum_n v_n v_n* = V^T conj(V), one matrix product."""
-    s = orb.V.T @ orb.V.conj()
-    return FrameSection(matrix=s, orbit_len=orb.length, order=orb.order)
+    return g
 
 
 def nonzero_rows(v: np.ndarray) -> np.ndarray:
@@ -155,12 +136,6 @@ def frame_bounds_estimate(v: np.ndarray) -> FrameBounds:
     """
     sigma = _svd_nonzero_rows(v)
     return bounds_from_singular_values(sigma, v.shape)
-
-
-def apply_frame_operator(g: TruncatedSeries, orb: Orbit) -> TruncatedSeries:
-    """S g = sum_n <g, phi^n f> phi^n f = V^T conj(V conj(g)) over the
-    finite orbit: two matrix-vector products."""
-    return TruncatedSeries(orb.V.T @ _conj_pairings(g, orb).conj())
 
 
 def bounds_vs_truncation(spec, seed_coeffs, orders, orbit_lengths) -> list[FrameBounds]:

@@ -1,4 +1,4 @@
-"""Orbits of the multiplication operator and its finite matrix sections.
+"""Orbits of the multiplication operator T_phi.
 
 An orbit is the finite family {phi^n f : 0 <= n <= K}, every element
 truncated to a common order N.  Iterated multiplication can push the true
@@ -18,7 +18,6 @@ from .series import (
     TruncatedSeries,
     _mul_into,
     _trim_trailing_zeros,
-    mul,
     series_from_coeffs,
 )
 from .symbols import SymbolRealization, SymbolSpec, realize
@@ -63,25 +62,12 @@ class Orbit:
         return int(flagged[0]) if flagged.size else self.length
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorSection:
-    """(N+1) x (N+1) lower-triangular Toeplitz section of T_phi."""
-
-    matrix: np.ndarray
-    order: int
-
-
 @dataclass(frozen=True)
 class DecayReport:
     classification: str  # decays_to_zero | bounded_non_decaying | grows
     rate_estimate: float
     n_used: int
     used_truncated_tail: bool
-
-
-def apply(sym: SymbolRealization, f: TruncatedSeries, order: int) -> TruncatedSeries:
-    """One application of the multiplication operator, truncated to order."""
-    return mul(sym.series, f, order)
 
 
 def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) -> Orbit:
@@ -222,18 +208,6 @@ def orbit_for(spec: SymbolSpec, seed_coeffs, order: int, count: int) -> Orbit:
     coefficients, both realized at truncation order N = order."""
     seed = series_from_coeffs(seed_coeffs, order)
     return orbit(realize(spec, order), seed, count, order)
-
-
-def matrix_section(sym: SymbolRealization, order: int) -> OperatorSection:
-    """T_phi compressed to span{z^0..z^N} in the monomial basis."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    phi = np.zeros(order + 1, dtype=complex)
-    m = min(sym.series.coeffs.size, order + 1)
-    phi[:m] = sym.series.coeffs[:m]
-    idx = np.subtract.outer(np.arange(order + 1), np.arange(order + 1))
-    mat = np.where(idx >= 0, phi[np.clip(idx, 0, order)], 0.0 + 0.0j)
-    return OperatorSection(matrix=mat, order=order)
 
 
 def decay_profile(orb: Orbit) -> DecayReport:

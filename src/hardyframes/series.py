@@ -57,28 +57,6 @@ class BoundaryGrid:
         return pts
 
 
-@dataclass(frozen=True, eq=False)
-class BoundarySamples:
-    """Values of a series on a boundary grid, tagged with the source order."""
-
-    grid: BoundaryGrid
-    values: np.ndarray
-    source_order: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.size != self.grid.size:
-            raise ValueError("values length must equal grid size")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def alias_safe(self) -> bool:
-        """True when the grid resolves the series without aliasing (M > 2N)."""
-        return self.grid.size > 2 * self.source_order
-
-
 def series_from_coeffs(coeffs, order: int | None = None) -> TruncatedSeries:
     """Build a series from a_0..a_M at the given order (default M).
 
@@ -93,10 +71,6 @@ def series_from_coeffs(coeffs, order: int | None = None) -> TruncatedSeries:
     return TruncatedSeries(arr)
 
 
-def zero_series(order: int) -> TruncatedSeries:
-    return TruncatedSeries(np.zeros(order + 1, dtype=complex))
-
-
 def monomial(k: int, order: int | None = None) -> TruncatedSeries:
     """The basis element z^k, optionally padded to a larger order."""
     if k < 0:
@@ -107,19 +81,6 @@ def monomial(k: int, order: int | None = None) -> TruncatedSeries:
     out = np.zeros(n + 1, dtype=complex)
     out[k] = 1.0
     return TruncatedSeries(out)
-
-
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum; the shorter operand is zero-padded."""
-    n = max(a.coeffs.size, b.coeffs.size)
-    out = np.zeros(n, dtype=complex)
-    out[: a.coeffs.size] = a.coeffs
-    out[: b.coeffs.size] += b.coeffs
-    return TruncatedSeries(out)
-
-
-def scale(a: TruncatedSeries, factor: complex) -> TruncatedSeries:
-    return TruncatedSeries(a.coeffs * complex(factor))
 
 
 def _trim_trailing_zeros(x: np.ndarray) -> np.ndarray:
@@ -184,7 +145,7 @@ def norm(f: TruncatedSeries) -> float:
     return float(np.sqrt(norm_sq(f)))
 
 
-def boundary_samples(f: TruncatedSeries, grid: BoundaryGrid) -> BoundarySamples:
+def boundary_samples(f: TruncatedSeries, grid: BoundaryGrid) -> np.ndarray:
     """Evaluate the polynomial on the grid: values_j = sum_n a_n e^{2ipi jn/M}.
 
     Coefficients with indices differing by M alias onto the same grid
@@ -196,26 +157,4 @@ def boundary_samples(f: TruncatedSeries, grid: BoundaryGrid) -> BoundarySamples:
     for start in range(0, f.coeffs.size, m):
         chunk = f.coeffs[start : start + m]
         folded[: chunk.size] += chunk
-    values = np.fft.ifft(folded) * m
-    return BoundarySamples(grid=grid, values=values, source_order=f.order)
-
-
-def norm_via_boundary(samples: BoundarySamples) -> float:
-    """Quadrature norm sqrt((1/M) sum |v_j|^2).
-
-    Equals the coefficient norm exactly (up to rounding) when the grid
-    satisfies M > 2N; check `samples.alias_safe` before relying on that.
-    """
-    total = float(np.vdot(samples.values, samples.values).real)
-    return float(np.sqrt(total / samples.grid.size))
-
-
-def eval_at(f: TruncatedSeries, z: complex) -> complex:
-    """Horner evaluation at a point of the closed disk."""
-    z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
-        raise ValueError(f"evaluation point |z|={abs(z)} outside the closed disk")
-    acc = 0j
-    for c in f.coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+    return np.fft.ifft(folded) * m

@@ -110,7 +110,6 @@ class SymbolRealization:
     spec: SymbolSpec
     series: TruncatedSeries
     sup_norm_estimate: float
-    exactly_inner: bool
     series_exact: bool
     degree: int | None
 
@@ -181,16 +180,6 @@ def _structural_degree(spec: SymbolSpec) -> int | None:
     return None
 
 
-def _structurally_inner(spec: SymbolSpec) -> bool:
-    if spec.kind == "blaschke":
-        return True
-    if spec.kind == "monomial":
-        return True  # m = 0 is the unimodular constant 1
-    if spec.kind in ("constant", "scaled_shift"):
-        return abs(abs(spec.value) - 1.0) < UNIMODULAR_TOL
-    return False
-
-
 def realize(spec: SymbolSpec, order: int) -> SymbolRealization:
     """Expand a spec to the given order and attach structural metadata."""
     if order < 0:
@@ -205,13 +194,11 @@ def realize(spec: SymbolSpec, order: int) -> SymbolRealization:
             series_exact = True  # the zero symbol
         else:
             series_exact = degree <= order
-    inner = _structurally_inner(spec)
     sup = _sup_norm_for(spec, series, order)
     return SymbolRealization(
         spec=spec,
         series=series,
         sup_norm_estimate=sup,
-        exactly_inner=inner,
         series_exact=bool(series_exact),
         degree=degree if series_exact else None,
     )
@@ -235,7 +222,7 @@ def _sup_norm_for(spec: SymbolSpec, series: TruncatedSeries, order: int) -> floa
         return 1.0  # inner: boundary modulus is identically 1
     # Polynomial: maximum boundary modulus (maximum modulus principle).
     grid = _default_grid(order)
-    return float(np.max(np.abs(boundary_samples(series, grid).values)))
+    return float(np.max(np.abs(boundary_samples(series, grid))))
 
 
 def evaluate_symbol(sym: SymbolRealization, points: np.ndarray) -> np.ndarray:
@@ -271,14 +258,6 @@ def uses_exact_evaluation(sym: SymbolRealization) -> bool:
     return sym.spec.kind != "polynomial"
 
 
-def _require_grid(sym: SymbolRealization, grid: BoundaryGrid) -> None:
-    if grid.size <= 4 * sym.series.order:
-        raise ValueError(
-            f"grid size {grid.size} too small for order {sym.series.order}: "
-            "need M > 4N"
-        )
-
-
 def boundary_values(
     sym: SymbolRealization, grid: BoundaryGrid, r: float = 1.0
 ) -> np.ndarray:
@@ -290,7 +269,7 @@ def boundary_values(
     if uses_exact_evaluation(sym):
         return evaluate_symbol(sym, r * grid.points)
     coeffs = sym.series.coeffs * r ** np.arange(sym.series.coeffs.size)
-    return boundary_samples(TruncatedSeries(coeffs), grid).values
+    return boundary_samples(TruncatedSeries(coeffs), grid)
 
 
 def innerness_test(
@@ -305,7 +284,11 @@ def innerness_test(
     in closed form; truncated polynomial evaluation keeps the coarser
     INNER_TOL_TRUNCATED.
     """
-    _require_grid(sym, grid)
+    if grid.size <= 4 * sym.series.order:
+        raise ValueError(
+            f"grid size {grid.size} too small for order {sym.series.order}: "
+            "need M > 4N"
+        )
     tol = exact_tol if uses_exact_evaluation(sym) else INNER_TOL_TRUNCATED
     moduli = np.abs(boundary_values(sym, grid))
     max_dev = float(np.max(np.abs(moduli - 1.0)))
@@ -322,9 +305,3 @@ def innerness_test(
         verdict=verdict,
         tolerance=float(tol),
     )
-
-
-def sup_norm_estimate(sym: SymbolRealization, grid: BoundaryGrid) -> float:
-    """Maximum boundary modulus over the grid (valid by maximum modulus)."""
-    _require_grid(sym, grid)
-    return float(np.max(np.abs(boundary_values(sym, grid))))

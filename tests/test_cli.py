@@ -204,8 +204,7 @@ CSV_COMMANDS = ("orbit", "frame-bounds", "gram")
     "n, commands",
     [
         # 4^300 is finite, and so is sigma_max, but the Gram entries and
-        # B = sigma_max^2 overflow: the writer refuses inf, and frame-bounds
-        # names the overflow
+        # B = sigma_max^2 overflow: gram and frame-bounds each name theirs
         (300, ["frame-bounds", "gram"]),
         # 4^n overflows at n = 512, inside the orbit itself
         (600, ["orbit", "frame-bounds", "gram", "cyclicity"]),
@@ -227,6 +226,8 @@ def test_overflow_exits_3_not_usage(tmp_path, capsys, n, commands):
                 assert "overflow" in err and "eigensolver" not in err, err
             if command == "orbit":  # stopped at the first overflowed row
                 assert "series product overflowed at order 600" in err, err
+            if command == "gram" and n == 300:  # the orbit itself is finite
+                assert "Gram matrix overflowed at N=300, K=300" in err, err
 
 
 def test_scaled_shift_overflow_exits_3_with_one_line(tmp_path, capsys):
@@ -262,6 +263,11 @@ def test_orbit_norms_do_not_overflow(tmp_path, capsys):
         (("tolerances", "rank_tol"), float("nan")),
         (("truncation_order",), float("inf")),
         (("symbol", "zeros", 0, "im"), float("nan")),
+        # sizes are JSON integers: no float, bool or string stands for one
+        (("truncation_order",), 16.9),
+        (("orbit_length",), True),
+        (("boundary_grid",), "512"),
+        (("symbol",), {"kind": "monomial", "power": 1.0}),
     ],
 )
 def test_non_finite_config_value_exits_2(tmp_path, capsys, field, value):
@@ -437,7 +443,7 @@ def _per_entry_outputs(command, cfg):
             f"{_flag(b.tight)},{_flag(b.numerically_zero_lower)}",
         ]
     else:
-        entries = gram(orb).entries
+        entries = gram(orb)
         k1 = entries.shape[0]
         dicts = [
             [{"re": entries[m, n].real, "im": entries[m, n].imag} for n in range(k1)]

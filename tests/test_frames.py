@@ -1,19 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hardyframes.frames import (
-    apply_frame_operator,
     bounds_from_singular_values,
     bounds_vs_truncation,
     frame_bounds_estimate,
-    frame_section,
     frame_sum,
     gram,
     nonzero_rows,
     partial_frame_sums,
 )
 from hardyframes.diagnostics import kernel_orthogonality_witness, reproducing_kernel
-from hardyframes.orbits import orbit
+from hardyframes.orbits import orbit, orbit_for
 from hardyframes.series import (
     inner_product,
     monomial,
@@ -101,18 +104,18 @@ def test_partial_sums_monotone_and_consistent():
 
 def test_gram_shift_identity():
     g = gram(make_orbit(SymbolSpec.monomial(1), [1], 2, 4))
-    assert np.array_equal(g.entries, np.eye(3, dtype=complex))
+    assert np.array_equal(g, np.eye(3, dtype=complex))
 
 
 def test_gram_constant_half_rank_one():
     g = gram(make_orbit(SymbolSpec.constant(0.5), [1], 3, 2))
     m, n = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
-    assert np.array_equal(g.entries, (2.0 ** -(m + n)).astype(complex))
+    assert np.array_equal(g, (2.0 ** -(m + n)).astype(complex))
 
 
 def test_gram_squared_shift_identity():
     g = gram(make_orbit(SymbolSpec.monomial(2), [1], 3, 8))
-    assert np.array_equal(g.entries, np.eye(4, dtype=complex))
+    assert np.array_equal(g, np.eye(4, dtype=complex))
 
 
 def test_gram_hermitian_psd_random_orbit():
@@ -120,7 +123,7 @@ def test_gram_hermitian_psd_random_orbit():
     for _ in range(10):
         coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         orb = make_orbit(SymbolSpec.blaschke([0.4, -0.2j]), coeffs, 10, 16)
-        g = gram(orb).entries
+        g = gram(orb)
         assert np.array_equal(g, g.conj().T)  # exact by construction
         w = np.linalg.eigvalsh(g)
         assert w[0] >= -1e-10 * max(w[-1], 0.0)
@@ -175,7 +178,7 @@ def test_batched_reductions_match_scalar_inner_products_within_rounding():
         assert np.all(np.abs(partial_frame_sums(g, orb) - loop) <= bound)
 
         z0 = 0.3 - 0.45j
-        kernel = reproducing_kernel(z0, orb.order).series.coeffs
+        kernel = reproducing_kernel(z0, orb.order).coeffs
         pairings = np.array([abs(_reference_inner(v, kernel)) for v in orb.V])
         got = kernel_orthogonality_witness(orb, z0).pairings
         assert np.all(np.abs(got - pairings) <= rel * norms * np.linalg.norm(kernel))
@@ -237,13 +240,13 @@ GRAM_CASES = [
 def test_gram_within_rounding_bound_of_doubled_precision(spec, coeffs):
     orb = make_orbit(spec, coeffs, 300, 30)
     norms = np.linalg.norm(orb.V, axis=1)
-    err = np.abs(gram(orb).entries - _reference_gram(orb.V))
+    err = np.abs(gram(orb) - _reference_gram(orb.V))
     assert np.all(err <= (orb.order + 1) * EPS * np.outer(norms, norms))
 
 
 @pytest.mark.parametrize("spec, coeffs", GRAM_CASES)
 def test_gram_exactly_hermitian(spec, coeffs):
-    g = gram(make_orbit(spec, coeffs, 300, 30)).entries
+    g = gram(make_orbit(spec, coeffs, 300, 30))
     su = np.triu_indices(g.shape[0], 1)
     assert np.array_equal(_bits(g.T[su]), _bits(np.conj(g[su])))
     assert np.array_equal(_bits(np.diag(g).imag), _bits(np.zeros(g.shape[0])))  # +0.0
@@ -258,39 +261,44 @@ def test_gram_matches_boundary_quadrature():
     w = (0.5 + 0.3j * zeta)[:, None] ** np.arange(k + 1)
     weight = np.abs(1 + zeta / 2) ** 2 / m
     expected = w.conj().T @ (weight[:, None] * w)
-    g = gram(make_orbit(SymbolSpec.polynomial([0.5, 0.3j]), [1, 0.5], k, order)).entries
+    g = gram(make_orbit(SymbolSpec.polynomial([0.5, 0.3j]), [1, 0.5], k, order))
     assert np.max(np.abs(g - expected)) <= 10 * (order + 1) * EPS * np.max(np.abs(g))
 
 
 # -- frame sections ----------------------------------------------------------------
 
 
+def section(orb):
+    """The frame operator compressed to span{z^0..z^N}: S = V^T conj(V)."""
+    return orb.V.T @ orb.V.conj()
+
+
 def test_section_shift_identity():
-    sec = frame_section(make_orbit(SymbolSpec.monomial(1), [1], 12, 12))
-    assert np.array_equal(sec.matrix, np.eye(13, dtype=complex))
+    s = section(make_orbit(SymbolSpec.monomial(1), [1], 12, 12))
+    assert np.array_equal(s, np.eye(13, dtype=complex))
 
 
 def test_section_half_shift_diagonal():
-    sec = frame_section(make_orbit(SymbolSpec.scaled_shift(0.5), [1], 12, 12))
-    assert np.array_equal(sec.matrix, np.diag(4.0 ** -np.arange(13)).astype(complex))
+    s = section(make_orbit(SymbolSpec.scaled_shift(0.5), [1], 12, 12))
+    assert np.array_equal(s, np.diag(4.0 ** -np.arange(13)).astype(complex))
 
 
 def test_section_squared_shift_even_diagonal():
-    sec = frame_section(make_orbit(SymbolSpec.monomial(2), [1], 5, 10))
+    s = section(make_orbit(SymbolSpec.monomial(2), [1], 5, 10))
     expected = np.zeros((11, 11), dtype=complex)
     expected[::2, ::2] = np.diag(np.ones(6))
-    assert np.array_equal(sec.matrix, expected)
+    assert np.array_equal(s, expected)
 
 
 def test_section_quadratic_form_matches_frame_sum():
     orb = make_orbit(SymbolSpec.blaschke([0.5]), [1, 1], 20, 24)
-    sec = frame_section(orb)
+    s = section(orb)
     rng = np.random.default_rng(23)
     for _ in range(100):
         g = series_from_coeffs(
             rng.standard_normal(25) + 1j * rng.standard_normal(25)
         )
-        quad = float(np.real(g.coeffs.conj() @ sec.matrix @ g.coeffs))
+        quad = float(np.real(g.coeffs.conj() @ s @ g.coeffs))
         fs = frame_sum(g, orb)
         assert abs(quad - fs) <= 1e-10 * max(1.0, fs)
 
@@ -382,50 +390,13 @@ def test_gram_section_nonzero_spectra_agree():
     # degree-exact orbit: K * deg(phi) + deg(f) <= N
     orb = make_orbit(SymbolSpec.monomial(1), [1, -1], 10, 12)
     assert not orb.truncated.any()
-    wg = np.linalg.eigvalsh(gram(orb).entries)
-    ws = np.linalg.eigvalsh(frame_section(orb).matrix)
+    wg = np.linalg.eigvalsh(gram(orb))
+    ws = np.linalg.svd(orb.V, compute_uv=False) ** 2  # the spectrum of S
     tol = 1e-8 * max(wg[-1], ws[-1])
     g_nonzero = np.sort(wg[wg > tol])[::-1]
     s_nonzero = np.sort(ws[ws > tol])[::-1]
     assert g_nonzero.size == s_nonzero.size
     assert np.max(np.abs(g_nonzero - s_nonzero)) <= 1e-8 * max(1.0, g_nonzero[0])
-
-
-# -- frame operator ------------------------------------------------------------------
-
-
-def test_apply_frame_operator_identity_case():
-    orb = make_orbit(SymbolSpec.monomial(1), [1], 12, 12)
-    for k in (0, 3, 12):
-        out = apply_frame_operator(monomial(k, 12), orb)
-        assert np.array_equal(out.coeffs, monomial(k, 12).coeffs)
-
-
-def test_apply_frame_operator_annihilates_orthogonal():
-    orb = make_orbit(SymbolSpec.monomial(2), [1], 8, 10)
-    out = apply_frame_operator(monomial(1, 10), orb)
-    assert np.all(out.coeffs == 0)
-
-
-def test_apply_frame_operator_rank_one_factor():
-    k = 10
-    orb = make_orbit(SymbolSpec.constant(0.5), [1], k, 4)
-    out = apply_frame_operator(seed([1], 4), orb)
-    factor = float(np.cumsum(4.0 ** -np.arange(k + 1, dtype=float))[-1])
-    assert out.coeffs[0] == factor
-    assert np.all(out.coeffs[1:] == 0)
-
-
-def test_apply_frame_operator_matches_matrix():
-    orb = make_orbit(SymbolSpec.blaschke([0.4]), [1, 0.5j], 10, 12)
-    sec = frame_section(orb)
-    rng = np.random.default_rng(31)
-    g = series_from_coeffs(rng.standard_normal(13) + 1j * rng.standard_normal(13))
-    direct = apply_frame_operator(g, orb).coeffs
-    via_matrix = sec.matrix @ g.coeffs
-    assert np.max(np.abs(direct - via_matrix)) < 1e-10 * max(
-        1.0, float(np.max(np.abs(via_matrix)))
-    )
 
 
 # -- bounds_vs_truncation ---------------------------------------------------------
@@ -460,3 +431,36 @@ def test_bounds_vs_truncation_validates_lists():
     with pytest.raises(ValueError):
         bounds_vs_truncation(SymbolSpec.monomial(1), (1.0,), [8, 4], [4])
 
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bounds_sweep(*argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bounds_sweep.py"), *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_bounds_sweep_script_rows_and_usage_error():
+    proc = _bounds_sweep("--symbol", "shift-half", "--orders", "8", "16", "--orbit-lens", "8", "16")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header == "N,K,A_est,B_est,tight,numerically_zero_lower"
+    assert [tuple(map(int, row.split(",")[:2])) for row in rows] == [
+        (8, 8), (8, 16), (16, 8), (16, 16)
+    ]
+    for row in rows:
+        n, k, a_est, b_est = row.split(",")[:4]
+        # every block of a one-tap orbit is the orbit built at that size, bit for bit
+        want = frame_bounds_estimate(
+            orbit_for(SymbolSpec.scaled_shift(0.5), (1.0,), int(n), int(k)).V
+        )
+        assert (float(a_est), float(b_est)) == (want.A_est, want.B_est), row
+
+    proc = _bounds_sweep("--orders", "16", "8")
+    assert proc.returncode == 2
+    assert "ascending" in proc.stderr and "Traceback" not in proc.stderr

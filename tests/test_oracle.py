@@ -1,14 +1,14 @@
 """High-precision oracle for the orbit norms, the partial frame sums, the
-frame section, the Gram matrix, the bounds, the singular spectrum, the
-rank, the witness and the kernel pairings.
+Gram matrix, the bounds, the singular spectrum, the rank, the witness and
+the kernel pairings.
 
 The references are built at 50 digits from the same float64 matrix V the
-package uses (its entries are exact in mpmath): the frame operator
-S~ = sum_n v_n v_n*, the Gram matrix G~ = conj(V) V^T, the singular
-values of V from `mp.svd_c` (whose squares are the spectrum of S~), the
-row norms of V, the partial sums of |<g, v_n>|^2 for a fixed probe g,
-and the pairings v_n(z0).  Each float64 quantity is then held to a
-stated multiple of machine epsilon.
+package uses (its entries are exact in mpmath): the Gram matrix
+G~ = conj(V) V^T, the singular values of V from `mp.svd_c` (whose squares
+are the spectrum of the frame operator V^T conj(V)), the row norms of V,
+the partial sums of |<g, v_n>|^2 for a fixed probe g, and the pairings
+v_n(z0).  Each float64 quantity is then held to a stated multiple of
+machine epsilon.
 """
 
 from types import SimpleNamespace
@@ -23,7 +23,7 @@ from hardyframes.diagnostics import (
     kernel_orthogonality_witness,
     reproducing_kernel,
 )
-from hardyframes.frames import frame_bounds_estimate, frame_section, gram, partial_frame_sums
+from hardyframes.frames import frame_bounds_estimate, gram, partial_frame_sums
 from hardyframes.orbits import decay_profile, orbit
 from hardyframes.series import series_from_coeffs
 from hardyframes.symbols import SymbolSpec, realize
@@ -57,8 +57,6 @@ def oracle(request):
     orb = _orbit(spec, seed_coeffs, order, k)
     with mp.workdps(50):
         v = _mp_matrix(orb.V)
-        s_ref = v.T * v.conjugate()
-        s_ref = np.array(s_ref.tolist(), dtype=complex)
         g_ref = np.array((v.conjugate() * v.T).tolist(), dtype=complex)
         sigma = sorted((mp.mpf(x) for x in mp.svd_c(v, compute_uv=False)), reverse=True)
         rank = sum(1 for x in sigma if x > RANK_REL_TOL * sigma[0])
@@ -72,7 +70,6 @@ def oracle(request):
         norms=np.array([float(x) for x in norms]),
         pairings=np.array([float(abs(p)) for p in pairings]),
         sums=sums,
-        s_ref=s_ref,
         g_ref=g_ref,
         sigma=np.array([float(x) for x in sigma]),
         rank=rank,
@@ -100,13 +97,6 @@ def test_partial_frame_sums_match_oracle(oracle):
     d = (orb.order + 1) * EPS * np.linalg.norm(g.coeffs) * oracle.norms
     bound = np.cumsum((2 * p + d) * d) + (np.arange(p.size) + 3) * EPS * oracle.sums
     assert np.all(np.abs(partial_frame_sums(g, orb) - oracle.sums) <= bound)
-
-
-def test_section_entries_match_oracle(oracle):
-    orb, s_ref = oracle.orb, oracle.s_ref
-    s = frame_section(orb).matrix
-    tol = orb.length * EPS * np.max(np.abs(s_ref))
-    assert np.max(np.abs(s - s_ref)) <= tol
 
 
 def _sigma_min(oracle) -> float:
@@ -140,7 +130,7 @@ def test_witness_reaches_smallest_singular_value(oracle):
 
 def test_gram_entries_match_oracle(oracle):
     orb = oracle.orb
-    g = gram(orb).entries
+    g = gram(orb)
     norms = np.linalg.norm(orb.V, axis=1)
     bound = (orb.order + 1) * EPS * np.outer(norms, norms)
     assert np.all(np.abs(g - oracle.g_ref) <= bound)
@@ -160,7 +150,7 @@ def test_singular_values_and_rank_match_oracle(oracle):
 def test_kernel_pairings_match_oracle(oracle, z0):
     orb = oracle.orb
     pairings = kernel_orthogonality_witness(orb, z0).pairings
-    kernel_norm = np.linalg.norm(reproducing_kernel(z0, orb.order).series.coeffs)
+    kernel_norm = np.linalg.norm(reproducing_kernel(z0, orb.order).coeffs)
     with mp.workdps(50):
         powers = [mp.mpc(z0) ** j for j in range(orb.order + 1)]
         ref = np.array([float(abs(mp.fdot(row, powers))) for row in _mp_matrix(orb.V).tolist()])

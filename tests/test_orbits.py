@@ -7,9 +7,7 @@ import hypothesis.strategies as st
 
 from hardyframes.orbits import (
     FFT_MIN_OPERAND_LEN,
-    apply,
     decay_profile,
-    matrix_section,
     orbit,
     orbit_for,
 )
@@ -18,7 +16,6 @@ from hardyframes.series import (
     mul,
     norm,
     series_from_coeffs,
-    zero_series,
 )
 from hardyframes.symbols import SymbolSpec, realize
 
@@ -152,25 +149,25 @@ def test_complex_orbit_keeps_the_complex_transform(spec, coeffs, monkeypatch):
     assert np.all(orb.V[1:].imag.any(axis=1))
 
 
-# -- apply ---------------------------------------------------------------------
+# -- apply: T_phi once is mul(sym.series, f, N) -----------------------------------
 
 
 def test_apply_shift_to_one():
     sym = realize(SymbolSpec.monomial(1), 4)
-    out = apply(sym, seed([1], 4), 4)
+    out = mul(sym.series, seed([1], 4), 4)
     assert np.array_equal(out.coeffs, monomial(1, 4).coeffs)
 
 
 def test_apply_half_shift():
     sym = realize(SymbolSpec.scaled_shift(0.5), 4)
-    out = apply(sym, seed([1], 4), 4)
+    out = mul(sym.series, seed([1], 4), 4)
     assert np.array_equal(out.coeffs, [0, 0.5, 0, 0, 0])
 
 
 def test_apply_constant_scales():
     sym = realize(SymbolSpec.constant(0.25j), 3)
     f = seed([1, 2, 3], 3)
-    assert np.array_equal(apply(sym, f, 3).coeffs, 0.25j * f.coeffs)
+    assert np.array_equal(mul(sym.series, f, 3).coeffs, 0.25j * f.coeffs)
 
 
 # -- orbit construction ----------------------------------------------------------
@@ -447,7 +444,7 @@ def test_orbit_inexact_symbol_flags_everything_after_seed():
 
 def test_orbit_zero_seed():
     sym = realize(SymbolSpec.monomial(1), 4)
-    orb = orbit(sym, zero_series(4), 9, 4)
+    orb = orbit(sym, seed([0], 4), 9, 4)
     assert np.all(orb.norms == 0)
     assert not orb.truncated.any()
 
@@ -455,30 +452,18 @@ def test_orbit_zero_seed():
 # -- matrix sections --------------------------------------------------------------
 
 
-def test_matrix_section_shift():
-    sym = realize(SymbolSpec.monomial(1), 2)
-    mat = matrix_section(sym, 2).matrix
-    assert np.array_equal(mat, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-
-
-def test_matrix_section_constant():
-    sym = realize(SymbolSpec.constant(0.5), 2)
-    assert np.array_equal(matrix_section(sym, 2).matrix, 0.5 * np.eye(3))
-
-
-def test_matrix_section_one_minus_z():
-    sym = realize(SymbolSpec.polynomial([1, -1]), 2)
-    mat = matrix_section(sym, 2).matrix
-    assert np.array_equal(mat, [[1, 0, 0], [-1, 1, 0], [0, -1, 1]])
-
-
 @given(int_coeff_lists, int_coeff_lists)
 def test_matrix_section_matches_apply(phi_coeffs, f_coeffs):
+    # T_phi compressed to span{z^0..z^N}: the lower-triangular Toeplitz
+    # matrix with entries phi_{i-j}; Gaussian integers make both exact
     order = 12
     sym = realize(SymbolSpec.polynomial(phi_coeffs), order)
     f = seed(f_coeffs, order)
-    via_matrix = matrix_section(sym, order).matrix @ f.coeffs
-    via_apply = apply(sym, f, order).coeffs
+    phi = sym.series.coeffs
+    idx = np.subtract.outer(np.arange(order + 1), np.arange(order + 1))
+    toeplitz = np.where(idx >= 0, phi[np.clip(idx, 0, order)], 0)
+    via_matrix = toeplitz @ f.coeffs
+    via_apply = mul(sym.series, f, order).coeffs
     assert np.array_equal(via_matrix, via_apply)
 
 

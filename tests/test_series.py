@@ -5,18 +5,13 @@ import hypothesis.strategies as st
 
 from hardyframes.series import (
     BoundaryGrid,
-    add,
     boundary_samples,
-    eval_at,
     inner_product,
     monomial,
     mul,
     norm,
     norm_sq,
-    norm_via_boundary,
-    scale,
     series_from_coeffs,
-    zero_series,
 )
 
 finite_complex = st.builds(
@@ -69,19 +64,7 @@ def test_coeffs_are_immutable():
 
 def test_exact_degree():
     assert series_from_coeffs([1, -1, 0]).exact_degree() == 1
-    assert zero_series(4).exact_degree() is None
-
-
-# -- add ----------------------------------------------------------------------
-
-
-def test_add_inverse_and_padding():
-    zero = add(series_from_coeffs([1]), series_from_coeffs([-1]))
-    assert np.all(zero.coeffs == 0)
-    s = add(series_from_coeffs([1]), monomial(1))
-    assert np.array_equal(s.coeffs, [1, 1])
-    t = add(series_from_coeffs([1, -1]), monomial(1))
-    assert np.array_equal(t.coeffs, [1, 0])
+    assert series_from_coeffs(np.zeros(5)).exact_degree() is None
 
 
 # -- mul ----------------------------------------------------------------------
@@ -107,7 +90,7 @@ def test_mul_telescoping(n):
 def test_mul_constant_is_scaling():
     f = series_from_coeffs([1, 2, 3])
     c = series_from_coeffs([0.5j])
-    assert np.array_equal(mul(c, f, 2).coeffs, scale(f, 0.5j).coeffs)
+    assert np.array_equal(mul(c, f, 2).coeffs, 0.5j * f.coeffs)
 
 
 @given(int_coeff_lists, int_coeff_lists)
@@ -170,7 +153,7 @@ def test_inner_picks_constant_coefficient():
 def test_inner_against_difference_vector(h_coeffs, n):
     h = series_from_coeffs(h_coeffs)
     order = max(h.order, n + 1)
-    probe = add(monomial(n, order), scale(monomial(n + 1, order), -1.0))
+    probe = series_from_coeffs(monomial(n, order).coeffs - monomial(n + 1, order).coeffs)
     got = inner_product(h, probe)
     a_n = h.coeffs[n] if n <= h.order else 0.0
     a_n1 = h.coeffs[n + 1] if n + 1 <= h.order else 0.0
@@ -186,7 +169,10 @@ def test_inner_conjugate_symmetry(a, b):
 @given(coeff_lists, coeff_lists, coeff_lists, finite_complex, finite_complex)
 def test_inner_sesquilinear(a, b, c, alpha, beta):
     f, g, h = map(series_from_coeffs, (a, b, c))
-    lhs = inner_product(add(scale(f, alpha), scale(g, beta)), h)
+    combo = np.zeros(max(f.coeffs.size, g.coeffs.size), dtype=complex)
+    combo[: f.coeffs.size] = alpha * f.coeffs
+    combo[: g.coeffs.size] += beta * g.coeffs
+    lhs = inner_product(series_from_coeffs(combo), h)
     rhs = alpha * inner_product(f, h) + beta * inner_product(g, h)
     bound = 1e-10 * max(1.0, abs(lhs), abs(rhs))
     assert abs(lhs - rhs) < bound
@@ -195,7 +181,7 @@ def test_inner_sesquilinear(a, b, c, alpha, beta):
 def test_norm_examples():
     assert norm(monomial(3, 6)) == 1.0
     assert abs(norm(series_from_coeffs([1, -1])) - np.sqrt(2)) < 1e-15
-    assert norm(zero_series(5)) == 0.0
+    assert norm(series_from_coeffs(np.zeros(6))) == 0.0
     assert norm_sq(series_from_coeffs(np.ones(7))) == 7.0
 
 
@@ -213,57 +199,37 @@ def test_parseval(coeffs):
 
 def test_boundary_constant():
     samples = boundary_samples(monomial(0, 0), BoundaryGrid(8))
-    assert np.allclose(samples.values, 1.0, atol=1e-15)
+    assert np.allclose(samples, 1.0, atol=1e-15)
 
 
 def test_boundary_shift_fourth_roots():
     samples = boundary_samples(monomial(1), BoundaryGrid(4))
-    assert np.allclose(samples.values, [1, 1j, -1, -1j], atol=1e-15)
+    assert np.allclose(samples, [1, 1j, -1, -1j], atol=1e-15)
+    # z^5 = z on the fourth roots of unity: index 5 folds onto index 1
+    folded = boundary_samples(monomial(5), BoundaryGrid(4))
+    assert np.allclose(folded, [1, 1j, -1, -1j], atol=1e-15)
 
 
 def test_boundary_one_minus_z_vanishes_at_one():
     samples = boundary_samples(series_from_coeffs([1, -1]), BoundaryGrid(8))
-    assert abs(samples.values[0]) < 1e-15
+    assert abs(samples[0]) < 1e-15
+
+
+def quadrature_norm(values):
+    """sqrt((1/M) sum |v_j|^2): the norm of a series of order N from its
+    values on M > 2N points of the circle."""
+    return float(np.sqrt(np.mean(np.abs(values) ** 2)))
 
 
 def test_norm_via_boundary_matches():
     f = series_from_coeffs([1, -1])
-    val = norm_via_boundary(boundary_samples(f, BoundaryGrid(8)))
+    val = quadrature_norm(boundary_samples(f, BoundaryGrid(8)))
     assert abs(val - np.sqrt(2)) < 1e-10
-
-
-def test_norm_via_boundary_aliasing_flagged():
-    samples = boundary_samples(monomial(2), BoundaryGrid(2))
-    assert not samples.alias_safe  # M = 2 <= 2N = 4
-    assert abs(norm_via_boundary(samples) - 1.0) < 1e-12  # aliased but finite
 
 
 @given(coeff_lists)
 def test_discrete_parseval(coeffs):
     f = series_from_coeffs(coeffs)
     grid = BoundaryGrid(32)  # > 2 * max order 11
-    samples = boundary_samples(f, grid)
-    assert samples.alias_safe
-    assert abs(norm_via_boundary(samples) - norm(f)) <= 1e-10 * max(1.0, norm(f))
-
-
-# -- pointwise evaluation --------------------------------------------------------
-
-
-def test_eval_examples():
-    assert eval_at(series_from_coeffs([1, -1]), 0.5) == 0.5
-    assert eval_at(monomial(3), 0.0) == 0.0
-
-
-def test_eval_kernel_truncation_geometric():
-    z0 = 0.4 + 0.3j
-    n = 12
-    kernel = series_from_coeffs(np.conj(z0) ** np.arange(n + 1))
-    got = eval_at(kernel, z0)
-    want = sum(abs(z0) ** (2 * k) for k in range(n + 1))
-    assert abs(got - want) < 1e-13
-
-
-def test_eval_outside_disk_rejected():
-    with pytest.raises(ValueError):
-        eval_at(monomial(1), 1.2)
+    val = quadrature_norm(boundary_samples(f, grid))
+    assert abs(val - norm(f)) <= 1e-10 * max(1.0, norm(f))
