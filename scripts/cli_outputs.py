@@ -11,7 +11,9 @@ product with two positive real zeros adds a real orbit (real seed,
 N = K = 300) and a complex orbit of a real symbol (complex seed,
 N = K = 128), and four dense Blaschke products at N = 100 and 128 add
 orbits built in blocks, at K = 1, 72, 75 and 300, and a dense polynomial
-that exceeds 1 on the circle adds direct rows at N = 100, K = 300.  All
+that exceeds 1 on the circle adds direct rows at N = 100, K = 300, and
+(0.3+0.4i) z and a complex constant from seed 1 and z^3 from seed z add,
+at N = K = 128, orbits whose nonzero pattern gives the spectrum.  All
 are written to OUT_DIR/configs.  Each one then goes through `orbit`,
 `frame-bounds` and `gram` as JSON and CSV and through `innerness` and
 `cyclicity` as JSON;
@@ -192,6 +194,23 @@ def configs(rng) -> dict:
         "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
         "output": {"format": "json", "path": None},
     }
+    # orbits whose V needs no LAPACK call for its spectrum: (0.3+0.4i) z
+    # and z^3 from seed z are scaled permutations, and a complex constant
+    # from seed 1 fills one column and leaves the others zero
+    for name, symbol, seed in (
+        ("scaled-shift-seed-one", {"kind": "scaled_shift", "value": _complex_list(0.3 + 0.4j)[0]}, [1]),
+        ("constant-seed-one", {"kind": "constant", "value": _complex_list(-0.6 + 0.5j)[0]}, [1]),
+        ("monomial-3-seed-z", {"kind": "monomial", "power": 3}, [0, 1]),
+    ):
+        out[f"{name}-128"] = {
+            "symbol": symbol,
+            "seed_coeffs": _complex_list(seed),
+            "truncation_order": 128,
+            "orbit_length": 128,
+            "boundary_grid": 1024,
+            "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+            "output": {"format": "json", "path": None},
+        }
     return out
 
 

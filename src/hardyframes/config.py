@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .jsonio import complex_to_json, json_to_complex
+from .jsonio import complex_to_json, json_number, json_to_complex
 from .symbols import SymbolSpec
 
 
@@ -166,8 +166,8 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             orbit_length=_json_int(obj, "orbit_length"),
             boundary_grid=_json_int(obj, "boundary_grid"),
             tolerances=ToleranceSettings(
-                inner_tol=float(tol.get("inner_tol", 1e-9)),
-                rank_tol=float(tol.get("rank_tol", 1e-10)),
+                inner_tol=json_number(tol.get("inner_tol", 1e-9), "inner_tol"),
+                rank_tol=json_number(tol.get("rank_tol", 1e-10), "rank_tol"),
             ),
             output=OutputSettings(
                 format=out.get("format", "json"), path=out.get("path")

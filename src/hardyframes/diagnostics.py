@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import TruncatedSeries
-from .frames import _svd_nonzero_rows
+from .frames import _svd_nonzero
 from .orbits import Orbit
 from .symbols import SymbolRealization, boundary_values
 
@@ -110,22 +110,24 @@ def cyclicity_rank(
 
     Full rank is the truncation-level surrogate for a dense span; the full
     singular spectrum is returned so borderline cases stay visible.  The
-    spectrum and the rank come from the singular values of the nonzero
-    rows of V (zero rows add nothing to the span; a real SVD when they are
-    real), padded with exact zeros to the min(K+1, N+1) values of V itself.
-    Only when `witness` is asked for does the SVD also compute its factors:
-    if the span is deficient, the witness is then the last row w of the
-    right factor, so ||V conj(w)|| is the smallest singular value (0 when V
-    has fewer than N+1 nonzero rows); the frame operator is never formed,
-    so its squared condition number never enters.  Otherwise the report's
+    spectrum and the rank come from the singular values of V short of its
+    zero rows and zero columns (which add nothing but zeros; the sorted
+    moduli when the rest is a scaled permutation, otherwise a values-only
+    SVD, real when the data are), padded with exact zeros to the
+    min(K+1, N+1) values of V itself.  Only when `witness` is asked for
+    does one SVD of the nonzero rows also compute its factors: if the span
+    is deficient, the witness is then the last row w of the right factor,
+    so ||V conj(w)|| is the smallest singular value (0 when V has fewer
+    than N+1 nonzero rows); the frame operator is never formed, so its
+    squared condition number never enters.  Otherwise the report's
     witness is None.
     """
     if witness:
         # full matrices keep a null-space row of Vh when there are fewer
         # than N+1 nonzero rows
-        _, nonzero, vh = _svd_nonzero_rows(orb.V, compute_uv=True)
+        _, nonzero, vh = _svd_nonzero(orb.V, compute_uv=True)
     else:
-        nonzero = _svd_nonzero_rows(orb.V)
+        nonzero = _svd_nonzero(orb.V)
     singulars = np.zeros(min(orb.V.shape))
     singulars[: nonzero.size] = nonzero
     sigma_max = float(singulars[0]) if singulars.size else 0.0

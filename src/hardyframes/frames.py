@@ -5,10 +5,12 @@ All bounds computed here are finite-section estimates carrying their
 Values of the lower estimate below 1e-12 * B are reported as numerically
 zero (the span-deficiency signal).
 
-Every quantity here is one BLAS product or one factorization of the orbit
-matrix V: the Gram matrix (mirrored so it is exactly Hermitian), the
-pairings behind frame sums, and the frame bounds, which are the squared
-extreme singular values of V.
+Every quantity here is one BLAS product or at most one factorization of
+the orbit matrix V: the Gram matrix (mirrored so it is exactly Hermitian),
+the pairings behind frame sums, and the frame bounds, which are the
+squared extreme singular values of V.  Zero rows and zero columns of V are
+not factored, and a V whose remaining entries form a scaled permutation is
+not factored at all: its singular values are their moduli.
 """
 
 from __future__ import annotations
@@ -83,17 +85,32 @@ def nonzero_rows(v: np.ndarray) -> np.ndarray:
     return v if keep.all() else v[keep]
 
 
-def _svd_nonzero_rows(v: np.ndarray, compute_uv: bool = False):
-    """np.linalg.svd of the nonzero rows of v (full matrices when
-    compute_uv), factored in float64 when no imaginary part is nonzero.
+def _svd_nonzero(v: np.ndarray, compute_uv: bool = False):
+    """Singular values of v in descending order, short of the exact zeros
+    that its zero rows and zero columns contribute; with compute_uv, the
+    full-matrices np.linalg.svd of its nonzero rows instead.
 
-    Most orbits of a real symbol and a real seed are real, and a real SVD
-    costs about half as much as the complex one of the same data.
+    A zero column, like a zero row, only adds a zero singular value: a
+    constant symbol from seed 1 leaves one column, and z^m (m >= 2) leaves
+    the residue classes of its seed.  When what remains has one nonzero per
+    row and per column (a scaled permutation: c*z or z^m from seed 1, z^m
+    from seed z^j), its singular values are the moduli of those entries,
+    sorted, and no LAPACK call is made.  Anything else is factored by LAPACK, in
+    float64 when no imaginary part is nonzero: most orbits of a real
+    symbol and a real seed are real, and a real SVD costs about half as
+    much as the complex one of the same data.
     """
-    rows = nonzero_rows(v)
-    if not rows.imag.any():
-        rows = rows.real
-    return np.linalg.svd(rows, compute_uv=compute_uv)
+    if compute_uv:
+        block = nonzero_rows(v)
+    else:
+        nonzero = v != 0
+        rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+        if np.count_nonzero(nonzero) == np.count_nonzero(rows) == np.count_nonzero(cols):
+            return np.sort(np.abs(v[nonzero]))[::-1]
+        block = v if rows.all() and cols.all() else v[np.ix_(rows, cols)]
+    if not block.imag.any():
+        block = block.real
+    return np.linalg.svd(block, compute_uv=compute_uv)
 
 
 def bounds_from_singular_values(sigma: np.ndarray, shape: tuple) -> FrameBounds:
@@ -102,10 +119,10 @@ def bounds_from_singular_values(sigma: np.ndarray, shape: tuple) -> FrameBounds:
 
     The section V^T conj(V) has eigenvalues sigma^2, so B_est = sigma_max^2
     and, when sigma holds N+1 values, A_est = sigma_min^2.  Fewer values
-    (fewer than N+1 nonzero rows, or trailing exact zeros) mean the section
-    has a null space and A_est = 0.  Squaring sigma rather than factoring
-    the section resolves A_est down to eps^2 * B_est.  A B_est that
-    overflows raises FloatingPointError.
+    (fewer than N+1 nonzero rows or columns, or trailing exact zeros) mean
+    the section has a null space and A_est = 0.  Squaring sigma rather
+    than factoring the section resolves A_est down to eps^2 * B_est.  A
+    B_est that overflows raises FloatingPointError.
     """
     k, n = shape[0] - 1, shape[1] - 1
     with np.errstate(over="ignore"):  # checked below
@@ -128,13 +145,14 @@ def bounds_from_singular_values(sigma: np.ndarray, shape: tuple) -> FrameBounds:
 
 def frame_bounds_estimate(v: np.ndarray) -> FrameBounds:
     """Frame bounds of the coefficient matrix v, an orbit's V or a leading
-    block of it, from one values-only SVD of its nonzero rows (a real SVD
-    when they are real).
+    block of it, from the singular values of its nonzero rows and columns:
+    the sorted moduli of a scaled permutation, otherwise one values-only
+    SVD (a real one when they are real).
 
     A_est below 1e-12 * B_est is flagged numerically zero rather than
     trusted as a genuine frame bound.
     """
-    sigma = _svd_nonzero_rows(v)
+    sigma = _svd_nonzero(v)
     return bounds_from_singular_values(sigma, v.shape)
 
 

@@ -20,9 +20,17 @@ def complex_to_json(z) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def json_number(value, name: str) -> float:
+    """value as a float when it is a JSON number; a string or a bool (an
+    int to Python) is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, not {value!r}")
+    return float(value)
+
+
 def json_to_complex(obj) -> complex:
     if isinstance(obj, dict) and set(obj) == {"re", "im"}:
-        return complex(float(obj["re"]), float(obj["im"]))
+        return complex(json_number(obj["re"], "re"), json_number(obj["im"], "im"))
     raise ValueError(f"not a complex-number object: {obj!r}")
 
 

@@ -289,15 +289,17 @@ _P2_RANDOM_COEFFS = {
 
 def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
     def check(orb, confined_seed):
-        cyc = cyclicity_rank(orb, config.tolerances.rank_tol, witness=True)
+        j = _missing_class_index(orb)
+        cyc = cyclicity_rank(orb, config.tolerances.rank_tol, witness=j is None)
         bounds = bounds_from_singular_values(cyc.singular_values, orb.V.shape)
         entry = {
             "rank": cyc.rank,
             "span_dimension_deficit": cyc.span_dimension_deficit,
             **_bounds_columns(bounds),
         }
-        if cyc.witness is not None:
-            entry["witness_frame_sum"] = frame_sum(cyc.witness, orb)
+        witness = cyc.witness if j is None else hs.monomial(j, orb.order)
+        if witness is not None:
+            entry["witness_frame_sum"] = frame_sum(witness, orb)
         ok = cyc.span_dimension_deficit > 0 and bounds.numerically_zero_lower
         if confined_seed:
             confined = _confinement_holds(orb)
@@ -321,6 +323,20 @@ def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
         ]
     consistent, evidence = _cases(config, cases, check)
     return _verdict(consistent), evidence
+
+
+def _missing_class_index(orb) -> int | None:
+    """The smallest j <= N in a residue class mod m that the seed of the
+    z^m orbit misses, or None when there is none.
+
+    Every orbit element z^{mn} f keeps f's classes, so column j of V is
+    exactly zero and z^j is an exact witness of the span deficit: its
+    frame sum is 0.0.  j < m, so None means that the seed meets every
+    class, or that N < m - 1 and it meets the classes of 0..N.
+    """
+    m = orb.symbol.spec.power
+    classes = set(class_support(orb.seed, m))
+    return next((j for j in range(min(m, orb.order + 1)) if j not in classes), None)
 
 
 def _confinement_holds(orb) -> bool:
@@ -628,10 +644,10 @@ def check_resolution(config: ExperimentConfig) -> None:
     """Raise ConfigError when a suite at the config's (N, K) would build an
     array of more than MAX_ORBIT_ENTRIES coefficients.
 
-    The largest is a square of side max(N, K) + 1: Ex_3_1's orbit, P2's
-    SVD factors, and the trend orbits of P1, P4i and P6 at (N, N) when
-    K < N (side max(16, N) + 1); Ex_constant's 61 rows fit in it, or in
-    61 x 61.
+    The largest is a square of side max(N, K) + 1: Ex_3_1's orbit, the
+    SVD factors P2 forms for a seed that meets every residue class, and
+    the trend orbits of P1, P4i and P6 at (N, N) when K < N (side
+    max(16, N) + 1); Ex_constant's 61 rows fit in it, or in 61 x 61.
     """
     side = max(config.truncation_order, config.orbit_length) + 1
     config.check_size(side, side)

@@ -147,8 +147,10 @@ def test_frame_bounds_csv(tmp_path, capsys):
 
 
 def test_svd_failure_in_frame_bounds_exits_3(tmp_path, capsys, monkeypatch):
+    # a dense orbit: the spectrum of a scaled permutation, such as the
+    # default shift orbit's, needs no LAPACK call
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, n=8, k=8)
+    write_config(cfg_path, symbol=SymbolSpec.blaschke([0.5]), seed=(1.0, 0.5), n=8, k=8)
 
     def boom(*_args, **_kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -159,9 +161,10 @@ def test_svd_failure_in_frame_bounds_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_lapack_failure_exits_3_not_usage(tmp_path, capsys, monkeypatch):
-    # LinAlgError subclasses ValueError, the usage-error class
+    # LinAlgError subclasses ValueError, the usage-error class; the orbit
+    # is dense, so the SVD is reached
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, n=8, k=8)
+    write_config(cfg_path, symbol=SymbolSpec.blaschke([0.5]), seed=(1.0, 0.5), n=8, k=8)
 
     def boom(*_args, **_kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -282,6 +285,36 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, field, value):
     for command in ("orbit", "innerness", "cyclicity"):
         assert main([command, "--config", str(cfg_path)]) == 2, command
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # tolerances and complex parts are JSON numbers: a bool or a string
+        # that float() would accept is not one
+        (("tolerances", "inner_tol"), True),
+        (("tolerances", "inner_tol"), "0.5"),
+        (("tolerances", "rank_tol"), True),
+        (("tolerances", "rank_tol"), "1e-10"),
+        (("seed_coeffs", 0, "re"), "1"),
+        (("seed_coeffs", 0, "im"), False),
+        (("symbol", "zeros", 0, "re"), True),
+        (("symbol", "prefactor", "im"), "0"),
+    ],
+)
+def test_non_number_config_value_exits_2(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, symbol=SymbolSpec.blaschke([0.5]))
+    payload = json.loads(cfg_path.read_text())
+    target = payload
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    with pytest.raises(ConfigError, match=f"{field[-1]} must be a JSON number"):
+        config_from_json(payload)
+    cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["orbit", "--config", str(cfg_path)]) == 2
+    assert f"{field[-1]} must be a JSON number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n, k", [(10**6, 10**6), (64, 10**6), (10**7, 1)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hardyframes.frames import (
+    _svd_nonzero,
     bounds_from_singular_values,
     bounds_vs_truncation,
     frame_bounds_estimate,
@@ -369,6 +370,113 @@ def test_nonzero_rows_passes_a_full_matrix_without_copy():
     assert nonzero_rows(full) is full
     sparse = make_orbit(SymbolSpec.monomial(2), [1], 12, 8).V
     assert np.array_equal(nonzero_rows(sparse), sparse[:5])
+
+
+def _padded(v):
+    """_svd_nonzero(v) padded with exact zeros to the min(v.shape) values
+    of np.linalg.svd(v)."""
+    sigma = np.zeros(min(v.shape))
+    reduced = _svd_nonzero(v)
+    sigma[: reduced.size] = reduced
+    return sigma
+
+
+def _no_lapack(monkeypatch):
+    def boom(*_args, **_kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", boom)
+
+
+def _staircase(values, shape, step=1, offset=0):
+    """values at (n, step * n + offset): the pattern of a shift or z^m orbit
+    of a seed z^offset."""
+    v = np.zeros(shape, dtype=np.asarray(values).dtype)
+    n = np.arange(len(values))
+    v[n, step * n + offset] = values
+    return v
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        _staircase(0.5 ** np.arange(9), (9, 9)),
+        _staircase((-0.9) ** np.arange(12), (12, 12)),
+        _staircase([1.0, -2.5, 3e-310, -7e-320, 0.75], (7, 5)),
+        _staircase(np.ones(9), (13, 17), step=2),
+        _staircase(-1.25 ** np.arange(6), (6, 18), step=3, offset=1),
+        _staircase([-4.0], (1, 6), offset=5),
+    ],
+    ids=["shift-half", "shift-negative", "subnormal-tall", "z2-seed-1", "z3-seed-z", "single-row"],
+)
+def test_real_scaled_permutation_spectrum_is_lapacks_bit_for_bit(v, monkeypatch):
+    # the sorted moduli are the exact singular values, and LAPACK returns
+    # them exactly on these patterns
+    reference = np.linalg.svd(v, compute_uv=False)
+    _no_lapack(monkeypatch)
+    assert np.array_equal(_padded(v.astype(complex)), reference)
+
+
+@pytest.mark.parametrize(
+    "values, shape, step",
+    [
+        ((0.3 + 0.4j) ** np.arange(10), (10, 10), 1),
+        (0.8 * np.exp(-1.1j * np.arange(20)), (20, 20), 1),
+        (np.array([2j, -1 - 1j, 3e-310 + 1e-310j, 0.5 - 0.25j]), (4, 12), 3),
+        (np.exp(0.7j) ** np.arange(5), (9, 10), 2),
+    ],
+    ids=["shift-0.3+0.4i", "shift-unit-phase", "z3-subnormal", "z2-tall"],
+)
+def test_complex_scaled_permutation_spectrum_is_within_2_ulp(values, shape, step, monkeypatch):
+    v = _staircase(values, shape, step)
+    reference = np.linalg.svd(v, compute_uv=False)
+    _no_lapack(monkeypatch)
+    assert np.all(np.abs(_padded(v) - reference) <= 2 * np.spacing(reference))
+
+
+def test_scattered_scaled_permutation_is_within_2_ulp(monkeypatch):
+    # rows and columns in any order; LAPACK's reflections may round here
+    rng = np.random.default_rng(7)
+    for shape in ((9, 14), (30, 30), (41, 27)):
+        r = min(shape)
+        v = np.zeros(shape, dtype=complex)
+        rows, cols = rng.permutation(shape[0])[:r], rng.permutation(shape[1])[:r]
+        v[rows, cols] = rng.standard_normal(r) * np.exp(2j * np.pi * rng.uniform(size=r))
+        for block in (v, v.real.astype(complex)):
+            reference = np.linalg.svd(block, compute_uv=False)
+            with monkeypatch.context() as patch:
+                _no_lapack(patch)
+                sigma = _padded(block)
+            assert np.all(np.abs(sigma - reference) <= 2 * np.spacing(reference))
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs, k, order",
+    [
+        (SymbolSpec.monomial(2), [1, 0, 1], 24, 16),  # odd columns zero
+        (SymbolSpec.monomial(3), [0, 0.5j, 0, 0, -1.0], 12, 30),  # classes 0, 2 zero
+        (SymbolSpec.constant(0.5), [1], 8, 12),  # one nonzero column
+        (SymbolSpec.constant(0.3 - 0.2j), [1, 0.5, 0, 0.25j], 8, 12),
+    ],
+)
+def test_zero_columns_are_dropped_without_moving_the_spectrum(spec, coeffs, k, order):
+    v = make_orbit(spec, coeffs, k, order).V
+    assert not np.all(np.any(v, axis=0))
+    reference = np.linalg.svd(v, compute_uv=False)
+    assert np.max(np.abs(_padded(v) - reference)) <= (order + 1) * EPS * reference[0]
+    assert _svd_nonzero(v).size <= np.count_nonzero(np.any(v, axis=0)) < order + 1
+
+
+def test_single_row_and_zero_matrices(monkeypatch):
+    row = np.array([[0.0, 3.0, 0.0, -4.0, 0.0]], dtype=complex)
+    reference = np.linalg.svd(row, compute_uv=False)
+    assert np.all(np.abs(_padded(row) - reference) <= 2 * np.spacing(reference))
+    zero = np.zeros((6, 9), dtype=complex)
+    reference = np.linalg.svd(zero, compute_uv=False)
+    _no_lapack(monkeypatch)
+    assert _svd_nonzero(zero).size == 0
+    bounds = frame_bounds_estimate(zero)
+    assert (bounds.A_est, bounds.B_est) == (0.0, 0.0) and not reference.any()
 
 
 def test_bounds_overflow_raises_floating_point_error():

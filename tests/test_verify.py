@@ -8,6 +8,8 @@ import pytest
 from hardyframes import orbits
 from hardyframes.cli import default_config
 from hardyframes.config import ExperimentConfig, ToleranceSettings
+from hardyframes.diagnostics import cyclicity_rank
+from hardyframes.frames import frame_bounds_estimate
 from hardyframes.jsonio import dumps_canonical
 from hardyframes.symbols import SymbolSpec
 from hardyframes.verify import (
@@ -111,20 +113,98 @@ def test_p2_seed_literals_are_the_seeded_draws():
     assert [len(group) for group in _P2_RANDOM_COEFFS[2]] == [4, 6]
 
 
-def test_p2_factors_each_orbit_once(config, monkeypatch):
-    # rank, witness and both bounds of each of the 8 orbits come from one
-    # SVD of its nonzero rows
+def _svd_census(monkeypatch) -> list:
+    """Patch np.linalg.svd to log (shape, compute_uv) of every call."""
     svd = np.linalg.svd
-    shapes = []
+    calls = []
 
-    def counting(a, *args, **kwargs):
-        shapes.append(a.shape)
+    def census(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("compute_uv", True)))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", census)
+    return calls
+
+
+def test_p2_factors_each_orbit_once(config, monkeypatch):
+    # rank, witness and both bounds of each of the 8 orbits come from at
+    # most one SVD: none for seed 1 (a scaled permutation), values only of
+    # the nonzero rows and columns for 1 + z^m and the class-one seed
+    # (their witness is a monomial), and full factors of the nonzero rows
+    # only for the mixed seeds, which meet every residue class
+    calls = _svd_census(monkeypatch)
     verify("P2", config)
-    assert len(shapes) == 8
-    assert all(rows < config.orbit_length + 1 for rows, _ in shapes)
+    assert len(calls) == 6
+    assert [uv for _, uv in calls] == [False, False, True] * 2
+    assert all(rows < config.orbit_length + 1 for (rows, _), _ in calls)
+    assert all(cols < config.truncation_order + 1 for (_, cols), uv in calls if not uv)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_p2_confined_seed_witness_is_an_exact_monomial(config, m):
+    # the witness is z^j for the smallest j in a class the seed misses:
+    # column j of V is exactly zero, so its frame sum is exactly 0.0
+    evidence = verify("P2", config).evidence
+    class_one, _ = _P2_RANDOM_COEFFS[m]
+    for label, seed in (
+        (f"m{m}_one", [1.0]),
+        (f"m{m}_one_plus_z_m", [1.0] + [0.0] * (m - 1) + [1.0]),
+        (f"m{m}_class_one_random", [0.0, class_one[0]]),
+    ):
+        orb = orbits.orbit_for(SymbolSpec.monomial(m), seed, 64, 64)
+        j = verify_module._missing_class_index(orb)
+        assert j == (0 if "class_one" in label else 1)
+        assert not orb.V[:, j].any()
+        assert evidence[label]["witness_frame_sum"] == 0.0
+    assert evidence[f"m{m}_mixed_random"]["witness_frame_sum"] > 0.0
+
+
+def test_p2_falls_back_to_the_svd_witness_when_n_is_below_m_minus_1(monkeypatch):
+    # at N = 1 the mixed seed of z^3 is a0 + a1 z: it misses class 2, but
+    # no index <= N lies in it, so the witness comes from the full SVD
+    orb = orbits.orbit_for(SymbolSpec.monomial(3), _P2_RANDOM_COEFFS[3][1], 1, 8)
+    assert verify_module._missing_class_index(orb) is None
+    assert verify_module._missing_class_index(
+        orbits.orbit_for(SymbolSpec.monomial(3), [1.0, 1.0], 2, 8)
+    ) == 2
+    config = ExperimentConfig(
+        symbol=SymbolSpec.monomial(1), truncation_order=1, orbit_length=8
+    )
+    calls = _svd_census(monkeypatch)
+    report = verify("P2", config)
+    assert report.verdict == "consistent", report.evidence
+    # only the mixed seeds take full factors: z^2's meets both classes, and
+    # z^3's misses only class 2, which lies beyond N
+    assert sum(uv for _, uv in calls) == 2
+    assert "witness_frame_sum" in report.evidence["m3_mixed_random"]
+
+
+@pytest.mark.parametrize(
+    "prop, calls_expected",
+    [
+        # P1: only the constant cases, one nonzero column each, are factored
+        ("P1", 6),
+        # P6: only the Blaschke and 1 - z seeds are; Ex_3_1 never is
+        ("P6", 6),
+        ("Ex_3_1", 0),
+    ],
+)
+def test_shift_and_monomial_seed_one_orbits_skip_lapack(config, monkeypatch, prop, calls_expected):
+    calls = _svd_census(monkeypatch)
+    report = verify(prop, config)
+    assert len(calls) == calls_expected
+    if prop == "P1":
+        assert all(cols == 1 for (_, cols), _ in calls)
+    if prop == "P6":
+        assert report.evidence["shift_seed_one"]["rank"] == config.truncation_order + 1
+        assert report.evidence["squared_shift_seed_one"]["rank"] == config.truncation_order // 2 + 1
+    for spec in (SymbolSpec.scaled_shift(0.5), SymbolSpec.scaled_shift(1.25),
+                 SymbolSpec.monomial(1), SymbolSpec.monomial(2)):
+        orb = orbits.orbit_for(spec, (1.0,), config.truncation_order, config.orbit_length)
+        before = len(calls)
+        cyclicity_rank(orb)
+        frame_bounds_estimate(orb.V)
+        assert len(calls) == before, spec
 
 
 @pytest.mark.parametrize("prop", ["P1", "P4i"])
