@@ -57,8 +57,10 @@ COMMANDS = (
 # then an orbit too short to classify decay (K + 1 < 8)
 BATTERY_RESOLUTIONS = ((16, 16), (32, 32), (24, 60), (60, 24), (20, 5))
 # (suite, N, K) of single `verify` runs, with M = 8N: P4i at N = K = 512
-# holds a growth trend whose B would overflow past K' = 511
-VERIFY_RESOLUTIONS = (("P4i", 512, 512),)
+# holds a growth trend whose B would overflow past K' = 511, and P2 at
+# N = 1 sees only f_0 and f_1 of z^3's mixed seed, which meets every
+# residue class mod 3 that lies within N
+VERIFY_RESOLUTIONS = (("P4i", 512, 512), ("P2", 1, 8))
 
 
 def _complex_list(values) -> list:

@@ -45,6 +45,8 @@ class OutputSettings:
     def __post_init__(self):
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {self.format!r}")
+        if self.path is not None and not isinstance(self.path, str):
+            raise ConfigError(f"path must be a JSON string or null, not {self.path!r}")
 
 
 @dataclass(frozen=True)

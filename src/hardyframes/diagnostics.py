@@ -42,7 +42,6 @@ class CyclicityReport:
     rank: int
     span_dimension_deficit: int
     singular_values: np.ndarray
-    witness: TruncatedSeries | None
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,7 @@ def zeros_in_disk(f: TruncatedSeries, margin: float) -> DiskZeros:
     return DiskZeros(inside=inside, boundary_ambiguous=ambiguous, margin=margin)
 
 
-def cyclicity_rank(
-    orb: Orbit, rank_tol: float = RANK_REL_TOL, witness: bool = False
-) -> CyclicityReport:
+def cyclicity_rank(orb: Orbit, rank_tol: float = RANK_REL_TOL) -> CyclicityReport:
     """Numerical rank of the orbit's coefficient matrix on span{z^0..z^N}.
 
     Full rank is the truncation-level surrogate for a dense span; the full
@@ -114,20 +111,9 @@ def cyclicity_rank(
     zero rows and zero columns (which add nothing but zeros; the sorted
     moduli when the rest is a scaled permutation, otherwise a values-only
     SVD, real when the data are), padded with exact zeros to the
-    min(K+1, N+1) values of V itself.  Only when `witness` is asked for
-    does one SVD of the nonzero rows also compute its factors: if the span
-    is deficient, the witness is then the last row w of the right factor,
-    so ||V conj(w)|| is the smallest singular value (0 when V has fewer
-    than N+1 nonzero rows); the frame operator is never formed, so its
-    squared condition number never enters.  Otherwise the report's
-    witness is None.
+    min(K+1, N+1) values of V itself.
     """
-    if witness:
-        # full matrices keep a null-space row of Vh when there are fewer
-        # than N+1 nonzero rows
-        _, nonzero, vh = _svd_nonzero(orb.V, compute_uv=True)
-    else:
-        nonzero = _svd_nonzero(orb.V)
+    nonzero = _svd_nonzero(orb.V)
     singulars = np.zeros(min(orb.V.shape))
     singulars[: nonzero.size] = nonzero
     sigma_max = float(singulars[0]) if singulars.size else 0.0
@@ -135,12 +121,10 @@ def cyclicity_rank(
         rank = 0
     else:
         rank = int(np.count_nonzero(singulars > rank_tol * sigma_max))
-    deficit = (orb.order + 1) - rank
     return CyclicityReport(
         rank=rank,
-        span_dimension_deficit=deficit,
+        span_dimension_deficit=(orb.order + 1) - rank,
         singular_values=singulars,
-        witness=TruncatedSeries(vh[-1]) if witness and deficit > 0 else None,
     )
 
 

@@ -5,12 +5,13 @@ All bounds computed here are finite-section estimates carrying their
 Values of the lower estimate below 1e-12 * B are reported as numerically
 zero (the span-deficiency signal).
 
-Every quantity here is one BLAS product or at most one factorization of
+Every quantity here is one BLAS product or at most one values-only SVD of
 the orbit matrix V: the Gram matrix (mirrored so it is exactly Hermitian),
 the pairings behind frame sums, and the frame bounds, which are the
-squared extreme singular values of V.  Zero rows and zero columns of V are
-not factored, and a V whose remaining entries form a scaled permutation is
-not factored at all: its singular values are their moduli.
+squared extreme singular values of V.  No SVD factor is ever formed.  Zero
+rows and zero columns of V are not factored, and a V whose remaining
+entries form a scaled permutation is not factored at all: its singular
+values are their moduli.
 """
 
 from __future__ import annotations
@@ -74,43 +75,28 @@ def gram(orb: Orbit) -> np.ndarray:
     return g
 
 
-def nonzero_rows(v: np.ndarray) -> np.ndarray:
-    """The rows of v that are not exactly zero; v itself, not a copy, when
-    no row is zero.
-
-    A zero row adds nothing to V^T conj(V) or to the row space, and for a
-    z^m orbit (m >= 2) most rows are zero once m*n exceeds N.
-    """
-    keep = np.any(v, axis=1)
-    return v if keep.all() else v[keep]
-
-
-def _svd_nonzero(v: np.ndarray, compute_uv: bool = False):
+def _svd_nonzero(v: np.ndarray) -> np.ndarray:
     """Singular values of v in descending order, short of the exact zeros
-    that its zero rows and zero columns contribute; with compute_uv, the
-    full-matrices np.linalg.svd of its nonzero rows instead.
+    that its zero rows and zero columns contribute.
 
     A zero column, like a zero row, only adds a zero singular value: a
     constant symbol from seed 1 leaves one column, and z^m (m >= 2) leaves
     the residue classes of its seed.  When what remains has one nonzero per
     row and per column (a scaled permutation: c*z or z^m from seed 1, z^m
     from seed z^j), its singular values are the moduli of those entries,
-    sorted, and no LAPACK call is made.  Anything else is factored by LAPACK, in
-    float64 when no imaginary part is nonzero: most orbits of a real
-    symbol and a real seed are real, and a real SVD costs about half as
-    much as the complex one of the same data.
+    sorted, and no LAPACK call is made.  Anything else takes one
+    values-only LAPACK SVD, in float64 when no imaginary part is nonzero:
+    most orbits of a real symbol and a real seed are real, and a real SVD
+    costs about half as much as the complex one of the same data.
     """
-    if compute_uv:
-        block = nonzero_rows(v)
-    else:
-        nonzero = v != 0
-        rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
-        if np.count_nonzero(nonzero) == np.count_nonzero(rows) == np.count_nonzero(cols):
-            return np.sort(np.abs(v[nonzero]))[::-1]
-        block = v if rows.all() and cols.all() else v[np.ix_(rows, cols)]
+    nonzero = v != 0
+    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    if np.count_nonzero(nonzero) == np.count_nonzero(rows) == np.count_nonzero(cols):
+        return np.sort(np.abs(v[nonzero]))[::-1]
+    block = v if rows.all() and cols.all() else v[np.ix_(rows, cols)]
     if not block.imag.any():
         block = block.real
-    return np.linalg.svd(block, compute_uv=compute_uv)
+    return np.linalg.svd(block, compute_uv=False)
 
 
 def bounds_from_singular_values(sigma: np.ndarray, shape: tuple) -> FrameBounds:

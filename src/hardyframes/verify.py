@@ -289,17 +289,14 @@ _P2_RANDOM_COEFFS = {
 
 def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
     def check(orb, confined_seed):
-        j = _missing_class_index(orb)
-        cyc = cyclicity_rank(orb, config.tolerances.rank_tol, witness=j is None)
+        cyc = cyclicity_rank(orb, config.tolerances.rank_tol)
         bounds = bounds_from_singular_values(cyc.singular_values, orb.V.shape)
         entry = {
             "rank": cyc.rank,
             "span_dimension_deficit": cyc.span_dimension_deficit,
             **_bounds_columns(bounds),
+            "witness_frame_sum": frame_sum(_span_deficit_witness(orb), orb),
         }
-        witness = cyc.witness if j is None else hs.monomial(j, orb.order)
-        if witness is not None:
-            entry["witness_frame_sum"] = frame_sum(witness, orb)
         ok = cyc.span_dimension_deficit > 0 and bounds.numerically_zero_lower
         if confined_seed:
             confined = _confinement_holds(orb)
@@ -325,18 +322,19 @@ def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
     return _verdict(consistent), evidence
 
 
-def _missing_class_index(orb) -> int | None:
-    """The smallest j <= N in a residue class mod m that the seed of the
-    z^m orbit misses, or None when there is none.
+def _span_deficit_witness(orb) -> TruncatedSeries:
+    """A nonzero series orthogonal to every element of the orbit of z^m,
+    m >= 2, from its seed f.
 
-    Every orbit element z^{mn} f keeps f's classes, so column j of V is
-    exactly zero and z^j is an exact witness of the span deficit: its
-    frame sum is 0.0.  j < m, so None means that the seed meets every
-    class, or that N < m - 1 and it meets the classes of 0..N.
+    For n >= 1, z^{mn} f lies in z^m H^2, orthogonal to span{1, z}, so only
+    f meets that plane.  When f_j = 0 for j in {0, 1}, column j of V is
+    exactly zero and the witness is z^j; otherwise it is
+    conj(f_1) - conj(f_0) z, whose pairing with f is f_0 f_1 - f_1 f_0.
     """
-    m = orb.symbol.spec.power
-    classes = set(class_support(orb.seed, m))
-    return next((j for j in range(min(m, orb.order + 1)) if j not in classes), None)
+    f0, f1 = orb.V[0, :2]
+    if f0 == 0 or f1 == 0:
+        return hs.monomial(0 if f0 == 0 else 1, orb.order)
+    return TruncatedSeries(np.array([np.conj(f1), -np.conj(f0)]))
 
 
 def _confinement_holds(orb) -> bool:
@@ -644,8 +642,7 @@ def check_resolution(config: ExperimentConfig) -> None:
     """Raise ConfigError when a suite at the config's (N, K) would build an
     array of more than MAX_ORBIT_ENTRIES coefficients.
 
-    The largest is a square of side max(N, K) + 1: Ex_3_1's orbit, the
-    SVD factors P2 forms for a seed that meets every residue class, and
+    The largest is a square of side max(N, K) + 1: Ex_3_1's orbit, and
     the trend orbits of P1, P4i and P6 at (N, N) when K < N (side
     max(16, N) + 1); Ex_constant's 61 rows fit in it, or in 61 x 61.
     """

@@ -317,6 +317,21 @@ def test_non_number_config_value_exits_2(tmp_path, capsys, field, value):
     assert f"{field[-1]} must be a JSON number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [1, True, ["x"], {"file": "x"}, 0.5])
+def test_non_string_output_path_exits_2(tmp_path, capsys, value):
+    # an integer path would be opened as a file descriptor (1 is stdout),
+    # and a list would fail inside open()
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, symbol=SymbolSpec.blaschke([0.5]))
+    payload = json.loads(cfg_path.read_text())
+    payload["output"]["path"] = value
+    with pytest.raises(ConfigError, match="path must be a JSON string or null"):
+        config_from_json(payload)
+    cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["orbit", "--config", str(cfg_path)]) == 2
+    assert "path must be a JSON string or null" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n, k", [(10**6, 10**6), (64, 10**6), (10**7, 1)])
 def test_oversized_config_is_rejected(n, k):
     with pytest.raises(ConfigError, match="too large"):

@@ -13,7 +13,6 @@ from hardyframes.frames import (
     frame_bounds_estimate,
     frame_sum,
     gram,
-    nonzero_rows,
     partial_frame_sums,
 )
 from hardyframes.diagnostics import kernel_orthogonality_witness, reproducing_kernel
@@ -363,13 +362,6 @@ def test_bounds_lower_is_zero_with_fewer_nonzero_rows_than_columns():
     b = frame_bounds_estimate(make_orbit(SymbolSpec.blaschke([0.3]), [1], 8, 16).V)
     assert (b.N, b.K) == (16, 8)
     assert b.A_est == 0.0 and b.B_est > 0.0 and b.numerically_zero_lower
-
-
-def test_nonzero_rows_passes_a_full_matrix_without_copy():
-    full = make_orbit(SymbolSpec.monomial(1), [1], 8, 8).V
-    assert nonzero_rows(full) is full
-    sparse = make_orbit(SymbolSpec.monomial(2), [1], 12, 8).V
-    assert np.array_equal(nonzero_rows(sparse), sparse[:5])
 
 
 def _padded(v):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hardyframes import orbits
-from hardyframes.cli import default_config
+from hardyframes.cli import default_config, main
 from hardyframes.config import ExperimentConfig, ToleranceSettings
 from hardyframes.diagnostics import cyclicity_rank
 from hardyframes.frames import frame_bounds_estimate
@@ -127,56 +127,83 @@ def _svd_census(monkeypatch) -> list:
 
 
 def test_p2_factors_each_orbit_once(config, monkeypatch):
-    # rank, witness and both bounds of each of the 8 orbits come from at
-    # most one SVD: none for seed 1 (a scaled permutation), values only of
-    # the nonzero rows and columns for 1 + z^m and the class-one seed
-    # (their witness is a monomial), and full factors of the nonzero rows
-    # only for the mixed seeds, which meet every residue class
+    # rank and both bounds of each of the 8 orbits come from at most one
+    # values-only SVD of the nonzero rows and columns, and the witness
+    # from none: seed 1 is a scaled permutation, and 1 + z^m, the
+    # class-one seed and the mixed seed (which meets every column) are
+    # factored once each
     calls = _svd_census(monkeypatch)
     verify("P2", config)
     assert len(calls) == 6
-    assert [uv for _, uv in calls] == [False, False, True] * 2
+    assert not any(uv for _, uv in calls)
     assert all(rows < config.orbit_length + 1 for (rows, _), _ in calls)
-    assert all(cols < config.truncation_order + 1 for (_, cols), uv in calls if not uv)
+    n = config.truncation_order
+    assert [cols < n + 1 for (_, cols), _ in calls] == [True, True, False] * 2
+
+
+def test_report_all_asks_no_svd_for_factors(tmp_path, monkeypatch):
+    # every spectrum in the battery is values only
+    calls = _svd_census(monkeypatch)
+    assert main(["report-all", "--out-dir", str(tmp_path)]) == 0
+    assert calls
+    assert not any(uv for _, uv in calls)
+
+
+def _p2_seeds(m: int) -> dict:
+    class_one, mixed = _P2_RANDOM_COEFFS[m]
+    class_one_seed = [0j] * (2 + m * (len(class_one) - 1))
+    class_one_seed[1::m] = class_one
+    return {
+        f"m{m}_one": [1.0],
+        f"m{m}_one_plus_z_m": [1.0] + [0.0] * (m - 1) + [1.0],
+        f"m{m}_class_one_random": class_one_seed,
+        f"m{m}_mixed_random": list(mixed),
+    }
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_p2_confined_seed_witness_is_an_exact_monomial(config, m):
-    # the witness is z^j for the smallest j in a class the seed misses:
-    # column j of V is exactly zero, so its frame sum is exactly 0.0
+    # a seed with f_j = 0 for j in {0, 1} has its witness z^j: column j of
+    # V is exactly zero, so the frame sum is exactly 0.0
     evidence = verify("P2", config).evidence
-    class_one, _ = _P2_RANDOM_COEFFS[m]
-    for label, seed in (
-        (f"m{m}_one", [1.0]),
-        (f"m{m}_one_plus_z_m", [1.0] + [0.0] * (m - 1) + [1.0]),
-        (f"m{m}_class_one_random", [0.0, class_one[0]]),
-    ):
+    for label, seed in _p2_seeds(m).items():
+        if "mixed" in label:
+            continue
         orb = orbits.orbit_for(SymbolSpec.monomial(m), seed, 64, 64)
-        j = verify_module._missing_class_index(orb)
-        assert j == (0 if "class_one" in label else 1)
+        witness = verify_module._span_deficit_witness(orb)
+        j = 0 if "class_one" in label else 1
+        assert np.array_equal(witness.coeffs, np.eye(65)[j])
         assert not orb.V[:, j].any()
         assert evidence[label]["witness_frame_sum"] == 0.0
-    assert evidence[f"m{m}_mixed_random"]["witness_frame_sum"] > 0.0
 
 
-def test_p2_falls_back_to_the_svd_witness_when_n_is_below_m_minus_1(monkeypatch):
-    # at N = 1 the mixed seed of z^3 is a0 + a1 z: it misses class 2, but
-    # no index <= N lies in it, so the witness comes from the full SVD
-    orb = orbits.orbit_for(SymbolSpec.monomial(3), _P2_RANDOM_COEFFS[3][1], 1, 8)
-    assert verify_module._missing_class_index(orb) is None
-    assert verify_module._missing_class_index(
-        orbits.orbit_for(SymbolSpec.monomial(3), [1.0, 1.0], 2, 8)
-    ) == 2
+@pytest.mark.parametrize(
+    "order, k",
+    [(1, 8), (2, 5), (16, 16), (24, 60), (60, 24), (64, 64), (128, 128), (256, 256)],
+)
+def test_p2_witness_is_orthogonal_to_the_orbit_at_every_resolution(order, k):
+    # only the seed meets span{1, z}, so the witness pairs with row 0 alone:
+    # z^j on an exactly zero column, or conj(f1) - conj(f0) z, whose one
+    # pairing f0 f1 - f1 f0 is zero up to the rounding of the two products
+    eps = np.finfo(float).eps
+    for m in (2, 3):
+        for label, seed in _p2_seeds(m).items():
+            orb = orbits.orbit_for(SymbolSpec.monomial(m), seed, order, k)
+            assert not orb.V[1:, :2].any(), label
     config = ExperimentConfig(
-        symbol=SymbolSpec.monomial(1), truncation_order=1, orbit_length=8
+        symbol=SymbolSpec.monomial(1), truncation_order=order, orbit_length=k,
+        boundary_grid=8 * order + 8,
     )
-    calls = _svd_census(monkeypatch)
     report = verify("P2", config)
     assert report.verdict == "consistent", report.evidence
-    # only the mixed seeds take full factors: z^2's meets both classes, and
-    # z^3's misses only class 2, which lies beyond N
-    assert sum(uv for _, uv in calls) == 2
-    assert "witness_frame_sum" in report.evidence["m3_mixed_random"]
+    for m in (2, 3):
+        for label, seed in _p2_seeds(m).items():
+            frame_sum = report.evidence[label]["witness_frame_sum"]
+            if "mixed" in label:
+                f0, f1 = abs(seed[0]), abs(seed[1])
+                assert frame_sum <= (4 * eps * f0 * f1) ** 2, label
+            else:
+                assert frame_sum == 0.0, label
 
 
 @pytest.mark.parametrize(
