@@ -66,8 +66,6 @@ class Orbit:
 class DecayReport:
     classification: str  # decays_to_zero | bounded_non_decaying | grows
     rate_estimate: float
-    n_used: int
-    used_truncated_tail: bool
 
 
 def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) -> Orbit:
@@ -221,24 +219,13 @@ def decay_profile(orb: Orbit) -> DecayReport:
         raise ValueError(f"need at least {MIN_ORBIT_FOR_DECAY} orbit elements")
 
     prefix = orb.exact_prefix_length()
-    if prefix >= MIN_ORBIT_FOR_DECAY:
-        norms = orb.norms[:prefix]
-        used_truncated = False
-    else:
-        norms = orb.norms
-        used_truncated = bool(orb.truncated.any())
-    n_used = norms.size
+    norms = orb.norms[:prefix] if prefix >= MIN_ORBIT_FOR_DECAY else orb.norms
 
     if np.any(norms == 0.0):
-        return DecayReport(
-            classification="decays_to_zero",
-            rate_estimate=0.0,
-            n_used=n_used,
-            used_truncated_tail=used_truncated,
-        )
+        return DecayReport(classification="decays_to_zero", rate_estimate=0.0)
 
-    start = n_used // 2
-    idx = np.arange(start, n_used, dtype=float)
+    start = norms.size // 2
+    idx = np.arange(start, norms.size, dtype=float)
     logs = np.log(norms[start:])
     design = np.vstack([idx, np.ones_like(idx)]).T
     slope = float(np.linalg.lstsq(design, logs, rcond=None)[0][0])
@@ -249,9 +236,4 @@ def decay_profile(orb: Orbit) -> DecayReport:
         classification = "grows"
     else:
         classification = "bounded_non_decaying"
-    return DecayReport(
-        classification=classification,
-        rate_estimate=float(np.exp(slope)),
-        n_used=n_used,
-        used_truncated_tail=used_truncated,
-    )
+    return DecayReport(classification=classification, rate_estimate=float(np.exp(slope)))

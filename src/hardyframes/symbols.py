@@ -258,18 +258,15 @@ def uses_exact_evaluation(sym: SymbolRealization) -> bool:
     return sym.spec.kind != "polynomial"
 
 
-def boundary_values(
-    sym: SymbolRealization, grid: BoundaryGrid, r: float = 1.0
-) -> np.ndarray:
-    """Symbol values on the ring r * grid.points, 0 <= r <= 1.
+def boundary_values(sym: SymbolRealization, grid: BoundaryGrid) -> np.ndarray:
+    """Symbol values at the grid points on the unit circle.
 
     The exact form is evaluated at those points when available; a
-    polynomial phi takes one FFT of its coefficients a_n r^n.
+    polynomial phi takes one FFT of its coefficients.
     """
     if uses_exact_evaluation(sym):
-        return evaluate_symbol(sym, r * grid.points)
-    coeffs = sym.series.coeffs * r ** np.arange(sym.series.coeffs.size)
-    return boundary_samples(TruncatedSeries(coeffs), grid)
+        return evaluate_symbol(sym, grid.points)
+    return boundary_samples(sym.series, grid)
 
 
 def innerness_test(

@@ -385,12 +385,15 @@ def _verify_p3(config: ExperimentConfig) -> tuple[str, dict]:
 
 
 def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
+    """Each symbol's image closure misses T, decided from |phi| on the M
+    grid points (min_modulus and max_modulus are its extremes there); the
+    inside symbol's orbit must decay and the outside one's grow."""
     if config.orbit_length + 1 < MIN_ORBIT_FOR_DECAY:
         return "inconclusive", {"reason": SHORT_ORBIT_REASON}
     grid = BoundaryGrid(config.boundary_grid)
 
     def check(orb, inside):
-        scan = image_circle_intersection(orb.symbol, grid, radial_levels=48)
+        scan = image_circle_intersection(orb.symbol, grid)
         decay, decay_columns = _decay(orb)
         entry = {
             "intersects_circle": scan.intersects_circle,
@@ -447,14 +450,14 @@ def _verify_p4ii(config: ExperimentConfig) -> tuple[str, dict]:
         pairing_rows = []
         worst_rel = 0.0
         for z0 in found.inside:
-            witness = kernel_orthogonality_witness(orb, z0)
-            rel = witness.max_pairing / max_norm
+            max_pairing = kernel_orthogonality_witness(orb, z0)
+            rel = max_pairing / max_norm
             worst_rel = max(worst_rel, rel)
             pairing_rows.append(
                 {
                     "zero_re": z0.real,
                     "zero_im": z0.imag,
-                    "max_pairing": witness.max_pairing,
+                    "max_pairing": max_pairing,
                     "relative_to_max_norm": rel,
                 }
             )

@@ -151,13 +151,13 @@ def test_criterion_6_dichotomy():
 
 def test_criterion_7_kernel_witness():
     orb = make_orbit(SymbolSpec.monomial(1), [-0.5, 1], 64, 64)
-    witness = kernel_orthogonality_witness(orb, 0.5)
+    max_pairing = kernel_orthogonality_witness(orb, 0.5)
     bounds = frame_bounds_estimate(orb.V)
-    ok = witness.max_pairing < 1e-10 and bounds.A_est < 1e-12 * bounds.B_est
+    ok = max_pairing < 1e-10 and bounds.A_est < 1e-12 * bounds.B_est
     check(
         "criterion 7: seed zero at 1/2 kills pairings (1e-10) and lower bound",
         ok,
-        f"max_pairing={witness.max_pairing:.3g}, A={bounds.A_est:.3g}",
+        f"max_pairing={max_pairing:.3g}, A={bounds.A_est:.3g}",
     )
 
 

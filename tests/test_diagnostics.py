@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hardyframes import diagnostics
 from hardyframes.diagnostics import (
+    CIRCLE_TOL,
     RANK_REL_TOL,
     class_support,
     cyclicity_rank,
@@ -15,12 +15,20 @@ from hardyframes.frames import frame_bounds_estimate
 from hardyframes.orbits import orbit
 from hardyframes.series import (
     BoundaryGrid,
+    TruncatedSeries,
+    boundary_samples,
     inner_product,
     monomial,
     norm_sq,
     series_from_coeffs,
 )
-from hardyframes.symbols import SymbolSpec, boundary_values, realize
+from hardyframes.symbols import (
+    SymbolSpec,
+    evaluate_symbol,
+    realize,
+    uses_exact_evaluation,
+)
+from hardyframes.verify import _scaled_blaschke_polynomial
 
 
 def seed(coeffs, order):
@@ -81,21 +89,19 @@ def test_kernel_center_must_be_interior():
 
 def test_witness_bounded_away_without_disk_zero():
     orb = make_orbit(SymbolSpec.monomial(1), [1, -1], 16, 24)
-    report = kernel_orthogonality_witness(orb, 0.3)
-    assert report.max_pairing >= 0.5  # |f(0.3)| = 0.7 at n = 0
-    assert report.argmax_n == 0
+    # the pairings are |z0^n f(z0)| = 0.7 * 0.3^n, largest at n = 0
+    assert abs(kernel_orthogonality_witness(orb, 0.3) - 0.7) < 1e-15
 
 
 def test_witness_vanishes_at_seed_zero():
     orb = make_orbit(SymbolSpec.monomial(1), [-0.5, 1], 64, 64)
-    report = kernel_orthogonality_witness(orb, 0.5)
-    assert report.max_pairing < 1e-10
+    assert kernel_orthogonality_witness(orb, 0.5) < 1e-10
 
 
 def test_witness_seed_one():
     orb = make_orbit(SymbolSpec.monomial(1), [1], 8, 8)
-    report = kernel_orthogonality_witness(orb, 0.25 + 0.1j)
-    assert abs(report.pairings[0] - 1.0) < 1e-15
+    # the pairings are |z0|^n, largest (1) at the seed
+    assert abs(kernel_orthogonality_witness(orb, 0.25 + 0.1j) - 1.0) < 1e-15
 
 
 def test_zero_kills_span_battery():
@@ -111,8 +117,7 @@ def test_zero_kills_span_battery():
         assert found.inside
         max_norm = float(np.max(orb.norms))
         for z0 in found.inside:
-            report = kernel_orthogonality_witness(orb, z0)
-            assert report.max_pairing < 1e-9 * max_norm
+            assert kernel_orthogonality_witness(orb, z0) < 1e-9 * max_norm
 
 
 # -- zeros in the disk ------------------------------------------------------------
@@ -278,45 +283,121 @@ def test_orbit_confined_to_residue_class(m, r):
 
 def test_image_half_shift_misses_circle():
     sym = realize(SymbolSpec.scaled_shift(0.5), 8)
-    report = image_circle_intersection(sym, BoundaryGrid(128), radial_levels=48)
+    report = image_circle_intersection(sym, BoundaryGrid(128))
     assert report.max_modulus < 0.51
     assert not report.intersects_circle
 
 
 def test_image_shift_touches_circle_in_the_limit():
     sym = realize(SymbolSpec.monomial(1), 8)
-    report = image_circle_intersection(sym, BoundaryGrid(128), radial_levels=48)
+    report = image_circle_intersection(sym, BoundaryGrid(128))
     assert report.intersects_circle
     assert report.max_modulus >= 1.0 - 1e-9
 
 
 def test_image_constant_two_outside():
     sym = realize(SymbolSpec.constant(2.0), 8)
-    report = image_circle_intersection(sym, BoundaryGrid(128), radial_levels=48)
+    report = image_circle_intersection(sym, BoundaryGrid(128))
     assert report.min_modulus == 2.0
     assert not report.intersects_circle
 
 
-def test_image_rings_are_the_unique_radii(monkeypatch):
-    # the rings are the radii np.unique would give, bit for bit and in order
-    ring_radii = []
-
-    def recording(sym, grid, r):
-        ring_radii.append(r)
-        return boundary_values(sym, grid, r)
-
-    monkeypatch.setattr(diagnostics, "boundary_values", recording)
-    sym = realize(SymbolSpec.monomial(1), 8)
-    for levels in range(2, 65):
-        ring_radii.clear()
-        image_circle_intersection(sym, BoundaryGrid(64), radial_levels=levels)
-        halves = 2.0 ** -np.arange(1, levels + 1)
-        radii = np.unique(np.concatenate([halves, 1.0 - halves]))
-        expected = radii[(radii > 0.0) & (radii < 1.0)]
-        assert np.array(ring_radii).tobytes() == expected.tobytes(), levels
+def _ring_values(sym, grid, r):
+    """The symbol on the ring r * grid.points: the closed form there, or one
+    FFT of a_n r^n for a polynomial."""
+    if uses_exact_evaluation(sym):
+        return evaluate_symbol(sym, r * grid.points)
+    coeffs = sym.series.coeffs * r ** np.arange(sym.series.coeffs.size)
+    return boundary_samples(TruncatedSeries(coeffs), grid)
 
 
-def test_image_requires_two_levels():
-    sym = realize(SymbolSpec.monomial(1), 8)
-    with pytest.raises(ValueError):
-        image_circle_intersection(sym, BoundaryGrid(128), radial_levels=1)
+def _ring_scan(sym, grid, radial_levels=48) -> bool:
+    """Reference: scan |phi| on the rings r_i e^{i theta_j} with radii 2^-i
+    and 1 - 2^-i (i <= 48, 95 distinct radii in (0, 1)); sampled moduli
+    straddling 1 within 1e-9 mean the image meets the circle."""
+    halves = 2.0 ** -np.arange(1, radial_levels + 1)
+    radii = np.unique(np.concatenate([halves, 1.0 - halves]))
+    radii = radii[(radii > 0.0) & (radii < 1.0)]
+    assert radii.size == 95
+    min_mod = np.inf
+    max_mod = 0.0
+    for r in radii:
+        moduli = np.abs(_ring_values(sym, grid, r))
+        min_mod = min(min_mod, float(np.min(moduli)))
+        max_mod = max(max_mod, float(np.max(moduli)))
+    return (min_mod <= 1.0 + CIRCLE_TOL) and (max_mod >= 1.0 - CIRCLE_TOL)
+
+
+def _random_polynomials(count: int) -> list:
+    """Degrees 1..6, a third with a dominant constant term (zero-free in
+    the disk), each scaled to sum |a_n| in [0.1, 10]."""
+    rng = np.random.default_rng(21)
+    out = []
+    for _ in range(count):
+        deg = int(rng.integers(1, 7))
+        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        if rng.uniform() < 1 / 3:
+            c[0] *= 3 * np.sum(np.abs(c[1:])) / abs(c[0])
+        c *= 10 ** rng.uniform(-1, 1) / np.sum(np.abs(c))
+        out.append(SymbolSpec.polynomial(c))
+    return out
+
+
+IMAGE_SPECS = (
+    [SymbolSpec.constant(c) for c in (0.5, 2.0, 1.0, np.exp(0.3j), 0.0, -1.0000001)]
+    + [SymbolSpec.monomial(m) for m in (0, 1, 3)]
+    + [SymbolSpec.scaled_shift(c) for c in (0.5, 1.0, np.exp(2j), -2.0)]
+    + [
+        SymbolSpec.blaschke([0.5]),
+        SymbolSpec.blaschke([0.3 + 0.4j, -0.6], prefactor=np.exp(0.4j)),
+        SymbolSpec.blaschke([], prefactor=np.exp(1j)),
+    ]
+    + [
+        SymbolSpec.polynomial(c)
+        for c in (
+            [2, 0, 5],  # |.| >= 3 on T, zeros at |z| ~ 0.63: meets T
+            [5, 1],  # zero-free in the disk: misses T
+            [1, 1],
+            [0.25, 0.25],
+            [3, -1],
+            [0, 0, 0.5, 0.3],
+            [-0.5, 1],
+            [1.5, 0, 0, 0, 0.5],  # |.| = 1 exactly where z^4 = -1
+        )
+    ]
+    + _random_polynomials(60)
+)
+
+
+@pytest.mark.parametrize("order", [8, 64])
+def test_image_rule_agrees_with_the_ring_scan(order):
+    assert len(IMAGE_SPECS) == 84
+    grid = BoundaryGrid(512)
+    verdicts = set()
+    for spec in IMAGE_SPECS:
+        sym = realize(spec, order)
+        report = image_circle_intersection(sym, grid)
+        assert report.intersects_circle == _ring_scan(sym, grid), spec
+        verdicts.add((report.intersects_circle, report.max_modulus < 1.0))
+    # the battery reaches all three answers: inside, outside, meets T
+    assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_image_rule_agrees_with_the_ring_scan_on_p4i_symbols():
+    grid = BoundaryGrid(2048)
+    for spec in (_scaled_blaschke_polynomial(0.9, 0.5, 256), SymbolSpec.constant(2.0)):
+        sym = realize(spec, 256)
+        report = image_circle_intersection(sym, grid)
+        assert not report.intersects_circle
+        assert _ring_scan(sym, grid) is False
+
+
+def test_image_zero_test_decides_outside_polynomials():
+    grid = BoundaryGrid(512)
+    meets = image_circle_intersection(realize(SymbolSpec.polynomial([2, 0, 5]), 8), grid)
+    assert meets.min_modulus > 2.99 and meets.intersects_circle
+    misses = image_circle_intersection(realize(SymbolSpec.polynomial([5, 1]), 8), grid)
+    assert misses.min_modulus > 3.99 and not misses.intersects_circle
+    # 2z vanishes at 0 even at order 0, where its stored series is 0
+    shift = image_circle_intersection(realize(SymbolSpec.scaled_shift(2.0), 0), grid)
+    assert shift.min_modulus > 1.99 and shift.intersects_circle

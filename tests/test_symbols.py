@@ -237,24 +237,21 @@ def test_evaluate_symbol_blaschke_matches_oracle_inside():
     assert np.max(np.abs(got - want)) < 1e-14
 
 
-# -- ring values -----------------------------------------------------------------
+# -- values on the circle ---------------------------------------------------------
 
 EPS = np.finfo(float).eps
-RING_RADII = [2.0**-48, 0.5, 1.0 - 2.0**-48]
 
 
-@pytest.mark.parametrize("r", RING_RADII, ids=["2^-48", "0.5", "1-2^-48"])
-def test_ring_values_of_a_polynomial_match_horner(r):
-    # one FFT of a_n r^n against Horner at r * points, within
-    # (N+1) eps sum |a_n| r^n
+def test_ring_values_of_a_polynomial_match_horner():
+    # one FFT of the coefficients against Horner at the grid points, within
+    # (N+1) eps sum |a_n|
     rng = np.random.default_rng(80)
     coeffs = rng.standard_normal(81) + 1j * rng.standard_normal(81)
     sym = realize(SymbolSpec.polynomial(coeffs), 80)
     grid = BoundaryGrid(512)
-    got = boundary_values(sym, grid, r)
-    horner = evaluate_symbol(sym, r * grid.points)
-    scale = np.sum(np.abs(coeffs) * r ** np.arange(81))
-    assert np.max(np.abs(got - horner)) <= 81 * EPS * scale
+    got = boundary_values(sym, grid)
+    horner = evaluate_symbol(sym, grid.points)
+    assert np.max(np.abs(got - horner)) <= 81 * EPS * np.sum(np.abs(coeffs))
 
 
 @pytest.mark.parametrize(
@@ -270,8 +267,4 @@ def test_ring_values_of_a_polynomial_match_horner(r):
 def test_ring_values_of_closed_forms_are_the_closed_form(spec):
     sym = realize(spec, 16)
     grid = BoundaryGrid(128)
-    for r in RING_RADII:
-        got = boundary_values(sym, grid, r)
-        assert got.tobytes() == evaluate_symbol(sym, r * grid.points).tobytes()
-    # the default ring is the circle itself
     assert boundary_values(sym, grid).tobytes() == evaluate_symbol(sym, grid.points).tobytes()

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ import pytest
 from hardyframes import orbits
 from hardyframes.cli import default_config, main
 from hardyframes.config import ExperimentConfig, ToleranceSettings
-from hardyframes.diagnostics import cyclicity_rank
+from hardyframes.diagnostics import cyclicity_rank, image_circle_intersection
 from hardyframes.frames import frame_bounds_estimate
 from hardyframes.jsonio import dumps_canonical
-from hardyframes.symbols import SymbolSpec
+from hardyframes.series import BoundaryGrid
+from hardyframes.symbols import SymbolSpec, realize
 from hardyframes.verify import (
     _P2_RANDOM_COEFFS,
     P6_TENSION_NOTE,
@@ -147,6 +149,38 @@ def test_report_all_asks_no_svd_for_factors(tmp_path, monkeypatch):
     assert main(["report-all", "--out-dir", str(tmp_path)]) == 0
     assert calls
     assert not any(uv for _, uv in calls)
+
+
+def _roots_census(monkeypatch) -> list:
+    """Patch np.roots to log the name of the function that calls it."""
+    roots = np.roots
+    callers = []
+
+    def census(p):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return roots(p)
+
+    monkeypatch.setattr(np, "roots", census)
+    return callers
+
+
+def test_image_test_finds_roots_only_outside_the_circle(tmp_path, monkeypatch):
+    # the image test asks for roots only when |phi| > 1 on all of T and phi
+    # is a polynomial of degree >= 1, which no battery symbol is: a
+    # report-all's only root finding is P4ii's, one per seed
+    callers = _roots_census(monkeypatch)
+    assert main(["report-all", "--out-dir", str(tmp_path)]) == 0
+    assert callers == ["zeros_in_disk"] * 3
+    callers.clear()
+    argv = ["verify", "P4i", "--truncation", "256", "--orbit-len", "256", "--grid", "2048"]
+    assert main([*argv, "--out", str(tmp_path / "p4i.json")]) == 0
+    assert callers == []
+    # 1 + z meets T with |phi| < 1 on part of it; 2 + 5z^2 has |phi| >= 3
+    # on T and zeros at |z| ~ 0.63
+    for coeffs, calls in (([1, 1], []), ([2, 0, 5], ["_vanishes_in_disk"])):
+        sym = realize(SymbolSpec.polynomial(coeffs), 8)
+        assert image_circle_intersection(sym, BoundaryGrid(512)).intersects_circle
+        assert callers == calls
 
 
 def _p2_seeds(m: int) -> dict:
@@ -342,10 +376,8 @@ def _constant_two_meets_the_circle(report, sym, *args, **kwargs):
     return report
 
 
-def _blaschke_kernel_pairs(report, orb, z0):
-    if orb.symbol.spec.kind == "blaschke":
-        return dataclasses.replace(report, max_pairing=1.0)
-    return report
+def _blaschke_kernel_pairs(max_pairing, orb, z0):
+    return 1.0 if orb.symbol.spec.kind == "blaschke" else max_pairing
 
 
 def _shift_seed_one_reads_non_cyclic(report, orb, *args, **kwargs):
