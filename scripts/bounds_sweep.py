@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from hardyframes import SymbolSpec, bounds_vs_truncation
+from hardyframes.frames import bounds_vs_truncation
+from hardyframes.symbols import SymbolSpec
 
 SYMBOLS = {
     "shift": SymbolSpec.monomial(1),

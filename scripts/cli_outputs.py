@@ -13,11 +13,11 @@ N = K = 128), and four dense Blaschke products at N = 100 and 128 add
 orbits built in blocks, at K = 1, 72, 75 and 300, and a dense polynomial
 that exceeds 1 on the circle adds direct rows at N = 100, K = 300, and
 (0.3+0.4i) z and a complex constant from seed 1 and z^3 from seed z add,
-at N = K = 128, orbits whose nonzero pattern gives the spectrum.  All
-are written to OUT_DIR/configs.  Each one then goes through `orbit`,
-`frame-bounds` and `gram` as JSON and CSV and through `innerness` and
-`cyclicity` as JSON;
-`report-all` runs once with its defaults, then once per resolution in
+at N = K = 128, orbits whose nonzero pattern gives the spectrum, and
+a zero seed adds an all-zero orbit at N = K = 16.  All are written to
+OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds`
+and `gram` as JSON and CSV and through `innerness` and `cyclicity` as
+JSON; `report-all` runs once with its defaults, then once per resolution in
 BATTERY_RESOLUTIONS through `--config-dir`, every suite at that (N, K),
 and `verify` runs once per entry of VERIFY_RESOLUTIONS.
 Exit codes, and the stderr of any call that fails, go to
@@ -213,6 +213,16 @@ def configs(rng) -> dict:
             "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
             "output": {"format": "json", "path": None},
         }
+    # a zero seed: every row, and so both frame bounds, are exactly zero
+    out["blaschke-zero-seed-16"] = {
+        "symbol": {"kind": "blaschke", "zeros": _complex_list(0.5)},
+        "seed_coeffs": _complex_list(0.0),
+        "truncation_order": 16,
+        "orbit_length": 16,
+        "boundary_grid": 128,
+        "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+        "output": {"format": "json", "path": None},
+    }
     return out
 
 

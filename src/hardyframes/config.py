@@ -13,8 +13,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .diagnostics import RANK_REL_TOL
 from .jsonio import complex_to_json, json_number, json_to_complex
-from .symbols import SymbolSpec
+from .symbols import INNER_TOL_EXACT, SymbolSpec
 
 
 # Most coefficients one array built from a config may hold: 2^24, that is
@@ -28,8 +29,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ToleranceSettings:
-    inner_tol: float = 1e-9
-    rank_tol: float = 1e-10
+    inner_tol: float = INNER_TOL_EXACT
+    rank_tol: float = RANK_REL_TOL
 
     def __post_init__(self):
         for name in ("inner_tol", "rank_tol"):
@@ -167,10 +168,12 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             truncation_order=_json_int(obj, "truncation_order"),
             orbit_length=_json_int(obj, "orbit_length"),
             boundary_grid=_json_int(obj, "boundary_grid"),
-            tolerances=ToleranceSettings(
-                inner_tol=json_number(tol.get("inner_tol", 1e-9), "inner_tol"),
-                rank_tol=json_number(tol.get("rank_tol", 1e-10), "rank_tol"),
-            ),
+            # a key the config leaves out takes the library default
+            tolerances=ToleranceSettings(**{
+                name: json_number(tol[name], name)
+                for name in ("inner_tol", "rank_tol")
+                if name in tol
+            }),
             output=OutputSettings(
                 format=out.get("format", "json"), path=out.get("path")
             ),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import TruncatedSeries
-from .frames import _svd_nonzero
+from .frames import _singular_values
 from .orbits import Orbit
 from .symbols import SymbolRealization, boundary_values
 
@@ -27,7 +27,6 @@ CIRCLE_TOL = 1e-9
 class DiskZeros:
     inside: tuple
     boundary_ambiguous: tuple
-    margin: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +77,7 @@ def zeros_in_disk(f: TruncatedSeries, margin: float) -> DiskZeros:
     if deg is None:
         raise ValueError("zero polynomial has no well-defined root set")
     if deg == 0:
-        return DiskZeros(inside=(), boundary_ambiguous=(), margin=margin)
+        return DiskZeros(inside=(), boundary_ambiguous=())
     # Companion-matrix root finder; highest-degree coefficient first.
     roots = np.roots(f.coeffs[deg::-1])
     moduli = np.abs(roots)
@@ -87,7 +86,7 @@ def zeros_in_disk(f: TruncatedSeries, margin: float) -> DiskZeros:
         complex(r)
         for r in roots[(moduli >= 1.0 - margin) & (moduli <= 1.0 + margin)]
     )
-    return DiskZeros(inside=inside, boundary_ambiguous=ambiguous, margin=margin)
+    return DiskZeros(inside=inside, boundary_ambiguous=ambiguous)
 
 
 def cyclicity_rank(orb: Orbit, rank_tol: float = RANK_REL_TOL) -> CyclicityReport:
@@ -95,20 +94,14 @@ def cyclicity_rank(orb: Orbit, rank_tol: float = RANK_REL_TOL) -> CyclicityRepor
 
     Full rank is the truncation-level surrogate for a dense span; the full
     singular spectrum is returned so borderline cases stay visible.  The
-    spectrum and the rank come from the singular values of V short of its
-    zero rows and zero columns (which add nothing but zeros; the sorted
-    moduli when the rest is a scaled permutation, otherwise a values-only
-    SVD, real when the data are), padded with exact zeros to the
-    min(K+1, N+1) values of V itself.
+    spectrum is the min(K+1, N+1) singular values of V, of which zero rows
+    and zero columns contribute exact zeros (the sorted moduli when the
+    rest is a scaled permutation, otherwise a values-only SVD, real when
+    the data are).
     """
-    nonzero = _svd_nonzero(orb.V)
-    singulars = np.zeros(min(orb.V.shape))
-    singulars[: nonzero.size] = nonzero
-    sigma_max = float(singulars[0]) if singulars.size else 0.0
-    if sigma_max == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(singulars > rank_tol * sigma_max))
+    singulars = _singular_values(orb.V)
+    # values above rank_tol * sigma_max; an all-zero spectrum has rank 0
+    rank = int(np.count_nonzero(singulars > rank_tol * singulars[0]))
     return CyclicityReport(
         rank=rank,
         span_dimension_deficit=(orb.order + 1) - rank,

@@ -2,8 +2,8 @@
 
 All bounds computed here are finite-section estimates carrying their
 (N, K) provenance; nothing claims to be a bound for the infinite system.
-Values of the lower estimate below 1e-12 * B are reported as numerically
-zero (the span-deficiency signal).
+A lower estimate that is exactly 0 or below 1e-12 * B is reported as
+numerically zero (the span-deficiency signal).
 
 Every quantity here is one BLAS product or at most one values-only SVD of
 the orbit matrix V: the Gram matrix (mirrored so it is exactly Hermitian),
@@ -75,57 +75,62 @@ def gram(orb: Orbit) -> np.ndarray:
     return g
 
 
-def _svd_nonzero(v: np.ndarray) -> np.ndarray:
-    """Singular values of v in descending order, short of the exact zeros
-    that its zero rows and zero columns contribute.
+def _singular_values(v: np.ndarray) -> np.ndarray:
+    """The min(v.shape) singular values of v in descending order.
 
-    A zero column, like a zero row, only adds a zero singular value: a
-    constant symbol from seed 1 leaves one column, and z^m (m >= 2) leaves
-    the residue classes of its seed.  When what remains has one nonzero per
-    row and per column (a scaled permutation: c*z or z^m from seed 1, z^m
-    from seed z^j), its singular values are the moduli of those entries,
-    sorted, and no LAPACK call is made.  Anything else takes one
-    values-only LAPACK SVD, in float64 when no imaginary part is nonzero:
-    most orbits of a real symbol and a real seed are real, and a real SVD
-    costs about half as much as the complex one of the same data.
+    Zero rows and zero columns of v are not factored: each only adds an
+    exact zero to the spectrum, as a constant symbol from seed 1 (one
+    nonzero column) or z^m (m >= 2) from seed 1 (the residue classes of
+    its seed) shows.  When what remains has one nonzero per row and per
+    column (a scaled permutation: c*z or z^m from seed 1, z^m from seed
+    z^j), its singular values are the moduli of those entries, sorted, and
+    no LAPACK call is made.  Anything else takes one values-only LAPACK
+    SVD, in float64 when no imaginary part is nonzero: most orbits of a
+    real symbol and a real seed are real, and a real SVD costs about half
+    as much as the complex one of the same data.
     """
+    sigma = np.zeros(min(v.shape))
     nonzero = v != 0
     rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
     if np.count_nonzero(nonzero) == np.count_nonzero(rows) == np.count_nonzero(cols):
-        return np.sort(np.abs(v[nonzero]))[::-1]
-    block = v if rows.all() and cols.all() else v[np.ix_(rows, cols)]
-    if not block.imag.any():
-        block = block.real
-    return np.linalg.svd(block, compute_uv=False)
+        values = np.sort(np.abs(v[nonzero]))[::-1]
+    else:
+        block = v if rows.all() and cols.all() else v[np.ix_(rows, cols)]
+        if not block.imag.any():
+            block = block.real
+        values = np.linalg.svd(block, compute_uv=False)
+    sigma[: values.size] = values
+    return sigma
 
 
 def bounds_from_singular_values(sigma: np.ndarray, shape: tuple) -> FrameBounds:
     """Frame bounds of a (K+1) x (N+1) coefficient matrix V from its
-    singular values in descending order.
+    min(K+1, N+1) singular values in descending order.
 
-    The section V^T conj(V) has eigenvalues sigma^2, so B_est = sigma_max^2
-    and, when sigma holds N+1 values, A_est = sigma_min^2.  Fewer values
-    (fewer than N+1 nonzero rows or columns, or trailing exact zeros) mean
-    the section has a null space and A_est = 0.  Squaring sigma rather
-    than factoring the section resolves A_est down to eps^2 * B_est.  A
-    B_est that overflows raises FloatingPointError.
+    The section V^T conj(V) has eigenvalues sigma^2, so B_est =
+    sigma_max^2, and A_est = sigma_min^2 when K >= N, otherwise 0 (K < N
+    leaves the section a null space).  Squaring sigma rather than
+    factoring the section resolves A_est down to eps^2 * B_est.  A_est
+    that is exactly 0 or below 1e-12 * B_est is flagged numerically zero,
+    so an all-zero V is flagged too.  A B_est that overflows raises
+    FloatingPointError.
     """
     k, n = shape[0] - 1, shape[1] - 1
     with np.errstate(over="ignore"):  # checked below
         squares = np.asarray(sigma, dtype=float) ** 2
-    b = float(squares[0]) if squares.size else 0.0
+    b = float(squares[0])
     if not np.isfinite(b):
         raise FloatingPointError(
             f"frame bound overflowed at N={n}, K={k}: sigma_max^2 is not finite"
         )
-    a = float(squares[-1]) if squares.size == n + 1 else 0.0
+    a = float(squares[-1]) if k >= n else 0.0
     return FrameBounds(
         A_est=a,
         B_est=b,
         N=n,
         K=k,
         tight=b > 0.0 and (b - a) < TIGHT_REL_TOL * b,
-        numerically_zero_lower=a < NUMERICALLY_ZERO_REL * b,
+        numerically_zero_lower=a == 0.0 or a < NUMERICALLY_ZERO_REL * b,
     )
 
 
@@ -135,11 +140,10 @@ def frame_bounds_estimate(v: np.ndarray) -> FrameBounds:
     the sorted moduli of a scaled permutation, otherwise one values-only
     SVD (a real one when they are real).
 
-    A_est below 1e-12 * B_est is flagged numerically zero rather than
-    trusted as a genuine frame bound.
+    A_est that is exactly 0 or below 1e-12 * B_est is flagged numerically
+    zero rather than trusted as a genuine frame bound.
     """
-    sigma = _svd_nonzero(v)
-    return bounds_from_singular_values(sigma, v.shape)
+    return bounds_from_singular_values(_singular_values(v), v.shape)
 
 
 def bounds_vs_truncation(spec, seed_coeffs, orders, orbit_lengths) -> list[FrameBounds]:

@@ -10,10 +10,12 @@ import pytest
 
 from hardyframes import cli, orbits
 from hardyframes.cli import main
+from hardyframes.diagnostics import RANK_REL_TOL
 from hardyframes.config import (
     MAX_ORBIT_ENTRIES,
     ConfigError,
     ExperimentConfig,
+    ToleranceSettings,
     config_from_json,
     config_to_json,
     load_config,
@@ -21,7 +23,7 @@ from hardyframes.config import (
 from hardyframes.frames import FrameBounds, frame_bounds_estimate, gram
 from hardyframes.jsonio import dumps_canonical
 from hardyframes.orbits import orbit_for
-from hardyframes.symbols import SymbolSpec
+from hardyframes.symbols import INNER_TOL_EXACT, SymbolSpec
 from hardyframes.verify import PROPOSITIONS, SHORT_ORBIT_REASON
 
 
@@ -144,6 +146,21 @@ def test_frame_bounds_csv(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "N,K,A_est,B_est,tight,numerically_zero_lower"
     assert lines[1].startswith("8,8,1,1,true")
+
+
+def test_frame_bounds_of_a_zero_seed_flag_the_lower_bound(tmp_path, capsys):
+    # A_est = B_est = 0: the orbit spans nothing, as `cyclicity` says
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, symbol=SymbolSpec.blaschke([0.5]), seed=(0.0,), n=8, k=8, m=64)
+    assert main(["frame-bounds", "--config", str(cfg_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["A_est"], payload["B_est"]) == (0, 0)
+    assert payload["numerically_zero_lower"] is True and payload["tight"] is False
+    assert main(["frame-bounds", "--config", str(cfg_path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "8,8,0,0,false,true"
+    assert main(["cyclicity", "--config", str(cfg_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["rank"], payload["span_dimension_deficit"]) == (0, 9)
 
 
 def test_svd_failure_in_frame_bounds_exits_3(tmp_path, capsys, monkeypatch):
@@ -687,6 +704,31 @@ def test_config_with_retired_eig_tol_still_loads(tmp_path):
     assert tolerances == {"inner_tol": 1e-9, "rank_tol": 1e-10}
 
 
+def test_tolerance_defaults_are_the_library_defaults():
+    assert ToleranceSettings() == ToleranceSettings(INNER_TOL_EXACT, RANK_REL_TOL)
+
+
+@pytest.mark.parametrize(
+    "tolerances, expected",
+    [
+        (None, (INNER_TOL_EXACT, RANK_REL_TOL)),
+        ({}, (INNER_TOL_EXACT, RANK_REL_TOL)),
+        ({"rank_tol": 1e-7}, (INNER_TOL_EXACT, 1e-7)),
+    ],
+    ids=["absent", "empty", "rank-only"],
+)
+def test_config_missing_tolerances_take_the_library_defaults(tmp_path, tolerances, expected):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    payload = json.loads(cfg_path.read_text())
+    if tolerances is None:
+        del payload["tolerances"]
+    else:
+        payload["tolerances"] = tolerances
+    loaded = config_from_json(payload).tolerances
+    assert (loaded.inner_tol, loaded.rank_tol) == expected
+
+
 # -- config round trip --------------------------------------------------------------------
 
 
@@ -713,6 +755,7 @@ UNUSED_NUMPY_MODULES = ("numpy.ma", "numpy.random")
 HYGIENE_SCRIPT = """
 import contextlib, io, sys
 from hardyframes.cli import main
+from hardyframes.diagnostics import RANK_REL_TOL
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 loaded = [m for m in {modules!r} if m in sys.modules]
@@ -728,6 +771,18 @@ def _run_cli_in_fresh_process(argv):
     return subprocess.run(
         [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
     )
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    # the package is its docstring: names come from their modules
+    script = (
+        "import sys, hardyframes\n"
+        "loaded = [m for m in sys.modules if m.startswith(('hardyframes.', 'numpy'))]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hardyframes.frames import (
-    _svd_nonzero,
+    _singular_values,
     bounds_from_singular_values,
     bounds_vs_truncation,
     frame_bounds_estimate,
@@ -364,15 +364,6 @@ def test_bounds_lower_is_zero_with_fewer_nonzero_rows_than_columns():
     assert b.A_est == 0.0 and b.B_est > 0.0 and b.numerically_zero_lower
 
 
-def _padded(v):
-    """_svd_nonzero(v) padded with exact zeros to the min(v.shape) values
-    of np.linalg.svd(v)."""
-    sigma = np.zeros(min(v.shape))
-    reduced = _svd_nonzero(v)
-    sigma[: reduced.size] = reduced
-    return sigma
-
-
 def _no_lapack(monkeypatch):
     def boom(*_args, **_kwargs):
         raise AssertionError("np.linalg.svd called")
@@ -406,7 +397,7 @@ def test_real_scaled_permutation_spectrum_is_lapacks_bit_for_bit(v, monkeypatch)
     # them exactly on these patterns
     reference = np.linalg.svd(v, compute_uv=False)
     _no_lapack(monkeypatch)
-    assert np.array_equal(_padded(v.astype(complex)), reference)
+    assert np.array_equal(_singular_values(v.astype(complex)), reference)
 
 
 @pytest.mark.parametrize(
@@ -423,7 +414,7 @@ def test_complex_scaled_permutation_spectrum_is_within_2_ulp(values, shape, step
     v = _staircase(values, shape, step)
     reference = np.linalg.svd(v, compute_uv=False)
     _no_lapack(monkeypatch)
-    assert np.all(np.abs(_padded(v) - reference) <= 2 * np.spacing(reference))
+    assert np.all(np.abs(_singular_values(v) - reference) <= 2 * np.spacing(reference))
 
 
 def test_scattered_scaled_permutation_is_within_2_ulp(monkeypatch):
@@ -438,7 +429,7 @@ def test_scattered_scaled_permutation_is_within_2_ulp(monkeypatch):
             reference = np.linalg.svd(block, compute_uv=False)
             with monkeypatch.context() as patch:
                 _no_lapack(patch)
-                sigma = _padded(block)
+                sigma = _singular_values(block)
             assert np.all(np.abs(sigma - reference) <= 2 * np.spacing(reference))
 
 
@@ -455,20 +446,24 @@ def test_zero_columns_are_dropped_without_moving_the_spectrum(spec, coeffs, k, o
     v = make_orbit(spec, coeffs, k, order).V
     assert not np.all(np.any(v, axis=0))
     reference = np.linalg.svd(v, compute_uv=False)
-    assert np.max(np.abs(_padded(v) - reference)) <= (order + 1) * EPS * reference[0]
-    assert _svd_nonzero(v).size <= np.count_nonzero(np.any(v, axis=0)) < order + 1
+    sigma = _singular_values(v)
+    assert sigma.size == reference.size
+    assert np.max(np.abs(sigma - reference)) <= (order + 1) * EPS * reference[0]
+    # each zero column pads the spectrum with an exact zero
+    nonzero_cols = np.count_nonzero(np.any(v, axis=0))
+    assert nonzero_cols < order + 1 and not sigma[nonzero_cols:].any()
 
 
 def test_single_row_and_zero_matrices(monkeypatch):
     row = np.array([[0.0, 3.0, 0.0, -4.0, 0.0]], dtype=complex)
     reference = np.linalg.svd(row, compute_uv=False)
-    assert np.all(np.abs(_padded(row) - reference) <= 2 * np.spacing(reference))
+    assert np.all(np.abs(_singular_values(row) - reference) <= 2 * np.spacing(reference))
     zero = np.zeros((6, 9), dtype=complex)
     reference = np.linalg.svd(zero, compute_uv=False)
     _no_lapack(monkeypatch)
-    assert _svd_nonzero(zero).size == 0
+    assert np.array_equal(_singular_values(zero), reference) and not reference.any()
     bounds = frame_bounds_estimate(zero)
-    assert (bounds.A_est, bounds.B_est) == (0.0, 0.0) and not reference.any()
+    assert (bounds.A_est, bounds.B_est) == (0.0, 0.0) and bounds.numerically_zero_lower
 
 
 def test_bounds_overflow_raises_floating_point_error():
