@@ -19,7 +19,9 @@ OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds`
 and `gram` as JSON and CSV and through `innerness` and `cyclicity` as
 JSON; `report-all` runs once with its defaults, then once per resolution in
 BATTERY_RESOLUTIONS through `--config-dir`, every suite at that (N, K),
-and `verify` runs once per entry of VERIFY_RESOLUTIONS.
+and `verify` runs once per entry of VERIFY_RESOLUTIONS.  Last,
+`innerness` runs once with a boundary grid of 2^40 points, which the
+config check refuses before anything is allocated.
 Exit codes, and the stderr of any call that fails, go to
 OUT_DIR/exit_codes.txt.
 
@@ -295,6 +297,9 @@ def main(argv=None) -> int:
             "--grid", str(8 * n), "--out", str(out),
         ])
         log.append(f"{out.name} {code}" + (f" {err.strip()}" if code else ""))
+    argv = ["innerness", "--config", str(config_dir / "monomial-16.json"), "--grid", str(2**40)]
+    code, err = _run(cli_main, argv)
+    log.append(f"innerness-grid-{2**40} {code}" + (f" {err.strip()}" if code else ""))
     (args.out_dir / "exit_codes.txt").write_text("\n".join(log) + "\n", encoding="utf-8")
     print(f"{len(log)} calls written to {args.out_dir}")
     return 0

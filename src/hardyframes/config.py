@@ -18,8 +18,8 @@ from .jsonio import complex_to_json, json_number, json_to_complex
 from .symbols import INNER_TOL_EXACT, SymbolSpec
 
 
-# Most coefficients one array built from a config may hold: 2^24, that is
-# 256 MiB as complex128, or (N+1)(K+1) up to 4096 x 4096.
+# Most entries, orbit coefficients or grid points, one array built from a
+# config may hold: 2^24, 256 MiB as complex128, or 4096 x 4096 of (N+1)(K+1).
 MAX_ORBIT_ENTRIES = 2**24
 
 
@@ -72,6 +72,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"boundary_grid {self.boundary_grid} too small: "
                 f"need M > 4N = {4 * self.truncation_order}"
+            )
+        if self.boundary_grid > MAX_ORBIT_ENTRIES:
+            raise ConfigError(
+                f"boundary_grid {self.boundary_grid} too large: "
+                f"exceeds the limit of {MAX_ORBIT_ENTRIES} points"
             )
         coeffs = tuple(complex(c) for c in self.seed_coeffs)
         if not coeffs:

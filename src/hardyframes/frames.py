@@ -7,11 +7,11 @@ numerically zero (the span-deficiency signal).
 
 Every quantity here is one BLAS product or at most one values-only SVD of
 the orbit matrix V: the Gram matrix (mirrored so it is exactly Hermitian),
-the pairings behind frame sums, and the frame bounds, which are the
-squared extreme singular values of V.  No SVD factor is ever formed.  Zero
-rows and zero columns of V are not factored, and a V whose remaining
-entries form a scaled permutation is not factored at all: its singular
-values are their moduli.
+the pairings behind the frame sums of a whole matrix of probes, and the
+frame bounds, which are the squared extreme singular values of V.  No SVD
+factor is ever formed.  Zero rows and zero columns of V are not factored,
+and a V whose remaining entries form a scaled permutation is not factored
+at all: its singular values are their moduli.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries
 from .orbits import Orbit, orbit_for
 
 TIGHT_REL_TOL = 1e-8
@@ -37,20 +36,17 @@ class FrameBounds:
     numerically_zero_lower: bool
 
 
-def partial_frame_sums(g: TruncatedSeries, orb: Orbit) -> np.ndarray:
-    """Cumulative sums of |<g, phi^n f>|^2 in n; monotone nondecreasing.
+def partial_frame_sums(probes: np.ndarray, orb: Orbit) -> np.ndarray:
+    """Cumulative sums in n of |<g, phi^n f>|^2, one column per probe g.
 
-    The pairings, conjugated, are V conj(g) over the common coefficient
-    range: one matrix-vector product.
+    probes is a (P, L) array whose rows are the probes' coefficients; the
+    result is (K+1, P), each column monotone nondecreasing.  The pairings,
+    conjugated, are V conj(probes)^T over the first min(L, N+1)
+    coefficients: one matrix product for all P probes.
     """
-    n = min(g.coeffs.size, orb.order + 1)
-    p = orb.V[:, :n] @ g.coeffs[:n].conj()
-    return np.cumsum(p.real**2 + p.imag**2)
-
-
-def frame_sum(g: TruncatedSeries, orb: Orbit) -> float:
-    """sum_{n=0..K} |<g, phi^n f>|^2 (the finite partial frame sum)."""
-    return float(partial_frame_sums(g, orb)[-1])
+    n = min(probes.shape[1], orb.order + 1)
+    p = orb.V[:, :n] @ probes[:, :n].conj().T
+    return np.cumsum(p.real**2 + p.imag**2, axis=0)
 
 
 def gram(orb: Orbit) -> np.ndarray:

@@ -202,10 +202,10 @@ def _fft_rows(v: np.ndarray, phi: np.ndarray) -> None:
 
 
 def orbit_for(spec: SymbolSpec, seed_coeffs, order: int, count: int) -> Orbit:
-    """The orbit phi^n f, n = 0..count, of a symbol spec and seed
-    coefficients, both realized at truncation order N = order."""
-    seed = series_from_coeffs(seed_coeffs, order)
-    return orbit(realize(spec, order), seed, count, order)
+    """The orbit phi^n f, n = 0..count, of a symbol spec realized at order
+    N and the whole seed, which `orbit` pads or cuts to N: a cut that drops
+    a nonzero coefficient flags row 0 truncated."""
+    return orbit(realize(spec, order), series_from_coeffs(seed_coeffs), count, order)
 
 
 def decay_profile(orb: Orbit) -> DecayReport:

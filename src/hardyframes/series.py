@@ -141,10 +141,6 @@ def norm_sq(f: TruncatedSeries) -> float:
     return float(np.vdot(f.coeffs, f.coeffs).real)
 
 
-def norm(f: TruncatedSeries) -> float:
-    return float(np.sqrt(norm_sq(f)))
-
-
 def boundary_samples(f: TruncatedSeries, grid: BoundaryGrid) -> np.ndarray:
     """Evaluate the polynomial on the grid: values_j = sum_n a_n e^{2ipi jn/M}.
 

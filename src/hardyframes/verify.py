@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import series as hs
 from .config import ExperimentConfig
 from .diagnostics import (
     class_support,
@@ -32,11 +31,10 @@ from .diagnostics import (
 from .frames import (
     bounds_from_singular_values,
     frame_bounds_estimate,
-    frame_sum,
     partial_frame_sums,
 )
 from .orbits import MIN_ORBIT_FOR_DECAY, decay_profile, orbit_for
-from .series import BoundaryGrid, TruncatedSeries, series_from_coeffs
+from .series import BoundaryGrid
 from .symbols import SymbolSpec, innerness_test, realize
 
 P6_TENSION_NOTE = (
@@ -291,11 +289,12 @@ def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
     def check(orb, confined_seed):
         cyc = cyclicity_rank(orb, config.tolerances.rank_tol)
         bounds = bounds_from_singular_values(cyc.singular_values, orb.V.shape)
+        witness = _span_deficit_witness(orb)
         entry = {
             "rank": cyc.rank,
             "span_dimension_deficit": cyc.span_dimension_deficit,
             **_bounds_columns(bounds),
-            "witness_frame_sum": frame_sum(_span_deficit_witness(orb), orb),
+            "witness_frame_sum": float(partial_frame_sums(witness, orb)[-1, 0]),
         }
         ok = cyc.span_dimension_deficit > 0 and bounds.numerically_zero_lower
         if confined_seed:
@@ -322,9 +321,9 @@ def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
     return _verdict(consistent), evidence
 
 
-def _span_deficit_witness(orb) -> TruncatedSeries:
+def _span_deficit_witness(orb) -> np.ndarray:
     """A nonzero series orthogonal to every element of the orbit of z^m,
-    m >= 2, from its seed f.
+    m >= 2, from its seed f, as a one-row probe of its coefficients 0, 1.
 
     For n >= 1, z^{mn} f lies in z^m H^2, orthogonal to span{1, z}, so only
     f meets that plane.  When f_j = 0 for j in {0, 1}, column j of V is
@@ -333,8 +332,8 @@ def _span_deficit_witness(orb) -> TruncatedSeries:
     """
     f0, f1 = orb.V[0, :2]
     if f0 == 0 or f1 == 0:
-        return hs.monomial(0 if f0 == 0 else 1, orb.order)
-    return TruncatedSeries(np.array([np.conj(f1), -np.conj(f0)]))
+        return np.eye(1, 2, 0 if f0 == 0 else 1, dtype=complex)
+    return np.array([[np.conj(f1), -np.conj(f0)]])
 
 
 def _confinement_holds(orb) -> bool:
@@ -352,16 +351,18 @@ def _verify_p3(config: ExperimentConfig) -> tuple[str, dict]:
     n, k = config.truncation_order, config.orbit_length
     evidence = {}
     consistent = True
+    # the probes 1 and 1 + z, one row each
+    probes = np.array([[1.0, 0.0], [1.0, 1.0]])
     for label, theta in (("pi_over_4", np.pi / 4), ("pi_over_7", np.pi / 7)):
         spec = SymbolSpec.constant(np.exp(1j * theta))
         orb = orbit_for(spec, (1.0,), n, k)
-        for g_label, g_coeffs in (("one", (1.0,)), ("one_plus_z", (1.0, 1.0))):
-            g = series_from_coeffs(g_coeffs, n)
-            sums = partial_frame_sums(g, orb)
+        columns = partial_frame_sums(probes, orb).T
+        for g_label, g, sums in zip(("one", "one_plus_z"), probes, columns):
             increments = np.diff(np.concatenate([[0.0], sums]))
-            expected = abs(hs.inner_product(g, orb.seed)) ** 2
+            expected = abs(np.vdot(orb.V[0, : g.size], g)) ** 2
             idx = np.arange(sums.size, dtype=float)
             design = np.vstack([idx, np.ones_like(idx)]).T
+            # one fit per probe: fitting both columns at once rounds otherwise
             slope = float(np.linalg.lstsq(design, sums, rcond=None)[0][0])
             entry = {
                 "symbol": _describe(spec),
@@ -375,8 +376,7 @@ def _verify_p3(config: ExperimentConfig) -> tuple[str, dict]:
                 abs(slope - expected) <= 1e-6 * max(1.0, expected)
                 and np.min(increments) >= expected * (1.0 - 1e-9)
             )
-            if not ok:
-                consistent = False
+            consistent = consistent and bool(ok)
             evidence[f"{label}_g_{g_label}"] = entry
     return _verdict(consistent), evidence
 
@@ -484,8 +484,7 @@ def _verify_ex_constant(config: ExperimentConfig) -> tuple[str, dict]:
     n = config.truncation_order
     k = 60  # partial sum is then within 4^-60 of the closed form
     orb = orbit_for(SymbolSpec.constant(0.5), (1.0,), n, k)
-    g = series_from_coeffs((1.0,), n)
-    fs = frame_sum(g, orb)
+    fs = float(partial_frame_sums(np.ones((1, 1)), orb)[-1, 0])
     closed_form = 1.0 / (1.0 - 0.25)
     oracle = float(np.cumsum(4.0 ** -np.arange(k + 1, dtype=float))[-1])
     evidence = {
@@ -504,11 +503,9 @@ def _verify_ex_half_shift(config: ExperimentConfig) -> tuple[str, dict]:
     n_exact, k_exact = 40, 40
     spec = SymbolSpec.scaled_shift(0.5)
     orb = orbit_for(spec, (1.0,), n_exact, k_exact)
-    exact_failures = []
-    for kk in range(33):
-        fs = frame_sum(hs.monomial(kk, n_exact), orb)
-        if fs != 4.0 ** -kk:
-            exact_failures.append(kk)
+    # the probes z^0 .. z^32, one row each
+    fs = partial_frame_sums(np.eye(33), orb)[-1]
+    exact_failures = [kk for kk in range(33) if fs[kk] != 4.0 ** -kk]
     trend_rows = []
     worst = 0.0
     orders = (8, 12, 16)
@@ -540,20 +537,25 @@ def _verify_ex_3_1(config: ExperimentConfig) -> tuple[str, dict]:
     idx = np.arange(100 * (n + 1), dtype=float).reshape(100, n + 1)
     moduli = 0.5 + np.mod(idx * ((np.sqrt(5.0) - 1.0) / 2.0), 1.0)
     phases = 2.0 * np.pi * np.mod(idx * (np.sqrt(2.0) - 1.0), 1.0)
+    probes = moduli * np.exp(1j * phases)
     worst_rel = 0.0
-    for coeffs in moduli * np.exp(1j * phases):
-        g = TruncatedSeries(coeffs)
-        fs = frame_sum(g, orb)
-        nsq = hs.norm_sq(g)
-        worst_rel = max(worst_rel, abs(fs - nsq) / nsq)
+    # each squared norm is its own np.vdot: np.einsum or np.linalg.norm over
+    # all rows sums in another order and moves the reported error (at
+    # N = K = 64, 6.2095e-16 becomes 0 or 6.08e-16)
+    for g, fs in zip(probes, partial_frame_sums(probes, orb)[-1]):
+        nsq = float(np.vdot(g, g).real)
+        worst_rel = max(worst_rel, abs(float(fs) - nsq) / nsq)
 
-    # seed 1 - z: the frame sum telescopes and the normalized sum collapses
+    # seed 1 - z: the frame sum of 1 + z + ... + z^n' telescopes to 1, so
+    # the normalized sum collapses to 1 / (n' + 1); the orbit at (n', n') is
+    # the leading block of the one at the largest n'
+    orders = sorted({max(16, n // 4), max(32, n // 2), n})
+    v_fail = orbit_for(spec, (1.0, -1.0), orders[-1], orders[-1]).V
     ratio_rows = []
     ratios_exact = True
-    for nn in sorted({max(16, n // 4), max(32, n // 2), n}):
-        orb_fail = orbit_for(spec, (1.0, -1.0), nn, nn)
-        g_full = TruncatedSeries(np.ones(nn + 1, dtype=complex))
-        ratio = frame_sum(g_full, orb_fail) / hs.norm_sq(g_full)
+    for nn in orders:
+        pairings = v_fail[: nn + 1, : nn + 1].sum(axis=1)  # <1 + ... + z^n', row>*
+        ratio = float(np.vdot(pairings, pairings).real) / (nn + 1)
         ratio_rows.append({"N": nn, "ratio": ratio, "expected": 1.0 / (nn + 1)})
         if ratio != 1.0 / (nn + 1):
             ratios_exact = False

@@ -65,6 +65,15 @@ def test_orbit_csv_constant_half(tmp_path, capsys):
     assert norms == [1.0, 0.5, 0.25, 0.125, 0.0625]
 
 
+def test_orbit_of_a_seed_longer_than_n_flags_row_0(tmp_path, capsys):
+    # 1 + z + ... + z^5 at N = 3 keeps 1 + z + z^2 + z^3, of norm 2
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, seed=(1.0,) * 6, n=3, k=3, m=16, fmt="csv")
+    assert main(["orbit", "--config", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[1] == "0,2,true"
+
+
 def test_orbit_json_format(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -349,7 +358,8 @@ def test_non_string_output_path_exits_2(tmp_path, capsys, value):
     assert "path must be a JSON string or null" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n, k", [(10**6, 10**6), (64, 10**6), (10**7, 1)])
+# N = 2^22, K = 1: the orbit fits, but M = 4N + 1 exceeds the limit
+@pytest.mark.parametrize("n, k", [(10**6, 10**6), (64, 10**6), (10**7, 1), (2**22, 1)])
 def test_oversized_config_is_rejected(n, k):
     with pytest.raises(ConfigError, match="too large"):
         ExperimentConfig(
@@ -394,6 +404,17 @@ def test_oversized_config_exits_2_before_any_orbit(tmp_path, capsys, monkeypatch
     assert main(["cyclicity", "--config", str(cfg_path)]) == 2
     assert "too large" in capsys.readouterr().err
     assert built == []
+
+
+def test_oversized_boundary_grid_exits_2_before_any_allocation(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    for argv in (
+        ["innerness", "--config", str(cfg_path)],
+        ["verify", "P1"],
+    ):
+        assert main([*argv, "--grid", str(2**40)]) == 2, argv
+        assert "boundary_grid 1099511627776 too large" in capsys.readouterr().err
 
 
 # N = 5000, K = 1: the orbit is 2 x 5001, the square of the suites 5001 x 5001

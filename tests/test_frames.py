@@ -11,18 +11,12 @@ from hardyframes.frames import (
     bounds_from_singular_values,
     bounds_vs_truncation,
     frame_bounds_estimate,
-    frame_sum,
     gram,
     partial_frame_sums,
 )
 from hardyframes.diagnostics import kernel_orthogonality_witness, reproducing_kernel
 from hardyframes.orbits import orbit, orbit_for
-from hardyframes.series import (
-    inner_product,
-    monomial,
-    norm_sq,
-    series_from_coeffs,
-)
+from hardyframes.series import inner_product, series_from_coeffs
 from hardyframes.symbols import SymbolSpec, realize
 
 
@@ -46,7 +40,7 @@ def make_orbit(spec, seed_coeffs, k, order):
 
 def test_frame_sum_constant_half_geometric():
     orb = make_orbit(SymbolSpec.constant(0.5), [1], 60, 4)
-    fs = frame_sum(seed([1], 4), orb)
+    fs = partial_frame_sums(np.ones((1, 1)), orb)[-1, 0]
     oracle = float(np.cumsum(4.0 ** -np.arange(61, dtype=float))[-1])
     assert fs == oracle
     assert abs(fs - 4.0 / 3.0) < 1e-12
@@ -54,8 +48,9 @@ def test_frame_sum_constant_half_geometric():
 
 def test_frame_sum_half_shift_single_term():
     orb = make_orbit(SymbolSpec.scaled_shift(0.5), [1], 40, 40)
-    for k in range(33):
-        assert frame_sum(monomial(k, 40), orb) == 4.0 ** -k
+    # the probes z^0 .. z^32
+    sums = partial_frame_sums(np.eye(33, 41), orb)[-1]
+    assert np.array_equal(sums, 4.0 ** -np.arange(33))
 
 
 def test_frame_sum_shift_equals_norm_squared():
@@ -64,39 +59,71 @@ def test_frame_sum_shift_equals_norm_squared():
     # 0.042 of the bound)
     orb = make_orbit(SymbolSpec.monomial(1), [1], 24, 24)
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        g = series_from_coeffs(
-            rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        )
-        nsq = norm_sq(g)
-        assert abs(frame_sum(g, orb) - nsq) <= 2 * (orb.order + 1) * EPS * nsq
+    probes = np.array(
+        [rng.standard_normal(25) + 1j * rng.standard_normal(25) for _ in range(20)]
+    )
+    for g, fs in zip(probes, partial_frame_sums(probes, orb)[-1]):
+        nsq = np.vdot(g, g).real
+        assert abs(fs - nsq) <= 2 * (orb.order + 1) * EPS * nsq
 
 
 def test_partial_sums_unimodular_counts():
     orb = make_orbit(SymbolSpec.constant(np.exp(1j * np.pi / 4)), [1], 40, 4)
-    sums = partial_frame_sums(seed([1], 4), orb)
+    sums = partial_frame_sums(np.ones((1, 1)), orb)[:, 0]
     assert np.array_equal(sums, np.arange(1, 42, dtype=float))
 
 
 def test_partial_sums_geometric_increments():
     orb = make_orbit(SymbolSpec.constant(0.5), [1], 10, 4)
-    sums = partial_frame_sums(seed([1], 4), orb)
+    sums = partial_frame_sums(np.ones((1, 1)), orb)[:, 0]
     increments = np.diff(np.concatenate([[0.0], sums]))
     assert np.array_equal(increments, 4.0 ** -np.arange(11, dtype=float))
 
 
 def test_partial_sums_orthogonal_g_all_zero():
     orb = make_orbit(SymbolSpec.monomial(2), [1], 10, 12)
-    sums = partial_frame_sums(monomial(1, 12), orb)
+    sums = partial_frame_sums(np.eye(1, 13, 1), orb)  # the probe z
     assert np.all(sums == 0.0)
 
 
 def test_partial_sums_monotone_and_consistent():
+    # a probe narrower than N + 1 pairs as its zero-padded self does
     orb = make_orbit(SymbolSpec.blaschke([0.4]), [1, 2j], 12, 16)
-    g = seed([0.5, -1, 0.25j], 16)
+    g = np.array([[0.5, -1, 0.25j]])
     sums = partial_frame_sums(g, orb)
-    assert np.all(np.diff(sums) >= 0)
-    assert frame_sum(g, orb) == sums[-1]
+    assert np.all(np.diff(sums, axis=0) >= 0)
+    padded = partial_frame_sums(seed(g[0], 16).coeffs[None], orb)
+    assert np.all(np.abs(sums - padded) <= 4 * (orb.order + 1) * EPS * padded)
+
+
+@pytest.mark.parametrize(
+    "spec, seed_coeffs, dtype",
+    [
+        (SymbolSpec.polynomial([1, 1]), [1, 2, -1], float),
+        (SymbolSpec.polynomial([1j, 1]), [1, -1 + 1j], complex),
+    ],
+    ids=["real", "complex"],
+)
+@pytest.mark.parametrize("width", [5, 13, 20])  # N + 1 = 13
+def test_probe_matrix_sums_are_each_probes_own_sums(spec, seed_coeffs, dtype, width):
+    # orbit, probes and sums are small (Gaussian) integers, so every product
+    # and sum is exact and the order BLAS sums in cannot show: column j of
+    # one product is probe j's own sums bit for bit, and equals the serial
+    # pairings over its first N + 1 coefficients, zero-padded when narrower
+    orb = make_orbit(spec, seed_coeffs, 12, 12)
+    rng = np.random.default_rng(width)
+    probes = rng.integers(-3, 4, (6, width)).astype(dtype)
+    if dtype is complex:
+        probes += 1j * rng.integers(-3, 4, (6, width))
+    sums = partial_frame_sums(probes, orb)
+    assert sums.shape == (13, 6)
+    fitted = np.zeros((6, 13), dtype=dtype)
+    fitted[:, :width] = probes[:, :13]
+    assert partial_frame_sums(fitted, orb).tobytes() == sums.tobytes()
+    for j, g in enumerate(probes):
+        assert partial_frame_sums(g[None], orb)[:, 0].tobytes() == sums[:, j].tobytes()
+        p = np.array([sum(v * np.conj(c) for v, c in zip(row, g)) for row in orb.V])
+        assert np.array_equal(np.cumsum(p.real**2 + p.imag**2), sums[:, j])
 
 
 # -- gram -----------------------------------------------------------------------
@@ -170,12 +197,12 @@ def test_batched_reductions_match_scalar_inner_products_within_rounding():
                            for m in range(k)])
         assert np.all(np.abs(scalar - upper) <= rel * np.outer(norms, norms))
 
-        g = series_from_coeffs(dense(41))
-        vals = np.array([_reference_inner(g.coeffs, v) for v in orb.V])
+        g = dense(41)
+        vals = np.array([_reference_inner(g, v) for v in orb.V])
         loop = np.cumsum(vals.real**2 + vals.imag**2)
-        d = rel * np.linalg.norm(g.coeffs) * norms
+        d = rel * np.linalg.norm(g) * norms
         bound = np.cumsum((2 * np.abs(vals) + d) * d) + 2 * (np.arange(k) + 3) * EPS * loop
-        assert np.all(np.abs(partial_frame_sums(g, orb) - loop) <= bound)
+        assert np.all(np.abs(partial_frame_sums(g[None], orb)[:, 0] - loop) <= bound)
 
         z0 = 0.3 - 0.45j
         kernel = reproducing_kernel(z0, orb.order).coeffs
@@ -294,12 +321,11 @@ def test_section_quadratic_form_matches_frame_sum():
     orb = make_orbit(SymbolSpec.blaschke([0.5]), [1, 1], 20, 24)
     s = section(orb)
     rng = np.random.default_rng(23)
-    for _ in range(100):
-        g = series_from_coeffs(
-            rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        )
-        quad = float(np.real(g.coeffs.conj() @ s @ g.coeffs))
-        fs = frame_sum(g, orb)
+    probes = np.array(
+        [rng.standard_normal(25) + 1j * rng.standard_normal(25) for _ in range(100)]
+    )
+    for g, fs in zip(probes, partial_frame_sums(probes, orb)[-1]):
+        quad = float(np.real(g.conj() @ s @ g))
         assert abs(quad - fs) <= 1e-10 * max(1.0, fs)
 
 
@@ -329,12 +355,11 @@ def test_eigen_bound_sandwich():
     orb = make_orbit(SymbolSpec.blaschke([0.3]), [1, -0.5], 16, 16)
     b = frame_bounds_estimate(orb.V)
     rng = np.random.default_rng(29)
-    for _ in range(100):
-        g = series_from_coeffs(
-            rng.standard_normal(17) + 1j * rng.standard_normal(17)
-        )
-        fs = frame_sum(g, orb)
-        nsq = norm_sq(g)
+    probes = np.array(
+        [rng.standard_normal(17) + 1j * rng.standard_normal(17) for _ in range(100)]
+    )
+    for g, fs in zip(probes, partial_frame_sums(probes, orb)[-1]):
+        nsq = np.vdot(g, g).real
         assert fs >= b.A_est * nsq - 1e-10 * max(1.0, nsq)
         assert fs <= b.B_est * nsq + 1e-10 * max(1.0, nsq)
 

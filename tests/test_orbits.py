@@ -14,7 +14,7 @@ from hardyframes.orbits import (
 from hardyframes.series import (
     monomial,
     mul,
-    norm,
+    norm_sq,
     series_from_coeffs,
 )
 from hardyframes.symbols import SymbolSpec, realize
@@ -40,18 +40,19 @@ def seed(coeffs, order):
     [
         (SymbolSpec.blaschke([0.5, -0.3j]), (1.0, 0.5j)),
         (SymbolSpec.polynomial([0.2, 0.3, 0.1]), (1.0,)),
-        # a seed longer than N is cut to N + 1 coefficients
+        # a seed longer than N is cut to N + 1 coefficients, and row 0 is
+        # flagged truncated
         (SymbolSpec.monomial(2), tuple(range(1, 20))),
     ],
 )
 def test_orbit_for_realizes_the_spec_and_pads_the_seed_at_order_n(spec, coeffs):
     order, count = 12, 9
     built = orbit_for(spec, coeffs, order, count)
-    f = series_from_coeffs(coeffs, order)
-    direct = orbit(realize(spec, order), f, count, order)
+    direct = orbit(realize(spec, order), series_from_coeffs(coeffs), count, order)
     assert built.symbol.spec == spec and built.symbol.series.order == order
     assert built.V.tobytes() == direct.V.tobytes()
     assert np.array_equal(built.truncated, direct.truncated)
+    assert built.truncated[0] == (len(coeffs) > order + 1)
     assert built.norms.tobytes() == direct.norms.tobytes()
 
 
@@ -237,7 +238,7 @@ def test_orbit_recurrence_and_norms_hold_exactly(spec, coeffs, order, count):
     # "phi-trimmed", "direct-to-fft") builds its rows in blocks by FFT,
     # held to the leading-block bound against an extended-precision direct
     # convolution (worst ratio seen: 0.12); each norm is held to (N+1) eps
-    # of `norm` of its row (worst ratio seen: 0.047 of the bound)
+    # of the root of `norm_sq` of its row (worst ratio seen: 0.047 of the bound)
     sym = realize(spec, order)
     f = seed(coeffs, order)
     orb = orbit(sym, f, count, order)
@@ -254,7 +255,7 @@ def test_orbit_recurrence_and_norms_hold_exactly(spec, coeffs, order, count):
             assert orb.V[n + 1].tobytes() == again.coeffs.tobytes()
             if support.size == 1:
                 assert orb.V[n + 1].tobytes() == _scaled_shift(sym, orb.V[n]).tobytes()
-        expected = norm(series_from_coeffs(orb.V[n]))
+        expected = np.sqrt(norm_sq(series_from_coeffs(orb.V[n])))
         assert abs(orb.norms[n] - expected) <= (order + 1) * EPS * expected
 
 

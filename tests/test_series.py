@@ -9,7 +9,6 @@ from hardyframes.series import (
     inner_product,
     monomial,
     mul,
-    norm,
     norm_sq,
     series_from_coeffs,
 )
@@ -179,9 +178,6 @@ def test_inner_sesquilinear(a, b, c, alpha, beta):
 
 
 def test_norm_examples():
-    assert norm(monomial(3, 6)) == 1.0
-    assert abs(norm(series_from_coeffs([1, -1])) - np.sqrt(2)) < 1e-15
-    assert norm(series_from_coeffs(np.zeros(6))) == 0.0
     assert norm_sq(series_from_coeffs(np.ones(7))) == 7.0
 
 
@@ -232,4 +228,5 @@ def test_discrete_parseval(coeffs):
     f = series_from_coeffs(coeffs)
     grid = BoundaryGrid(32)  # > 2 * max order 11
     val = quadrature_norm(boundary_samples(f, grid))
-    assert abs(val - norm(f)) <= 1e-10 * max(1.0, norm(f))
+    norm = np.sqrt(norm_sq(f))
+    assert abs(val - norm) <= 1e-10 * max(1.0, norm)

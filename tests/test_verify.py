@@ -206,7 +206,7 @@ def test_p2_confined_seed_witness_is_an_exact_monomial(config, m):
         orb = orbits.orbit_for(SymbolSpec.monomial(m), seed, 64, 64)
         witness = verify_module._span_deficit_witness(orb)
         j = 0 if "class_one" in label else 1
-        assert np.array_equal(witness.coeffs, np.eye(65)[j])
+        assert np.array_equal(witness, np.eye(1, 2, j))
         assert not orb.V[:, j].any()
         assert evidence[label]["witness_frame_sum"] == 0.0
 
@@ -421,17 +421,23 @@ def test_one_disagreeing_case_makes_the_suite_inconsistent(
 
 @pytest.mark.parametrize("n", [64, 256])
 def test_each_suite_builds_a_fixed_number_of_orbits(n, monkeypatch):
-    # one orbit per case or worked example, plus Ex_3_1's three seed 1 - z
-    # orbits: 29 builds per battery; at K = N every trend point is a
-    # leading block of a case orbit, so none builds its own
-    built = []
-    real = orbits.orbit
+    # one orbit per case or worked example, plus Ex_3_1's one seed 1 - z
+    # orbit: 27 builds per battery; at K = N every trend point is a
+    # leading block of a case orbit, so none builds its own.  Each orbit
+    # that is probed pairs all its probes in one product: 13 per battery
+    built, products = [], []
+    real, real_sums = orbits.orbit, verify_module.partial_frame_sums
 
     def counting(*args, **kwargs):
         built.append(prop)
         return real(*args, **kwargs)
 
+    def counting_sums(*args, **kwargs):
+        products.append(prop)
+        return real_sums(*args, **kwargs)
+
     monkeypatch.setattr(orbits, "orbit", counting)
+    monkeypatch.setattr(verify_module, "partial_frame_sums", counting_sums)
     config = ExperimentConfig(
         symbol=SymbolSpec.monomial(1),
         truncation_order=n,
@@ -443,5 +449,8 @@ def test_each_suite_builds_a_fixed_number_of_orbits(n, monkeypatch):
     counts = {prop: built.count(prop) for prop in PROPOSITIONS}
     assert counts == {
         "P1": 4, "P2": 8, "P3": 2, "P4i": 2, "P4ii": 3,
-        "Ex_constant": 1, "Ex_half_shift": 1, "Ex_3_1": 4, "P6": 4,
+        "Ex_constant": 1, "Ex_half_shift": 1, "Ex_3_1": 2, "P6": 4,
+    }
+    assert {prop: products.count(prop) for prop in set(products)} == {
+        "P2": 8, "P3": 2, "Ex_constant": 1, "Ex_half_shift": 1, "Ex_3_1": 1,
     }
