@@ -14,7 +14,10 @@ orbits built in blocks, at K = 1, 72, 75 and 300, and a dense polynomial
 that exceeds 1 on the circle adds direct rows at N = 100, K = 300, and
 (0.3+0.4i) z and a complex constant from seed 1 and z^3 from seed z add,
 at N = K = 128, orbits whose nonzero pattern gives the spectrum, and
-a zero seed adds an all-zero orbit at N = K = 16.  All are written to
+a zero seed adds an all-zero orbit at N = K = 16.  Last come one-term
+symbols at their edges: a unimodular constant from seed 1 - z at
+N = K = 64, z^20 at N = K = 8 (its term lies past N), and the zero
+symbol as 0*z and as the constant 0 at N = K = 16.  All are written to
 OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds`
 and `gram` as JSON and CSV and through `innerness` and `cyclicity` as
 JSON; `report-all` runs once with its defaults, then once per resolution in
@@ -225,6 +228,24 @@ def configs(rng) -> dict:
         "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
         "output": {"format": "json", "path": None},
     }
+    # one-term edge cases: a unimodular constant from seed 1 - z, z^20
+    # whose one term lies past the order N = 8, and the zero symbol as
+    # 0*z and as the constant 0
+    for name, symbol, seed, n in (
+        ("constant-unimodular-seed-one-minus-z-64", {"kind": "constant", "value": _complex_list(np.exp(0.3j))[0]}, [1, -1], 64),
+        ("monomial-20-N8", {"kind": "monomial", "power": 20}, [1, 0.5j, -0.25 + 0.1j], 8),
+        ("scaled-shift-zero-16", {"kind": "scaled_shift", "value": _complex_list(0.0)[0]}, [1, 0.5j], 16),
+        ("constant-zero-16", {"kind": "constant", "value": _complex_list(0.0)[0]}, [1, 0.5j], 16),
+    ):
+        out[name] = {
+            "symbol": symbol,
+            "seed_coeffs": _complex_list(seed),
+            "truncation_order": n,
+            "orbit_length": n,
+            "boundary_grid": 8 * n,
+            "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+            "output": {"format": "json", "path": None},
+        }
     return out
 
 

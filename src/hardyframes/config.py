@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .diagnostics import RANK_REL_TOL
-from .jsonio import complex_to_json, json_number, json_to_complex
-from .symbols import INNER_TOL_EXACT, SymbolSpec
+from .jsonio import complex_to_json, json_int, json_number, json_to_complex
+from .symbols import INNER_TOL_EXACT, SymbolSpec, spec_from_json, spec_to_json
 
 
 # Most entries, orbit coefficients or grid points, one array built from a
@@ -96,51 +96,13 @@ class ExperimentConfig:
             )
 
 
-# -- symbol spec <-> JSON ---------------------------------------------------
-
-
-def _json_int(obj: dict, name: str) -> int:
-    """obj[name] when it is a JSON integer; a float, a string or a bool
-    (an int to Python) is not a size."""
-    value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
-    return value
-
-
-def symbol_spec_to_json(spec: SymbolSpec) -> dict:
-    out: dict = {"kind": spec.kind}
-    if spec.kind in ("constant", "scaled_shift"):
-        out["value"] = complex_to_json(spec.value)
-    elif spec.kind == "monomial":
-        out["power"] = spec.power
-    elif spec.kind == "polynomial":
-        out["coeffs"] = [complex_to_json(c) for c in spec.coeffs]
-    elif spec.kind == "blaschke":
-        out["zeros"] = [complex_to_json(a) for a in spec.zeros]
-        out["prefactor"] = complex_to_json(spec.prefactor)
-    return out
-
-
-def symbol_spec_from_json(obj: dict) -> SymbolSpec:
+def _decoded(decode, *args):
+    """decode(*args), with a ValueError, whose message names the fault,
+    raised as a ConfigError with the same message."""
     try:
-        kind = obj["kind"]
-        if kind == "constant":
-            return SymbolSpec.constant(json_to_complex(obj["value"]))
-        if kind == "scaled_shift":
-            return SymbolSpec.scaled_shift(json_to_complex(obj["value"]))
-        if kind == "monomial":
-            return SymbolSpec.monomial(_json_int(obj, "power"))
-        if kind == "polynomial":
-            return SymbolSpec.polynomial([json_to_complex(c) for c in obj["coeffs"]])
-        if kind == "blaschke":
-            return SymbolSpec.blaschke(
-                [json_to_complex(a) for a in obj["zeros"]],
-                prefactor=json_to_complex(obj.get("prefactor", {"re": 1.0, "im": 0.0})),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed symbol spec: {exc}") from exc
-    raise ConfigError(f"unknown symbol kind {obj.get('kind')!r}")
+        return decode(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # -- experiment config <-> JSON ---------------------------------------------
@@ -148,7 +110,7 @@ def symbol_spec_from_json(obj: dict) -> SymbolSpec:
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
     return {
-        "symbol": symbol_spec_to_json(cfg.symbol),
+        "symbol": spec_to_json(cfg.symbol),
         "seed_coeffs": [complex_to_json(c) for c in cfg.seed_coeffs],
         "truncation_order": cfg.truncation_order,
         "orbit_length": cfg.orbit_length,
@@ -168,11 +130,11 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             raise ConfigError(f"{name} must be a JSON object")
     try:
         return ExperimentConfig(
-            symbol=symbol_spec_from_json(obj["symbol"]),
+            symbol=_decoded(spec_from_json, obj["symbol"]),
             seed_coeffs=tuple(json_to_complex(c) for c in obj["seed_coeffs"]),
-            truncation_order=_json_int(obj, "truncation_order"),
-            orbit_length=_json_int(obj, "orbit_length"),
-            boundary_grid=_json_int(obj, "boundary_grid"),
+            truncation_order=_decoded(json_int, obj["truncation_order"], "truncation_order"),
+            orbit_length=_decoded(json_int, obj["orbit_length"], "orbit_length"),
+            boundary_grid=_decoded(json_int, obj["boundary_grid"], "boundary_grid"),
             # a key the config leaves out takes the library default
             tolerances=ToleranceSettings(**{
                 name: json_number(tol[name], name)

@@ -17,7 +17,7 @@ import numpy as np
 from .series import TruncatedSeries
 from .frames import _singular_values
 from .orbits import Orbit
-from .symbols import SymbolRealization, boundary_values
+from .symbols import SymbolRealization, boundary_values, vanishes_in_disk
 
 RANK_REL_TOL = 1e-10
 CIRCLE_TOL = 1e-9
@@ -115,23 +115,6 @@ def class_support(g: TruncatedSeries, m: int) -> tuple:
     return tuple(sorted({int(i) % m for i in nz}))
 
 
-def _vanishes_in_disk(sym: SymbolRealization) -> bool:
-    """Whether phi has a zero in the open disk, for a constant, c*z or a
-    polynomial (the kinds whose |phi| on T can exceed 1).
-
-    c*z vanishes at 0 at every order; otherwise the stored polynomial is
-    the symbol, and every root of modulus < 1 counts, including those
-    `zeros_in_disk` files as boundary-ambiguous.  A constant (degree 0)
-    finds no roots.
-    """
-    if sym.spec.kind == "scaled_shift":
-        return True
-    deg = sym.series.exact_degree()
-    if not deg:
-        return False
-    return bool(np.any(np.abs(np.roots(sym.series.coeffs[deg::-1])) < 1.0))
-
-
 def image_circle_intersection(sym: SymbolRealization, grid) -> ImageCircleReport:
     """Whether the closure of phi(D) meets the unit circle T, from |phi| on T.
 
@@ -145,6 +128,6 @@ def image_circle_intersection(sym: SymbolRealization, grid) -> ImageCircleReport
     moduli = np.abs(boundary_values(sym, grid))
     lo, hi = float(np.min(moduli)), float(np.max(moduli))
     misses = hi < 1.0 - CIRCLE_TOL or (
-        lo > 1.0 + CIRCLE_TOL and not _vanishes_in_disk(sym)
+        lo > 1.0 + CIRCLE_TOL and not vanishes_in_disk(sym)
     )
     return ImageCircleReport(min_modulus=lo, max_modulus=hi, intersects_circle=not misses)

@@ -42,7 +42,11 @@ def partial_frame_sums(probes: np.ndarray, orb: Orbit) -> np.ndarray:
     probes is a (P, L) array whose rows are the probes' coefficients; the
     result is (K+1, P), each column monotone nondecreasing.  The pairings,
     conjugated, are V conj(probes)^T over the first min(L, N+1)
-    coefficients: one matrix product for all P probes.
+    coefficients: one matrix product for all P probes.  When the sums are
+    inexact, a probe's column can differ in its last bits with the number
+    of probes in the call: numpy sends one probe row to BLAS gemv and
+    several to gemm, and OpenBLAS 0.3.31 sums the two in different orders.
+    Every suite's probes give exact sums.
     """
     n = min(probes.shape[1], orb.order + 1)
     p = orb.V[:, :n] @ probes[:, :n].conj().T

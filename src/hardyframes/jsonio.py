@@ -28,6 +28,14 @@ def json_number(value, name: str) -> float:
     return float(value)
 
 
+def json_int(value, name: str) -> int:
+    """value when it is a JSON integer; a float, a string or a bool (an
+    int to Python) is not a size."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def json_to_complex(obj) -> complex:
     if isinstance(obj, dict) and set(obj) == {"re", "im"}:
         return complex(json_number(obj["re"], "re"), json_number(obj["im"], "im"))

@@ -6,6 +6,9 @@ finite Blaschke product).  `realize` turns a spec into a truncated
 expansion plus structural metadata; boundary evaluation uses the exact
 closed form whenever the spec provides one, falling back to the
 truncated polynomial only for the `polynomial` kind.
+
+No other module branches on a kind: report labels (`describe`) and the
+JSON codec (`spec_to_json`, `spec_from_json`) live here too.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import complex_to_json, json_int, json_to_complex
 from .series import (
     BoundaryGrid,
     TruncatedSeries,
@@ -23,6 +27,8 @@ from .series import (
 )
 
 KINDS = ("constant", "monomial", "scaled_shift", "polynomial", "blaschke")
+# The kinds with one Taylor term, value * z^power.
+ONE_TERM_KINDS = ("constant", "monomial", "scaled_shift")
 
 BLASCHKE_ZERO_MARGIN = 1e-9
 UNIMODULAR_TOL = 1e-12
@@ -35,11 +41,17 @@ INNER_TOL_TRUNCATED = 1e-6
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """Declarative description of a multiplication symbol."""
+    """Declarative description of a multiplication symbol.
+
+    The three one-term kinds are stored as value * z^power: a constant c
+    as c * z^0, z^m as 1 * z^m, and c*z as c * z^1.  Construction sets the
+    field a kind fixes, so `SymbolSpec(kind="monomial", power=2)` equals
+    `SymbolSpec.monomial(2)`.
+    """
 
     kind: str
-    value: complex = 0j                     # constant / scaled_shift
-    power: int = 0                          # monomial
+    value: complex = 0j                     # one-term kinds
+    power: int = 0                          # one-term kinds
     coeffs: tuple = ()                      # polynomial
     zeros: tuple = ()                       # blaschke
     prefactor: complex = 1.0 + 0j           # blaschke, |prefactor| = 1
@@ -47,12 +59,14 @@ class SymbolSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind in ("constant", "scaled_shift"):
-            v = complex(self.value)
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
+        if self.kind in ONE_TERM_KINDS:
+            value = complex(1.0 if self.kind == "monomial" else self.value)
+            power = {"constant": 0, "scaled_shift": 1}.get(self.kind, int(self.power))
+            object.__setattr__(self, "value", value)
+            object.__setattr__(self, "power", power)
+            if not np.isfinite(value):
                 raise ValueError("symbol value must be finite")
-        elif self.kind == "monomial":
-            if self.power < 0:
+            if power < 0:
                 raise ValueError("monomial power must be >= 0")
         elif self.kind == "polynomial":
             if len(self.coeffs) == 0:
@@ -60,7 +74,7 @@ class SymbolSpec:
             arr = np.asarray(self.coeffs, dtype=complex)
             if not np.all(np.isfinite(arr)):
                 raise ValueError("polynomial coefficients must be finite")
-        elif self.kind == "blaschke":
+        else:
             for a in self.zeros:
                 # written so that a NaN zero fails too
                 if not abs(complex(a)) < 1.0 - BLASCHKE_ZERO_MARGIN:
@@ -74,16 +88,16 @@ class SymbolSpec:
 
     @classmethod
     def constant(cls, c) -> "SymbolSpec":
-        return cls(kind="constant", value=complex(c))
+        return cls(kind="constant", value=c)
 
     @classmethod
     def monomial(cls, m: int) -> "SymbolSpec":
-        return cls(kind="monomial", power=int(m))
+        return cls(kind="monomial", power=m)
 
     @classmethod
     def scaled_shift(cls, c) -> "SymbolSpec":
         """The symbol c*z."""
-        return cls(kind="scaled_shift", value=complex(c))
+        return cls(kind="scaled_shift", value=c)
 
     @classmethod
     def polynomial(cls, coeffs) -> "SymbolSpec":
@@ -96,6 +110,56 @@ class SymbolSpec:
             zeros=tuple(complex(a) for a in zeros),
             prefactor=complex(prefactor),
         )
+
+
+def describe(spec: SymbolSpec) -> str:
+    """The symbol's label in verification reports."""
+    if spec.kind == "constant":
+        return f"constant({spec.value})"
+    if spec.kind == "monomial":
+        return f"z^{spec.power}"
+    if spec.kind == "scaled_shift":
+        return f"{spec.value}*z"
+    if spec.kind == "polynomial":
+        return f"polynomial(degree<={len(spec.coeffs) - 1})"
+    return f"blaschke(zeros={list(spec.zeros)})"
+
+
+def spec_to_json(spec: SymbolSpec) -> dict:
+    """The spec as a JSON object: its kind and the fields that kind reads."""
+    out: dict = {"kind": spec.kind}
+    if spec.kind == "monomial":
+        out["power"] = spec.power
+    elif spec.kind in ONE_TERM_KINDS:
+        out["value"] = complex_to_json(spec.value)
+    elif spec.kind == "polynomial":
+        out["coeffs"] = [complex_to_json(c) for c in spec.coeffs]
+    else:
+        out["zeros"] = [complex_to_json(a) for a in spec.zeros]
+        out["prefactor"] = complex_to_json(spec.prefactor)
+    return out
+
+
+def spec_from_json(obj) -> SymbolSpec:
+    """The spec of a `spec_to_json` object; a blaschke `prefactor` left out
+    is 1.  Raises ValueError, with a message for the user, when obj is
+    malformed or names an unknown kind."""
+    try:
+        kind = obj["kind"]
+        if kind == "monomial":
+            return SymbolSpec(kind, power=json_int(obj["power"], "power"))
+        if kind in ONE_TERM_KINDS:
+            return SymbolSpec(kind, value=json_to_complex(obj["value"]))
+        if kind == "polynomial":
+            return SymbolSpec.polynomial([json_to_complex(c) for c in obj["coeffs"]])
+        if kind == "blaschke":
+            return SymbolSpec.blaschke(
+                [json_to_complex(a) for a in obj["zeros"]],
+                prefactor=json_to_complex(obj.get("prefactor", {"re": 1.0, "im": 0.0})),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed symbol spec: {exc}") from exc
+    raise ValueError(f"unknown symbol kind {kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,42 +205,28 @@ def _blaschke_factor_series(a: complex, order: int) -> TruncatedSeries:
 
 
 def _expand(spec: SymbolSpec, order: int) -> TruncatedSeries:
-    out = np.zeros(order + 1, dtype=complex)
-    if spec.kind == "constant":
-        out[0] = spec.value
-    elif spec.kind == "monomial":
-        if spec.power <= order:
-            out[spec.power] = 1.0
-    elif spec.kind == "scaled_shift":
-        if order >= 1:
-            out[1] = spec.value
-    elif spec.kind == "polynomial":
-        arr = np.asarray(spec.coeffs, dtype=complex)
-        m = min(arr.size, order + 1)
-        out[:m] = arr[:m]
-    elif spec.kind == "blaschke":
+    if spec.kind == "polynomial":
+        return series_from_coeffs(spec.coeffs, order)
+    if spec.kind == "blaschke":
         acc = series_from_coeffs([spec.prefactor], order)
         for a in spec.zeros:
             acc = mul(acc, _blaschke_factor_series(a, order), order)
         return acc
+    out = np.zeros(order + 1, dtype=complex)  # value * z^power
+    if spec.power <= order:
+        out[spec.power] = spec.value
     return TruncatedSeries(out)
 
 
 def _structural_degree(spec: SymbolSpec) -> int | None:
     """Exact degree of the symbol when it is genuinely a polynomial."""
-    if spec.kind == "constant":
-        return 0 if spec.value != 0 else None
-    if spec.kind == "monomial":
-        return spec.power
-    if spec.kind == "scaled_shift":
-        return 1 if spec.value != 0 else None
+    if spec.kind in ONE_TERM_KINDS:
+        return spec.power if spec.value != 0 else None
     if spec.kind == "polynomial":
         nz = np.nonzero(np.asarray(spec.coeffs, dtype=complex))[0]
         return int(nz[-1]) if nz.size else None
-    if spec.kind == "blaschke":
-        if all(a == 0 for a in spec.zeros):
-            return len(spec.zeros)  # u * z^k exactly
-        return None
+    if all(a == 0 for a in spec.zeros):
+        return len(spec.zeros)  # u * z^k exactly
     return None
 
 
@@ -185,15 +235,10 @@ def realize(spec: SymbolSpec, order: int) -> SymbolRealization:
     if order < 0:
         raise ValueError("expansion order must be >= 0")
     series = _expand(spec, order)
-    if spec.kind == "blaschke" and any(a != 0 for a in spec.zeros):
-        # Infinite Taylor series: the stored polynomial is a truncation.
-        series_exact, degree = False, None
-    else:
-        degree = _structural_degree(spec)
-        if degree is None:
-            series_exact = True  # the zero symbol
-        else:
-            series_exact = degree <= order
+    degree = _structural_degree(spec)
+    # no degree: the zero symbol, stored exactly, or a Blaschke product with
+    # a zero off 0, whose infinite Taylor series the stored one truncates
+    series_exact = spec.kind != "blaschke" if degree is None else degree <= order
     sup = _sup_norm_for(spec, series, order)
     return SymbolRealization(
         spec=spec,
@@ -204,24 +249,14 @@ def realize(spec: SymbolSpec, order: int) -> SymbolRealization:
     )
 
 
-def _default_grid(order: int) -> BoundaryGrid:
-    size = 256
-    while size <= 4 * order:
-        size *= 2
-    return BoundaryGrid(size)
-
-
 def _sup_norm_for(spec: SymbolSpec, series: TruncatedSeries, order: int) -> float:
-    if spec.kind == "constant":
-        return abs(spec.value)
-    if spec.kind == "monomial":
-        return 1.0
-    if spec.kind == "scaled_shift":
+    if spec.kind in ONE_TERM_KINDS:
         return abs(spec.value)
     if spec.kind == "blaschke":
         return 1.0  # inner: boundary modulus is identically 1
-    # Polynomial: maximum boundary modulus (maximum modulus principle).
-    grid = _default_grid(order)
+    # Polynomial: maximum boundary modulus (maximum modulus principle), on
+    # the smallest grid of 256 * 2^j points with M > 4N.
+    grid = BoundaryGrid(max(256, 1 << (4 * order).bit_length()))
     return float(np.max(np.abs(boundary_samples(series, grid))))
 
 
@@ -233,12 +268,8 @@ def evaluate_symbol(sym: SymbolRealization, points: np.ndarray) -> np.ndarray:
     """
     spec = sym.spec
     z = np.asarray(points, dtype=complex)
-    if spec.kind == "constant":
-        return np.full(z.shape, complex(spec.value))
-    if spec.kind == "monomial":
-        return z ** spec.power
-    if spec.kind == "scaled_shift":
-        return complex(spec.value) * z
+    if spec.kind in ONE_TERM_KINDS:
+        return spec.value * z**spec.power
     if spec.kind == "blaschke":
         vals = np.full(z.shape, complex(spec.prefactor))
         for a in spec.zeros:
@@ -252,6 +283,24 @@ def evaluate_symbol(sym: SymbolRealization, points: np.ndarray) -> np.ndarray:
     for c in sym.series.coeffs[::-1]:
         acc = acc * z + c
     return acc
+
+
+def vanishes_in_disk(sym: SymbolRealization) -> bool:
+    """Whether a nonzero phi that is not inner (a one-term symbol or a
+    polynomial: the kinds whose |phi| on T can exceed 1) has a zero in the
+    open disk.
+
+    A one-term symbol c z^m with m >= 1 vanishes at 0 at every order, and a
+    constant nowhere.  Otherwise the stored polynomial is the symbol, and
+    every root of modulus < 1 counts, including those `zeros_in_disk`
+    files as boundary-ambiguous.
+    """
+    if sym.spec.kind in ONE_TERM_KINDS:
+        return sym.spec.power >= 1
+    deg = sym.series.exact_degree()
+    if not deg:
+        return False
+    return bool(np.any(np.abs(np.roots(sym.series.coeffs[deg::-1])) < 1.0))
 
 
 def uses_exact_evaluation(sym: SymbolRealization) -> bool:

@@ -35,7 +35,7 @@ from .frames import (
 )
 from .orbits import MIN_ORBIT_FOR_DECAY, decay_profile, orbit_for
 from .series import BoundaryGrid
-from .symbols import SymbolSpec, innerness_test, realize
+from .symbols import SymbolSpec, describe, innerness_test, realize
 
 P6_TENSION_NOTE = (
     "a numerically cyclic seed (full rank at truncation) shows a lower-bound "
@@ -84,7 +84,7 @@ def _cases(config: ExperimentConfig, cases, check) -> tuple[bool, dict]:
     agree, evidence = True, {}
     for label, spec, seed, *args in cases:
         entry, ok = check(orbit_for(spec, seed, n, k), *args)
-        evidence[label] = {"symbol": _describe(spec), **entry}
+        evidence[label] = {"symbol": describe(spec), **entry}
         agree = agree and bool(ok)
     return agree, evidence
 
@@ -160,18 +160,6 @@ def _bounds_columns(bounds) -> dict:
         "B_est": bounds.B_est,
         "lower_bound_numerically_zero": bounds.numerically_zero_lower,
     }
-
-
-def _describe(spec: SymbolSpec) -> str:
-    if spec.kind == "constant":
-        return f"constant({spec.value})"
-    if spec.kind == "monomial":
-        return f"z^{spec.power}"
-    if spec.kind == "scaled_shift":
-        return f"{spec.value}*z"
-    if spec.kind == "polynomial":
-        return f"polynomial(degree<={len(spec.coeffs) - 1})"
-    return f"blaschke(zeros={list(spec.zeros)})"
 
 
 def _parameters(config: ExperimentConfig) -> dict:
@@ -365,7 +353,7 @@ def _verify_p3(config: ExperimentConfig) -> tuple[str, dict]:
             # one fit per probe: fitting both columns at once rounds otherwise
             slope = float(np.linalg.lstsq(design, sums, rcond=None)[0][0])
             entry = {
-                "symbol": _describe(spec),
+                "symbol": describe(spec),
                 "g": g_label,
                 "expected_increment": float(expected),
                 "fitted_slope": slope,

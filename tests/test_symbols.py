@@ -6,6 +6,7 @@ from hardyframes.series import BoundaryGrid, mul
 from hardyframes.symbols import (
     SymbolSpec,
     boundary_values,
+    describe,
     evaluate_symbol,
     innerness_test,
     realize,
@@ -59,6 +60,32 @@ def test_realize_constant_half():
     sym = realize(SymbolSpec.constant(0.5), 3)
     assert np.array_equal(sym.series.coeffs, [0.5, 0, 0, 0])
     assert sym.sup_norm_estimate == 0.5
+
+
+_VALUES = (0.5, -1.25 + 0.5j, 0)
+
+
+@pytest.mark.parametrize(
+    "spec, direct",
+    [
+        *((SymbolSpec.constant(c), SymbolSpec(kind="constant", value=c)) for c in _VALUES),
+        *((SymbolSpec.scaled_shift(c), SymbolSpec(kind="scaled_shift", value=c)) for c in _VALUES),
+        *((SymbolSpec.monomial(m), SymbolSpec(kind="monomial", power=m)) for m in (0, 1, 3)),
+    ],
+    ids=describe,
+)
+def test_one_term_kinds_are_the_one_coefficient_polynomial(spec, direct):
+    # a constant, c*z and z^m are value * z^power, as the polynomial with
+    # that one coefficient, below, at and past the power
+    assert direct == spec and hash(direct) == hash(spec)
+    poly = SymbolSpec.polynomial([0] * spec.power + [spec.value])
+    for order in (spec.power - 1, spec.power, spec.power + 5):
+        if order < 0:
+            continue
+        got, want = realize(spec, order), realize(poly, order)
+        assert got.series.coeffs.tobytes() == want.series.coeffs.tobytes()
+        assert (got.degree, got.series_exact) == (want.degree, want.series_exact)
+        assert got.sup_norm_estimate == abs(spec.value)
 
 
 def test_realize_blaschke_half_coefficients():

@@ -177,7 +177,7 @@ def test_image_test_finds_roots_only_outside_the_circle(tmp_path, monkeypatch):
     assert callers == []
     # 1 + z meets T with |phi| < 1 on part of it; 2 + 5z^2 has |phi| >= 3
     # on T and zeros at |z| ~ 0.63
-    for coeffs, calls in (([1, 1], []), ([2, 0, 5], ["_vanishes_in_disk"])):
+    for coeffs, calls in (([1, 1], []), ([2, 0, 5], ["vanishes_in_disk"])):
         sym = realize(SymbolSpec.polynomial(coeffs), 8)
         assert image_circle_intersection(sym, BoundaryGrid(512)).intersects_circle
         assert callers == calls
