@@ -15,7 +15,8 @@ import sys
 
 import numpy as np
 
-from hardyframes.frames import bounds_vs_truncation
+from hardyframes.frames import section_bounds
+from hardyframes.orbits import orbit_for
 from hardyframes.symbols import SymbolSpec
 
 SYMBOLS = {
@@ -34,12 +35,12 @@ def main() -> int:
     parser.add_argument("--orbit-lens", type=int, nargs="+", default=[8, 16, 32, 64])
     args = parser.parse_args()
 
-    try:
-        rows = bounds_vs_truncation(
-            SYMBOLS[args.symbol], (1.0,), args.orders, args.orbit_lens
-        )
-    except ValueError as exc:  # unsorted lists, or a negative N or K
-        parser.error(str(exc))
+    for name, values in (("--orders", args.orders), ("--orbit-lens", args.orbit_lens)):
+        if values != sorted(values) or values[0] < 0:
+            parser.error(f"{name} must be ascending and >= 0")
+    # the orbit at each (N, K) is a leading block of the one at the largest
+    orb = orbit_for(SYMBOLS[args.symbol], (1.0,), args.orders[-1], args.orbit_lens[-1])
+    rows = section_bounds(orb, [(n, k) for n in args.orders for k in args.orbit_lens])
     print("N,K,A_est,B_est,tight,numerically_zero_lower")
     for b in rows:
         print(

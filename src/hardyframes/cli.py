@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .diagnostics import cyclicity_rank
-from .frames import frame_bounds_estimate, gram
-from .jsonio import dumps_canonical, dumps_csv, write_canonical
+from .frames import bounds_from_singular_values, gram
+from .jsonio import dumps_canonical, dumps_csv
 from .orbits import orbit_for
 from .series import BoundaryGrid
 from .symbols import SymbolSpec, innerness_test, realize
@@ -41,7 +41,7 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig(symbol=SymbolSpec.monomial(1))
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -90,7 +90,8 @@ def _orbit_columns(payload: dict) -> dict:
 
 
 def _frame_bounds_report(config: ExperimentConfig, args) -> dict:
-    bounds = frame_bounds_estimate(_config_orbit(config).V)
+    orb = _config_orbit(config)
+    bounds = bounds_from_singular_values(orb.singular_values, orb.V.shape)
     return dataclasses.asdict(bounds)  # the fields, in order, are the CSV columns
 
 
@@ -207,7 +208,7 @@ def _report_all(args) -> int:
         note = report.evidence.get("note")
         if note:
             notes[prop] = note
-        write_canonical(out_path / f"{prop}.json", report_to_json(report))
+        _emit(dumps_canonical(report_to_json(report)), out_path / f"{prop}.json")
 
     exit_code = EXIT_INCONSISTENT if "inconsistent" in verdicts.values() else EXIT_OK
     index = {
@@ -216,8 +217,9 @@ def _report_all(args) -> int:
         "notes": notes,
         "exit_code": exit_code,
     }
-    write_canonical(out_path / "index.json", index)
-    sys.stdout.write(dumps_canonical(index))
+    text = dumps_canonical(index)
+    _emit(text, out_path / "index.json")
+    _emit(text, None)
     return exit_code
 
 

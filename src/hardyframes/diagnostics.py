@@ -5,7 +5,8 @@ These are the finite surrogates for the structural obstructions to the
 frame property: a seed zero inside the disk pairs the whole orbit against
 a reproducing kernel, a power-of-z symbol confines the orbit to residue
 classes, and rank deficiency of the orbit's coefficient matrix witnesses
-an incomplete span on the truncated space.
+an incomplete span on the truncated space.  The cyclicity rank reads
+the spectrum each orbit keeps (`Orbit.singular_values`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import TruncatedSeries
-from .frames import _singular_values
 from .orbits import Orbit
 from .symbols import SymbolRealization, boundary_values, vanishes_in_disk
 
@@ -94,12 +94,11 @@ def cyclicity_rank(orb: Orbit, rank_tol: float = RANK_REL_TOL) -> CyclicityRepor
 
     Full rank is the truncation-level surrogate for a dense span; the full
     singular spectrum is returned so borderline cases stay visible.  The
-    spectrum is the min(K+1, N+1) singular values of V, of which zero rows
-    and zero columns contribute exact zeros (the sorted moduli when the
-    rest is a scaled permutation, otherwise a values-only SVD, real when
-    the data are).
+    spectrum is the orbit's own `singular_values`, the min(K+1, N+1)
+    singular values of V, so the orbit's frame bounds read the same
+    factorization.
     """
-    singulars = _singular_values(orb.V)
+    singulars = orb.singular_values
     # values above rank_tol * sigma_max; an all-zero spectrum has rank 0
     rank = int(np.count_nonzero(singulars > rank_tol * singulars[0]))
     return CyclicityReport(

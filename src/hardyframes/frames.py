@@ -11,7 +11,10 @@ the pairings behind the frame sums of a whole matrix of probes, and the
 frame bounds, which are the squared extreme singular values of V.  No SVD
 factor is ever formed.  Zero rows and zero columns of V are not factored,
 and a V whose remaining entries form a scaled permutation is not factored
-at all: its singular values are their moduli.
+at all: its singular values are their moduli.  A whole orbit's bounds
+read the spectrum the orbit keeps (`Orbit.singular_values`), and the
+finite sections at other (N', K') are leading blocks of one orbit
+(`section_bounds`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbits import Orbit, orbit_for
+from .orbits import Orbit, _singular_values, orbit_for
 
 TIGHT_REL_TOL = 1e-8
 NUMERICALLY_ZERO_REL = 1e-12
@@ -75,34 +78,6 @@ def gram(orb: Orbit) -> np.ndarray:
     return g
 
 
-def _singular_values(v: np.ndarray) -> np.ndarray:
-    """The min(v.shape) singular values of v in descending order.
-
-    Zero rows and zero columns of v are not factored: each only adds an
-    exact zero to the spectrum, as a constant symbol from seed 1 (one
-    nonzero column) or z^m (m >= 2) from seed 1 (the residue classes of
-    its seed) shows.  When what remains has one nonzero per row and per
-    column (a scaled permutation: c*z or z^m from seed 1, z^m from seed
-    z^j), its singular values are the moduli of those entries, sorted, and
-    no LAPACK call is made.  Anything else takes one values-only LAPACK
-    SVD, in float64 when no imaginary part is nonzero: most orbits of a
-    real symbol and a real seed are real, and a real SVD costs about half
-    as much as the complex one of the same data.
-    """
-    sigma = np.zeros(min(v.shape))
-    nonzero = v != 0
-    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
-    if np.count_nonzero(nonzero) == np.count_nonzero(rows) == np.count_nonzero(cols):
-        values = np.sort(np.abs(v[nonzero]))[::-1]
-    else:
-        block = v if rows.all() and cols.all() else v[np.ix_(rows, cols)]
-        if not block.imag.any():
-            block = block.real
-        values = np.linalg.svd(block, compute_uv=False)
-    sigma[: values.size] = values
-    return sigma
-
-
 def bounds_from_singular_values(sigma: np.ndarray, shape: tuple) -> FrameBounds:
     """Frame bounds of a (K+1) x (N+1) coefficient matrix V from its
     min(K+1, N+1) singular values in descending order.
@@ -146,22 +121,32 @@ def frame_bounds_estimate(v: np.ndarray) -> FrameBounds:
     return bounds_from_singular_values(_singular_values(v), v.shape)
 
 
-def bounds_vs_truncation(spec, seed_coeffs, orders, orbit_lengths) -> list[FrameBounds]:
-    """FrameBounds for every (N, K) pair of the two ascending lists.
+def section_bounds(orb: Orbit, points) -> list[FrameBounds]:
+    """FrameBounds at each (n', k') of points of the orbit of orb's seed
+    row under orb's symbol spec.
 
-    One orbit is built, at the largest N and K; the orbit at (n, k) is its
-    leading block V[:k+1, :n+1], because coefficients 0..n of phi * g
-    depend only on coefficients 0..n of phi and of g.
+    Coefficients 0..n' of phi * g depend only on coefficients 0..n' of
+    phi and of g, so the orbit at (n', k') is the leading block
+    V[:k'+1, :n'+1] of any orbit at least that large.  The point (N, K)
+    reads orb.singular_values, a block that fits reads orb.V, and every
+    point beyond (N, K) reads a block of one orbit, built from the seed
+    row at the largest n' and k' asked for.  The seed row is the whole
+    seed whenever the seed's degree is at most N.
     """
-    orders = list(orders)
-    orbit_lengths = list(orbit_lengths)
-    if not orders or not orbit_lengths:
-        raise ValueError("orders and orbit_lengths must be nonempty")
-    if sorted(orders) != orders or sorted(orbit_lengths) != orbit_lengths:
-        raise ValueError("orders and orbit_lengths must be ascending")
-    v = orbit_for(spec, seed_coeffs, orders[-1], orbit_lengths[-1]).V
-    return [
-        frame_bounds_estimate(v[: k + 1, : n + 1])
-        for n in orders
-        for k in orbit_lengths
-    ]
+    points = list(points)
+    n, k = orb.order, orb.length - 1
+    larger = None
+    out = []
+    for nn, kk in points:
+        if (nn, kk) == (n, k):
+            out.append(bounds_from_singular_values(orb.singular_values, orb.V.shape))
+            continue
+        if nn <= n and kk <= k:
+            v = orb.V
+        else:
+            if larger is None:
+                top_n, top_k = map(max, zip(*points))
+                larger = orbit_for(orb.symbol.spec, orb.V[0], top_n, top_k).V
+            v = larger
+        out.append(frame_bounds_estimate(v[: kk + 1, : nn + 1]))
+    return out

@@ -149,8 +149,3 @@ def dumps_csv(columns: dict) -> str:
     lines = [",".join(columns)]
     lines.extend(row % cells for cells in zip(*values))
     return "\n".join(lines) + "\n"
-
-
-def write_canonical(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_canonical(obj))

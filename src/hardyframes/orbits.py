@@ -5,12 +5,17 @@ truncated to a common order N.  Iterated multiplication can push the true
 degree of phi^n f past N; each element therefore carries a `truncated`
 flag, and decay diagnostics restrict themselves to the flag-free prefix
 so that coefficient loss is never mistaken for genuine norm decay.
+
+Each orbit owns its singular spectrum, `Orbit.singular_values`, from at
+most one values-only SVD of V; the frame bounds and the cyclicity rank
+of the whole orbit both read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +65,44 @@ class Orbit:
         """Number of leading elements free of any truncation loss."""
         flagged = np.nonzero(self.truncated)[0]
         return int(flagged[0]) if flagged.size else self.length
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """The min(K+1, N+1) singular values of V in descending order,
+        read-only, computed on first use and kept: each orbit is factored
+        at most once, whichever of its frame bounds and cyclicity rank is
+        asked for first."""
+        sigma = _singular_values(self.V)
+        sigma.flags.writeable = False
+        return sigma
+
+
+def _singular_values(v: np.ndarray) -> np.ndarray:
+    """The min(v.shape) singular values of v in descending order.
+
+    Zero rows and zero columns of v are not factored: each only adds an
+    exact zero to the spectrum, as a constant symbol from seed 1 (one
+    nonzero column) or z^m (m >= 2) from seed 1 (the residue classes of
+    its seed) shows.  When what remains has one nonzero per row and per
+    column (a scaled permutation: c*z or z^m from seed 1, z^m from seed
+    z^j), its singular values are the moduli of those entries, sorted, and
+    no LAPACK call is made.  Anything else takes one values-only LAPACK
+    SVD, in float64 when no imaginary part is nonzero: most orbits of a
+    real symbol and a real seed are real, and a real SVD costs about half
+    as much as the complex one of the same data.
+    """
+    sigma = np.zeros(min(v.shape))
+    nonzero = v != 0
+    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    if np.count_nonzero(nonzero) == np.count_nonzero(rows) == np.count_nonzero(cols):
+        values = np.sort(np.abs(v[nonzero]))[::-1]
+    else:
+        block = v if rows.all() and cols.all() else v[np.ix_(rows, cols)]
+        if not block.imag.any():
+            block = block.real
+        values = np.linalg.svd(block, compute_uv=False)
+    sigma[: values.size] = values
+    return sigma
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 A holomorphic function with square-summable Taylor coefficients is
 represented by its first N+1 coefficients.  All operations are exact on
 the retained coefficients; anything above the stated order is discarded,
-never approximated.  Norms and inner products are BLAS dot products.
+never approximated.
 """
 
 from __future__ import annotations
@@ -71,18 +71,6 @@ def series_from_coeffs(coeffs, order: int | None = None) -> TruncatedSeries:
     return TruncatedSeries(arr)
 
 
-def monomial(k: int, order: int | None = None) -> TruncatedSeries:
-    """The basis element z^k, optionally padded to a larger order."""
-    if k < 0:
-        raise ValueError("monomial degree must be >= 0")
-    n = k if order is None else order
-    if n < k:
-        raise ValueError("order must be >= monomial degree")
-    out = np.zeros(n + 1, dtype=complex)
-    out[k] = 1.0
-    return TruncatedSeries(out)
-
-
 def _trim_trailing_zeros(x: np.ndarray) -> np.ndarray:
     nz = np.nonzero(x)[0]
     return x[: nz[-1] + 1] if nz.size else x[:0]
@@ -128,17 +116,6 @@ def mul(a: TruncatedSeries, b: TruncatedSeries, target_order: int) -> TruncatedS
     # The product only needs coefficients up to target_order.
     _mul_into(out, _trim_trailing_zeros(a.coeffs[: target_order + 1]), b.coeffs)
     return TruncatedSeries(out)
-
-
-def inner_product(f: TruncatedSeries, g: TruncatedSeries) -> complex:
-    """<f, g> = sum_n a_n conj(b_n) over the common coefficient range."""
-    n = min(f.coeffs.size, g.coeffs.size)
-    return complex(np.vdot(g.coeffs[:n], f.coeffs[:n]))
-
-
-def norm_sq(f: TruncatedSeries) -> float:
-    """Squared norm sum |a_n|^2."""
-    return float(np.vdot(f.coeffs, f.coeffs).real)
 
 
 def boundary_samples(f: TruncatedSeries, grid: BoundaryGrid) -> np.ndarray:

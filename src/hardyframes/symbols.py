@@ -13,6 +13,7 @@ JSON codec (`spec_to_json`, `spec_from_json`) live here too.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,14 @@ class SymbolSpec:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         if self.kind in ONE_TERM_KINDS:
             value = complex(1.0 if self.kind == "monomial" else self.value)
-            power = {"constant": 0, "scaled_shift": 1}.get(self.kind, int(self.power))
+            power = {"constant": 0, "scaled_shift": 1}.get(self.kind)
+            if power is None:  # a monomial's power is given, and must be an int
+                try:
+                    power = operator.index(self.power)
+                except TypeError:
+                    raise ValueError(
+                        f"monomial power must be an integer, not {self.power!r}"
+                    ) from None
             object.__setattr__(self, "value", value)
             object.__setattr__(self, "power", power)
             if not np.isfinite(value):

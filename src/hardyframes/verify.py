@@ -30,8 +30,8 @@ from .diagnostics import (
 )
 from .frames import (
     bounds_from_singular_values,
-    frame_bounds_estimate,
     partial_frame_sums,
+    section_bounds,
 )
 from .orbits import MIN_ORBIT_FOR_DECAY, decay_profile, orbit_for
 from .series import BoundaryGrid
@@ -89,35 +89,10 @@ def _cases(config: ExperimentConfig, cases, check) -> tuple[bool, dict]:
     return agree, evidence
 
 
-def _trend_bounds(orb, points, cyc=None) -> list:
-    """FrameBounds at each (n', k') of points for the orbit of orb's seed
-    row under orb's symbol spec.
-
-    Coefficients 0..n' of phi * g depend only on coefficients 0..n' of phi
-    and g, so the orbit at (n', k') is the leading block V[:k'+1, :n'+1]
-    of orb whenever it fits; a point beyond (N, K) builds its own orbit
-    from the seed row, which is the whole seed for every suite's seed (of
-    degree at most 1 <= N).  At (N, K) itself the spectrum of the
-    cyclicity report cyc, when given, is used rather than factoring V
-    again.
-    """
-    out = []
-    for nn, kk in points:
-        if cyc is not None and (nn, kk) == (orb.order, orb.length - 1):
-            out.append(bounds_from_singular_values(cyc.singular_values, orb.V.shape))
-            continue
-        if nn <= orb.order and kk < orb.length:
-            v = orb.V[: kk + 1, : nn + 1]
-        else:
-            v = orbit_for(orb.symbol.spec, orb.V[0], nn, kk).V
-        out.append(frame_bounds_estimate(v))
-    return out
-
-
-def _square_trend(orb, cyc=None) -> tuple[list, dict]:
+def _square_trend(orb) -> tuple[list, dict]:
     """FrameBounds at the square sections (n', n') for the n' of
     _trend_orders(N), and the `A_trend` column."""
-    trend = _trend_bounds(orb, [(nn, nn) for nn in _trend_orders(orb.order)], cyc)
+    trend = section_bounds(orb, [(nn, nn) for nn in _trend_orders(orb.order)])
     return trend, {"A_trend": [b.A_est for b in trend]}
 
 
@@ -128,7 +103,7 @@ def _growth_trend(orb) -> tuple[list, dict]:
     B at (N, k') is at most the sum of the first k'+1 squared orbit norms.
     When that sum overflows within orb, each k' is capped at the last row
     for which it is finite, so B cannot overflow; otherwise every k' is
-    kept, and a k' beyond K gets its own orbit.
+    kept, and a k' beyond K reads a block of a larger orbit.
     """
     with np.errstate(over="ignore"):
         finite = np.isfinite(np.cumsum(orb.norms**2))
@@ -140,7 +115,7 @@ def _growth_trend(orb) -> tuple[list, dict]:
             f"K' capped at {last}: beyond it the sum of squared orbit norms, "
             "which bounds B, overflows"
         )
-    growth = _trend_bounds(orb, [(orb.order, kk) for kk in orders])
+    growth = section_bounds(orb, [(orb.order, kk) for kk in orders])
     columns["B_trend"] = [b.B_est for b in growth]
     return growth, columns
 
@@ -276,7 +251,7 @@ _P2_RANDOM_COEFFS = {
 def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
     def check(orb, confined_seed):
         cyc = cyclicity_rank(orb, config.tolerances.rank_tol)
-        bounds = bounds_from_singular_values(cyc.singular_values, orb.V.shape)
+        bounds = bounds_from_singular_values(orb.singular_values, orb.V.shape)
         witness = _span_deficit_witness(orb)
         entry = {
             "rank": cyc.rank,
@@ -433,7 +408,7 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
 def _verify_p4ii(config: ExperimentConfig) -> tuple[str, dict]:
     def check(orb):
         found = zeros_in_disk(orb.seed, margin=0.05)
-        bounds = frame_bounds_estimate(orb.V)
+        bounds = bounds_from_singular_values(orb.singular_values, orb.V.shape)
         max_norm = float(np.max(orb.norms))
         pairing_rows = []
         worst_rel = 0.0
@@ -497,7 +472,7 @@ def _verify_ex_half_shift(config: ExperimentConfig) -> tuple[str, dict]:
     trend_rows = []
     worst = 0.0
     orders = (8, 12, 16)
-    trend = _trend_bounds(orb, [(nn, nn) for nn in orders])
+    trend = section_bounds(orb, [(nn, nn) for nn in orders])
     for nn, bounds in zip(orders, trend):
         err = abs(bounds.A_est - 4.0 ** -nn)
         worst = max(worst, err)
@@ -518,7 +493,7 @@ def _verify_ex_3_1(config: ExperimentConfig) -> tuple[str, dict]:
     n = k = max(config.truncation_order, config.orbit_length)
     spec = SymbolSpec.monomial(1)
     orb = orbit_for(spec, (1.0,), n, k)
-    bounds = frame_bounds_estimate(orb.V)
+    bounds = bounds_from_singular_values(orb.singular_values, orb.V.shape)
 
     # 100 deterministic probes: Weyl sequences in the golden ratio and in
     # sqrt(2) give each coefficient its own modulus in [0.5, 1.5) and phase
@@ -572,7 +547,7 @@ def _verify_ex_3_1(config: ExperimentConfig) -> tuple[str, dict]:
 def _verify_p6(config: ExperimentConfig) -> tuple[str, dict]:
     def check(orb):
         cyc = cyclicity_rank(orb, config.tolerances.rank_tol)
-        trend, trend_columns = _square_trend(orb, cyc)
+        trend, trend_columns = _square_trend(orb)
         final = trend[-1]
         cyclic_numerically = cyc.span_dimension_deficit == 0
         frame_trend_ok = (
@@ -636,7 +611,7 @@ def check_resolution(config: ExperimentConfig) -> None:
     array of more than MAX_ORBIT_ENTRIES coefficients.
 
     The largest is a square of side max(N, K) + 1: Ex_3_1's orbit, and
-    the trend orbits of P1, P4i and P6 at (N, N) when K < N (side
+    the trend orbit of P1, P4i and P6 at (N, N) when K < N (side
     max(16, N) + 1); Ex_constant's 61 rows fit in it, or in 61 x 61.
     """
     side = max(config.truncation_order, config.orbit_length) + 1

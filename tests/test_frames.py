@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from hardyframes.frames import (
-    _singular_values,
     bounds_from_singular_values,
-    bounds_vs_truncation,
     frame_bounds_estimate,
     gram,
     partial_frame_sums,
+    section_bounds,
 )
+from hardyframes import orbits
 from hardyframes.diagnostics import kernel_orthogonality_witness, reproducing_kernel
-from hardyframes.orbits import orbit, orbit_for
-from hardyframes.series import inner_product, series_from_coeffs
+from hardyframes.orbits import _singular_values, orbit, orbit_for
+from hardyframes.series import series_from_coeffs
 from hardyframes.symbols import SymbolSpec, realize
 
 
@@ -187,13 +187,12 @@ def test_batched_reductions_match_scalar_inner_products_within_rounding():
     ]
     for zeros, coeffs in cases:
         orb = make_orbit(SymbolSpec.blaschke(zeros), coeffs, 24, 40)
-        rows = [series_from_coeffs(v) for v in orb.V]
         k = orb.length
         rel = (orb.order + 1) * EPS
         norms = np.linalg.norm(orb.V, axis=1)
         upper = np.array([[_reference_inner(orb.V[n], orb.V[m]) for n in range(k)]
                           for m in range(k)])
-        scalar = np.array([[inner_product(rows[n], rows[m]) for n in range(k)]
+        scalar = np.array([[np.vdot(orb.V[m], orb.V[n]) for n in range(k)]
                            for m in range(k)])
         assert np.all(np.abs(scalar - upper) <= rel * np.outer(norms, norms))
 
@@ -497,10 +496,15 @@ def test_bounds_overflow_raises_floating_point_error():
         bounds_from_singular_values(np.array([1e200, 1.0]), (2, 2))
 
 
+def _sweep(spec, orders, orbit_lengths):
+    """section_bounds of the seed-1 orbit at every (N, K) of the two lists,
+    from one orbit at the largest of each."""
+    orb = orbit_for(spec, (1.0,), max(orders), max(orbit_lengths))
+    return section_bounds(orb, [(n, k) for n in orders for k in orbit_lengths])
+
+
 def test_bounds_monotone_in_orbit_length():
-    rows = bounds_vs_truncation(
-        SymbolSpec.blaschke([0.5]), (1.0,), [16], [4, 8, 12, 16, 24]
-    )
+    rows = _sweep(SymbolSpec.blaschke([0.5]), [16], [4, 8, 12, 16, 24])
     for prev, cur in zip(rows, rows[1:]):
         assert cur.B_est >= prev.B_est - 1e-12
         assert cur.A_est >= prev.A_est - 1e-12
@@ -519,37 +523,50 @@ def test_gram_section_nonzero_spectra_agree():
     assert np.max(np.abs(g_nonzero - s_nonzero)) <= 1e-8 * max(1.0, g_nonzero[0])
 
 
-# -- bounds_vs_truncation ---------------------------------------------------------
+# -- frame bounds vs truncation (section_bounds) ------------------------------------
 
 
 def test_bounds_vs_truncation_tight_frame():
-    rows = bounds_vs_truncation(SymbolSpec.monomial(1), (1.0,), [4, 8], [8, 12])
+    rows = _sweep(SymbolSpec.monomial(1), [4, 8], [8, 12])
     for b in rows:
         assert b.K >= b.N
         assert b.A_est == 1.0 and b.B_est == 1.0
 
 
 def test_bounds_vs_truncation_lower_collapse():
-    rows = bounds_vs_truncation(SymbolSpec.scaled_shift(0.5), (1.0,), [8, 12, 16], [16])
+    rows = _sweep(SymbolSpec.scaled_shift(0.5), [8, 12, 16], [16])
     got = {b.N: b.A_est for b in rows}
     for n in (8, 12, 16):
         assert abs(got[n] - 4.0 ** -n) < 1e-12
 
 
+def test_section_bounds_past_the_orbit_read_one_larger_orbit(monkeypatch):
+    # points past (N, K) are leading blocks of one orbit built at the
+    # largest n' and k' asked for; with direct-convolution rows each block
+    # is the orbit built at its own point, bit for bit
+    spec = SymbolSpec.blaschke([0.5, -0.3j])
+    orb = orbit_for(spec, (1.0, 0.5), 8, 8)
+    points = [(8, 8), (4, 6), (12, 12), (16, 10), (6, 20)]
+    built = []
+    real = orbits.orbit
+
+    def counting(sym, f, count, order):
+        built.append((order, count))
+        return real(sym, f, count, order)
+
+    monkeypatch.setattr(orbits, "orbit", counting)
+    got = section_bounds(orb, points)
+    assert built == [(16, 20)]
+    monkeypatch.setattr(orbits, "orbit", real)
+    for (n, k), b in zip(points, got):
+        assert b == frame_bounds_estimate(orbit_for(spec, (1.0, 0.5), n, k).V)
+
+
 def test_bounds_vs_truncation_unimodular_upper_growth():
-    rows = bounds_vs_truncation(
-        SymbolSpec.constant(np.exp(1j * np.pi / 4)), (1.0,), [4], [8, 16, 32]
-    )
+    rows = _sweep(SymbolSpec.constant(np.exp(1j * np.pi / 4)), [4], [8, 16, 32])
     bs = [b.B_est for b in rows]
     assert bs[0] < bs[1] < bs[2]
     assert np.allclose(bs, [9.0, 17.0, 33.0], atol=1e-10)  # K + 1
-
-
-def test_bounds_vs_truncation_validates_lists():
-    with pytest.raises(ValueError):
-        bounds_vs_truncation(SymbolSpec.monomial(1), (1.0,), [], [4])
-    with pytest.raises(ValueError):
-        bounds_vs_truncation(SymbolSpec.monomial(1), (1.0,), [8, 4], [4])
 
 
 ROOT = Path(__file__).resolve().parents[1]

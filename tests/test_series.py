@@ -6,10 +6,7 @@ import hypothesis.strategies as st
 from hardyframes.series import (
     BoundaryGrid,
     boundary_samples,
-    inner_product,
-    monomial,
     mul,
-    norm_sq,
     series_from_coeffs,
 )
 
@@ -70,7 +67,7 @@ def test_exact_degree():
 
 
 def test_mul_monomials():
-    z = monomial(1)
+    z = series_from_coeffs([0, 1])
     z2 = mul(z, z, 2)
     assert np.array_equal(z2.coeffs, [0, 0, 1])
 
@@ -83,7 +80,7 @@ def test_mul_telescoping(n):
     prod = mul(factor, ones, n)
     expected = brute_force_product(factor.coeffs, ones.coeffs, n)
     assert np.array_equal(prod.coeffs, expected)
-    assert np.array_equal(prod.coeffs, monomial(0, n).coeffs)
+    assert np.array_equal(prod.coeffs, np.eye(n + 1)[0])
 
 
 def test_mul_constant_is_scaling():
@@ -134,75 +131,19 @@ def test_mul_fft_of_real_operands_is_exactly_real(size, seed):
     assert got.tobytes() == want.tobytes()
 
 
-# -- inner product and norms ---------------------------------------------------
-
-
-def test_inner_monomials_orthonormal():
-    for k in range(4):
-        for n in range(4):
-            val = inner_product(monomial(k, 5), monomial(n, 5))
-            assert val == (1.0 if k == n else 0.0)
-
-
-def test_inner_picks_constant_coefficient():
-    assert inner_product(series_from_coeffs([1, -1]), monomial(0, 1)) == 1.0
-
-
-@given(coeff_lists, st.integers(0, 10))
-def test_inner_against_difference_vector(h_coeffs, n):
-    h = series_from_coeffs(h_coeffs)
-    order = max(h.order, n + 1)
-    probe = series_from_coeffs(monomial(n, order).coeffs - monomial(n + 1, order).coeffs)
-    got = inner_product(h, probe)
-    a_n = h.coeffs[n] if n <= h.order else 0.0
-    a_n1 = h.coeffs[n + 1] if n + 1 <= h.order else 0.0
-    assert abs(got - (a_n - a_n1)) < 1e-12
-
-
-@given(coeff_lists, coeff_lists)
-def test_inner_conjugate_symmetry(a, b):
-    f, g = series_from_coeffs(a), series_from_coeffs(b)
-    assert inner_product(f, g) == np.conj(inner_product(g, f))
-
-
-@given(coeff_lists, coeff_lists, coeff_lists, finite_complex, finite_complex)
-def test_inner_sesquilinear(a, b, c, alpha, beta):
-    f, g, h = map(series_from_coeffs, (a, b, c))
-    combo = np.zeros(max(f.coeffs.size, g.coeffs.size), dtype=complex)
-    combo[: f.coeffs.size] = alpha * f.coeffs
-    combo[: g.coeffs.size] += beta * g.coeffs
-    lhs = inner_product(series_from_coeffs(combo), h)
-    rhs = alpha * inner_product(f, h) + beta * inner_product(g, h)
-    bound = 1e-10 * max(1.0, abs(lhs), abs(rhs))
-    assert abs(lhs - rhs) < bound
-
-
-def test_norm_examples():
-    assert norm_sq(series_from_coeffs(np.ones(7))) == 7.0
-
-
-@given(coeff_lists)
-def test_parseval(coeffs):
-    g = series_from_coeffs(coeffs)
-    total = sum(
-        abs(inner_product(g, monomial(n, g.order))) ** 2 for n in range(g.order + 1)
-    )
-    assert abs(total - norm_sq(g)) <= 1e-12 * max(1.0, norm_sq(g))
-
-
 # -- boundary sampling ----------------------------------------------------------
 
 
 def test_boundary_constant():
-    samples = boundary_samples(monomial(0, 0), BoundaryGrid(8))
+    samples = boundary_samples(series_from_coeffs([1]), BoundaryGrid(8))
     assert np.allclose(samples, 1.0, atol=1e-15)
 
 
 def test_boundary_shift_fourth_roots():
-    samples = boundary_samples(monomial(1), BoundaryGrid(4))
+    samples = boundary_samples(series_from_coeffs([0, 1]), BoundaryGrid(4))
     assert np.allclose(samples, [1, 1j, -1, -1j], atol=1e-15)
     # z^5 = z on the fourth roots of unity: index 5 folds onto index 1
-    folded = boundary_samples(monomial(5), BoundaryGrid(4))
+    folded = boundary_samples(series_from_coeffs(np.eye(6)[5]), BoundaryGrid(4))
     assert np.allclose(folded, [1, 1j, -1, -1j], atol=1e-15)
 
 
@@ -228,5 +169,5 @@ def test_discrete_parseval(coeffs):
     f = series_from_coeffs(coeffs)
     grid = BoundaryGrid(32)  # > 2 * max order 11
     val = quadrature_norm(boundary_samples(f, grid))
-    norm = np.sqrt(norm_sq(f))
+    norm = np.sqrt(np.vdot(f.coeffs, f.coeffs).real)
     assert abs(val - norm) <= 1e-10 * max(1.0, norm)

@@ -46,6 +46,20 @@ def test_spec_rejects_unknown_kind():
         SymbolSpec(kind="mystery")
 
 
+@pytest.mark.parametrize("power", [2.7, 2.0, "2"])
+def test_monomial_power_must_be_an_integer(power):
+    with pytest.raises(ValueError, match="integer"):
+        SymbolSpec.monomial(power)
+    with pytest.raises(ValueError, match="integer"):
+        SymbolSpec(kind="monomial", power=power)
+
+
+@pytest.mark.parametrize("power", [2, np.int64(2), np.uint8(2)])
+def test_monomial_power_takes_python_and_numpy_ints(power):
+    spec = SymbolSpec.monomial(power)
+    assert spec == SymbolSpec(kind="monomial", power=2) and type(spec.power) is int
+
+
 # -- realize -------------------------------------------------------------------
 
 

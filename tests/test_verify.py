@@ -10,7 +10,7 @@ from hardyframes import orbits
 from hardyframes.cli import default_config, main
 from hardyframes.config import ExperimentConfig, ToleranceSettings
 from hardyframes.diagnostics import cyclicity_rank, image_circle_intersection
-from hardyframes.frames import frame_bounds_estimate
+from hardyframes.frames import frame_bounds_estimate, section_bounds
 from hardyframes.jsonio import dumps_canonical
 from hardyframes.series import BoundaryGrid
 from hardyframes.symbols import SymbolSpec, realize
@@ -141,6 +141,17 @@ def test_p2_factors_each_orbit_once(config, monkeypatch):
     assert all(rows < config.orbit_length + 1 for (rows, _), _ in calls)
     n = config.truncation_order
     assert [cols < n + 1 for (_, cols), _ in calls] == [True, True, False] * 2
+
+
+def test_rank_and_bounds_of_a_dense_orbit_share_one_svd(monkeypatch):
+    # the orbit keeps its spectrum: the cyclicity rank and the frame
+    # bounds at (N, K) read one values-only SVD of the dense Blaschke orbit
+    orb = orbits.orbit_for(SymbolSpec.blaschke([0.5]), (1.0, -0.3), 24, 24)
+    calls = _svd_census(monkeypatch)
+    cyc = cyclicity_rank(orb)
+    (bounds,) = section_bounds(orb, [(24, 24)])
+    assert calls == [((25, 25), False)]
+    assert bounds.B_est == cyc.singular_values[0] ** 2
 
 
 def test_report_all_asks_no_svd_for_factors(tmp_path, monkeypatch):
@@ -419,12 +430,30 @@ def test_one_disagreeing_case_makes_the_suite_inconsistent(
         assert after.evidence[key] == before.evidence[key], key
 
 
-@pytest.mark.parametrize("n", [64, 256])
-def test_each_suite_builds_a_fixed_number_of_orbits(n, monkeypatch):
+_CASE_ORBITS = {
+    "P1": 4, "P2": 8, "P3": 2, "P4i": 2, "P4ii": 3,
+    "Ex_constant": 1, "Ex_half_shift": 1, "Ex_3_1": 2, "P6": 4,
+}
+
+
+@pytest.mark.parametrize(
+    "n, k, trend_orbits, total",
+    [
+        pytest.param(64, 64, {}, 27, id="64"),
+        pytest.param(256, 256, {}, 27, id="256"),
+        # every square and growth trend reaches k' = 16 > K
+        pytest.param(8, 8, {"P1": 4, "P4i": 2, "P6": 4}, 37, id="N8-K8"),
+        # the square trends reach (30, 30) and (60, 60); the growth trends fit
+        pytest.param(60, 24, {"P1": 2, "P4i": 1, "P6": 4}, 34, id="N60-K24"),
+    ],
+)
+def test_each_suite_builds_a_fixed_number_of_orbits(n, k, trend_orbits, total, monkeypatch):
     # one orbit per case or worked example, plus Ex_3_1's one seed 1 - z
     # orbit: 27 builds per battery; at K = N every trend point is a
-    # leading block of a case orbit, so none builds its own.  Each orbit
-    # that is probed pairs all its probes in one product: 13 per battery
+    # leading block of a case orbit, so none builds its own, and otherwise
+    # each trend with a point beyond (N, K) builds one orbit, at its
+    # largest point.  Each orbit that is probed pairs all its probes in
+    # one product: 13 per battery
     built, products = [], []
     real, real_sums = orbits.orbit, verify_module.partial_frame_sums
 
@@ -441,16 +470,16 @@ def test_each_suite_builds_a_fixed_number_of_orbits(n, monkeypatch):
     config = ExperimentConfig(
         symbol=SymbolSpec.monomial(1),
         truncation_order=n,
-        orbit_length=n,
+        orbit_length=k,
         boundary_grid=8 * n,
     )
     for prop in PROPOSITIONS:
         verify(prop, config)
     counts = {prop: built.count(prop) for prop in PROPOSITIONS}
     assert counts == {
-        "P1": 4, "P2": 8, "P3": 2, "P4i": 2, "P4ii": 3,
-        "Ex_constant": 1, "Ex_half_shift": 1, "Ex_3_1": 2, "P6": 4,
+        prop: cases + trend_orbits.get(prop, 0) for prop, cases in _CASE_ORBITS.items()
     }
+    assert len(built) == total
     assert {prop: products.count(prop) for prop in set(products)} == {
         "P2": 8, "P3": 2, "Ex_constant": 1, "Ex_half_shift": 1, "Ex_3_1": 1,
     }
