@@ -16,8 +16,9 @@ that exceeds 1 on the circle adds direct rows at N = 100, K = 300, and
 at N = K = 128, orbits whose nonzero pattern gives the spectrum, and
 a zero seed adds an all-zero orbit at N = K = 16.  Last come one-term
 symbols at their edges: a unimodular constant from seed 1 - z at
-N = K = 64, z^20 at N = K = 8 (its term lies past N), and the zero
-symbol as 0*z and as the constant 0 at N = K = 16.  All are written to
+N = K = 64, z^20 at N = K = 8 (its term lies past N), the zero
+symbol as 0*z and as the constant 0 at N = K = 16, and z^(10^8) at
+N = K = 8, M = 64 (exact on the grid).  All are written to
 OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds`
 and `gram` as JSON and CSV and through `innerness` and `cyclicity` as
 JSON; `report-all` runs once with its defaults, then once per resolution in
@@ -59,7 +60,8 @@ COMMANDS = (
     ("cyclicity", ("json",)),
 )
 # (N, K) of the extra report-all runs: coarse N = K, then K > N and K < N,
-# then an orbit too short to classify decay (K + 1 < 8)
+# then a short orbit (K + 1 = 6), whose decay and growth P1 and P4i still
+# read from |phi| on the circle
 BATTERY_RESOLUTIONS = ((16, 16), (32, 32), (24, 60), (60, 24), (20, 5))
 # (suite, N, K) of single `verify` runs, with M = 8N: P4i at N = K = 512
 # holds a growth trend whose B would overflow past K' = 511, and P2 at
@@ -246,6 +248,17 @@ def configs(rng) -> dict:
             "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
             "output": {"format": "json", "path": None},
         }
+    # z^(10^8): z_j^m is the grid point m j mod M, where numpy's z**m is
+    # off the circle by 6.8e-9
+    out["monomial-huge-power"] = {
+        "symbol": {"kind": "monomial", "power": 10**8},
+        "seed_coeffs": _complex_list([1, 0.5j, -0.25 + 0.1j]),
+        "truncation_order": 8,
+        "orbit_length": 8,
+        "boundary_grid": 64,
+        "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+        "output": {"format": "json", "path": None},
+    }
     return out
 
 

@@ -3,8 +3,10 @@
 An orbit is the finite family {phi^n f : 0 <= n <= K}, every element
 truncated to a common order N.  Iterated multiplication can push the true
 degree of phi^n f past N; each element therefore carries a `truncated`
-flag, and decay diagnostics restrict themselves to the flag-free prefix
-so that coefficient loss is never mistaken for genuine norm decay.
+flag, since a truncated row's norm falls below ||phi^n f|| by the lost
+coefficients.  Whether the true norms decay or grow is read from |phi|
+on the circle (`diagnostics.image_circle_intersection`), not from these
+rows.
 
 Each orbit owns its singular spectrum, `Orbit.singular_values`, from at
 most one values-only SVD of V; the frame bounds and the cyclicity rank
@@ -30,8 +32,6 @@ from .symbols import SymbolRealization, SymbolSpec, realize
 # A contractive phi of more than this many terms builds its rows in
 # blocks by FFT; a shorter one convolves directly, row by row.
 FFT_MIN_OPERAND_LEN = 64
-DECAY_SLOPE_DEADBAND = 1e-3
-MIN_ORBIT_FOR_DECAY = 8
 # Below this norm the sum of squared moduli is subnormal or 0.
 _NORM_UNDERFLOW = float(np.sqrt(np.finfo(float).tiny))
 
@@ -60,11 +60,6 @@ class Orbit:
     @property
     def seed(self) -> TruncatedSeries:
         return TruncatedSeries(self.V[0])
-
-    def exact_prefix_length(self) -> int:
-        """Number of leading elements free of any truncation loss."""
-        flagged = np.nonzero(self.truncated)[0]
-        return int(flagged[0]) if flagged.size else self.length
 
     @cached_property
     def singular_values(self) -> np.ndarray:
@@ -103,12 +98,6 @@ def _singular_values(v: np.ndarray) -> np.ndarray:
         values = np.linalg.svd(block, compute_uv=False)
     sigma[: values.size] = values
     return sigma
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    classification: str  # decays_to_zero | bounded_non_decaying | grows
-    rate_estimate: float
 
 
 def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) -> Orbit:
@@ -249,34 +238,3 @@ def orbit_for(spec: SymbolSpec, seed_coeffs, order: int, count: int) -> Orbit:
     N and the whole seed, which `orbit` pads or cuts to N: a cut that drops
     a nonzero coefficient flags row 0 truncated."""
     return orbit(realize(spec, order), series_from_coeffs(seed_coeffs), count, order)
-
-
-def decay_profile(orb: Orbit) -> DecayReport:
-    """Classify the norm profile by the log-norm slope over the tail half.
-
-    Fits only the truncation-free prefix when it is long enough, so that
-    coefficients falling off the end of the representation cannot fake
-    decay for an isometric symbol.
-    """
-    if orb.length < MIN_ORBIT_FOR_DECAY:
-        raise ValueError(f"need at least {MIN_ORBIT_FOR_DECAY} orbit elements")
-
-    prefix = orb.exact_prefix_length()
-    norms = orb.norms[:prefix] if prefix >= MIN_ORBIT_FOR_DECAY else orb.norms
-
-    if np.any(norms == 0.0):
-        return DecayReport(classification="decays_to_zero", rate_estimate=0.0)
-
-    start = norms.size // 2
-    idx = np.arange(start, norms.size, dtype=float)
-    logs = np.log(norms[start:])
-    design = np.vstack([idx, np.ones_like(idx)]).T
-    slope = float(np.linalg.lstsq(design, logs, rcond=None)[0][0])
-
-    if slope < -DECAY_SLOPE_DEADBAND:
-        classification = "decays_to_zero"
-    elif slope > DECAY_SLOPE_DEADBAND:
-        classification = "grows"
-    else:
-        classification = "bounded_non_decaying"
-    return DecayReport(classification=classification, rate_estimate=float(np.exp(slope)))

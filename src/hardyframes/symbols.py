@@ -319,8 +319,14 @@ def boundary_values(sym: SymbolRealization, grid: BoundaryGrid) -> np.ndarray:
     """Symbol values at the grid points on the unit circle.
 
     The exact form is evaluated at those points when available; a
-    polynomial phi takes one FFT of its coefficients.
+    polynomial phi takes one FFT of its coefficients.  A one-term symbol
+    c z^m reads c times grid point (m j mod M) at point j, which is z_j^m
+    exactly for any power, where numpy's z**m loses |z| = 1 as m grows.
     """
+    spec = sym.spec
+    if spec.kind in ONE_TERM_KINDS:
+        size = grid.size
+        return spec.value * grid.points[(spec.power % size) * np.arange(size) % size]
     if uses_exact_evaluation(sym):
         return evaluate_symbol(sym, grid.points)
     return boundary_samples(sym.series, grid)

@@ -9,7 +9,10 @@ suite reports a documented tension instead of guessing).
 
 P1, P2, P4i, P4ii and P6 are each a list of cases and one check, which
 `_cases` runs on one orbit per case; the evidence columns they share are
-each written by one helper.
+each written by one helper.  P1 and P4i read whether the orbit norms
+decay or grow from |phi| on the boundary grid, where the limit rate
+lim ||phi^n f||^(1/n) = max_T |phi| is exact; their orbits supply the
+frame-bound trends and the norm envelope.
 
 Verdicts describe finite-truncation evidence, never proofs.
 """
@@ -33,7 +36,7 @@ from .frames import (
     partial_frame_sums,
     section_bounds,
 )
-from .orbits import MIN_ORBIT_FOR_DECAY, decay_profile, orbit_for
+from .orbits import orbit_for
 from .series import BoundaryGrid
 from .symbols import SymbolSpec, describe, innerness_test, realize
 
@@ -45,10 +48,6 @@ P6_TENSION_NOTE = (
 P6_UNDERRESOLVED_REASON = (
     "K < N: the K+1 orbit elements cannot span the N+1 coefficients, so no "
     "seed can read numerically cyclic at this resolution"
-)
-SHORT_ORBIT_REASON = (
-    f"K + 1 < {MIN_ORBIT_FOR_DECAY}: too few orbit elements to classify the "
-    "decay of the orbit norms"
 )
 
 
@@ -120,13 +119,10 @@ def _growth_trend(orb) -> tuple[list, dict]:
     return growth, columns
 
 
-def _decay(orb) -> tuple:
-    """The orbit's DecayReport, and its two evidence columns."""
-    decay = decay_profile(orb)
-    return decay, {
-        "decay_classification": decay.classification,
-        "decay_rate": decay.rate_estimate,
-    }
+def _decay(scan) -> dict:
+    """The two norm-trend columns of an ImageCircleReport: the trend of
+    ||phi^n f|| and its rate lim ||phi^n f||^(1/n) = max_T |phi|."""
+    return {"decay_classification": scan.norm_trend, "decay_rate": scan.max_modulus}
 
 
 def _bounds_columns(bounds) -> dict:
@@ -164,25 +160,23 @@ def _scaled_blaschke_polynomial(factor: float, zero: complex, order: int) -> Sym
 
 
 def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
-    if config.orbit_length + 1 < MIN_ORBIT_FOR_DECAY:
-        return "inconclusive", {"reason": SHORT_ORBIT_REASON}
     grid = BoundaryGrid(config.boundary_grid)
 
     def check(orb, branch):
         inn = innerness_test(orb.symbol, grid, config.tolerances.inner_tol)
-        decay, decay_columns = _decay(orb)
+        scan = image_circle_intersection(orb.symbol, grid)
         entry = {
             "branch": branch,
             "innerness_verdict": inn.verdict,
             "sub_unit_fraction": inn.sub_unit_fraction,
-            **decay_columns,
+            **_decay(scan),
         }
         if branch == "normalized":
             trend, trend_columns = _square_trend(orb)
             entry.update(trend_columns)
             entry["B_at_max_N"] = trend[-1].B_est
             entry["lower_bound_numerically_zero"] = trend[-1].numerically_zero_lower
-            no_frame = decay.classification == "decays_to_zero" and (
+            no_frame = scan.norm_trend == "decays_to_zero" and (
                 trend[-1].numerically_zero_lower
                 or trend[-1].A_est < 1e-6 * max(trend[0].A_est, 1e-300)
             )
@@ -190,7 +184,7 @@ def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
             growth, growth_columns = _growth_trend(orb)
             entry.update(growth_columns)
             no_frame = (
-                decay.classification == "grows"
+                scan.norm_trend == "grows"
                 and growth[-1].B_est > 10.0 * growth[0].B_est
             )
         entry["no_frame_signature"] = bool(no_frame)
@@ -350,19 +344,22 @@ def _verify_p3(config: ExperimentConfig) -> tuple[str, dict]:
 def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
     """Each symbol's image closure misses T, decided from |phi| on the M
     grid points (min_modulus and max_modulus are its extremes there); the
-    inside symbol's orbit must decay and the outside one's grow."""
-    if config.orbit_length + 1 < MIN_ORBIT_FOR_DECAY:
-        return "inconclusive", {"reason": SHORT_ORBIT_REASON}
+    inside symbol's orbit must decay and the outside one's grow.
+
+    The same extremes give `decay_classification`, so on these symbols it
+    restates the hypothesis.  What tests the conclusion against the orbit
+    data is `norms_below_geometric_envelope` and the collapse of `A_trend`
+    for the inside symbol, and the growth of `B_trend` for the outside
+    one."""
     grid = BoundaryGrid(config.boundary_grid)
 
     def check(orb, inside):
         scan = image_circle_intersection(orb.symbol, grid)
-        decay, decay_columns = _decay(orb)
         entry = {
             "intersects_circle": scan.intersects_circle,
             "min_modulus": scan.min_modulus,
             "max_modulus": scan.max_modulus,
-            **decay_columns,
+            **_decay(scan),
         }
         if inside:
             trend, trend_columns = _square_trend(orb)
@@ -377,7 +374,7 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
                 "lower_bound_numerically_zero": trend[-1].numerically_zero_lower,
             })
             ok = (
-                decay.classification == "decays_to_zero"
+                scan.norm_trend == "decays_to_zero"
                 and contraction_ok
                 and (
                     trend[-1].numerically_zero_lower
@@ -388,8 +385,8 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
             growth, growth_columns = _growth_trend(orb)
             entry.update(growth_columns)
             ok = (
-                decay.classification == "grows"
-                and abs(decay.rate_estimate - 2.0) <= 1e-6
+                scan.norm_trend == "grows"
+                and abs(scan.max_modulus - 2.0) <= 1e-6
                 and growth[-1].B_est > 10.0 * growth[0].B_est
             )
         return entry, ok and not scan.intersects_circle

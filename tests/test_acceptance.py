@@ -13,13 +13,15 @@ import numpy as np
 
 from hardyframes.cli import main
 from hardyframes.diagnostics import (
+    class_support,
     cyclicity_rank,
+    image_circle_intersection,
     kernel_orthogonality_witness,
     reproducing_kernel,
 )
 from hardyframes.frames import frame_bounds_estimate, partial_frame_sums
-from hardyframes.orbits import decay_profile, orbit
-from hardyframes.series import series_from_coeffs
+from hardyframes.orbits import orbit
+from hardyframes.series import BoundaryGrid, series_from_coeffs
 from hardyframes.symbols import SymbolSpec, realize
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -128,18 +130,17 @@ def test_criterion_6_dichotomy():
     inside = SymbolSpec.polynomial(0.9 * base.series.coeffs)
     orb = make_orbit(inside, [1], 64, 64)
     envelope_ok = bool(np.all(orb.norms <= 0.9 ** np.arange(65) + 1e-12))
-    decay = decay_profile(orb)
-    inside_ok = envelope_ok and decay.classification == "decays_to_zero"
+    grid = BoundaryGrid(512)
+    decay = image_circle_intersection(orb.symbol, grid)
+    inside_ok = envelope_ok and decay.norm_trend == "decays_to_zero"
 
     orb2 = make_orbit(SymbolSpec.constant(2.0), [1], 64, 8)
-    growth = decay_profile(orb2)
-    outside_ok = (
-        growth.classification == "grows" and abs(growth.rate_estimate - 2.0) <= 1e-6
-    )
+    growth = image_circle_intersection(orb2.symbol, grid)
+    outside_ok = growth.norm_trend == "grows" and abs(growth.max_modulus - 2.0) <= 1e-6
     check(
         "criterion 6: contraction decays under 0.9^n envelope; constant 2 grows at rate 2",
         inside_ok and outside_ok,
-        f"decay={decay.classification}, growth rate={growth.rate_estimate}",
+        f"decay={decay.norm_trend}, growth rate={growth.max_modulus}",
     )
 
 
@@ -173,10 +174,13 @@ def test_criterion_8_example_failure_mode():
 
 
 def _suite_parseval(rng) -> int:
+    # the orbit of z from seed 1 at N = K = 24 is the basis z^0..z^24
+    orb = make_orbit(SymbolSpec.monomial(1), [1], 24, 24)
+    probes = np.array(
+        [rng.standard_normal(25) + 1j * rng.standard_normal(25) for _ in range(100)]
+    )
     failures = 0
-    for _ in range(100):
-        g = rng.standard_normal(25) + 1j * rng.standard_normal(25)
-        total = sum(abs(np.vdot(e, g)) ** 2 for e in np.eye(25))
+    for g, total in zip(probes, partial_frame_sums(probes, orb)[-1]):
         nsq = np.vdot(g, g).real
         if abs(total - nsq) > 1e-12 * max(1.0, nsq):
             failures += 1
@@ -248,7 +252,14 @@ def _suite_residue_pythagoras(rng) -> int:
     for _ in range(100):
         m = int(rng.choice([2, 3, 5]))
         g = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        parts = sum(np.vdot(g[r::m], g[r::m]).real for r in range(m))
+        # the orbits of z^m from the seeds z^r, r < m, confined to class r,
+        # together run over the basis z^0..z^29 once
+        parts = 0.0
+        for r in range(m):
+            orb = make_orbit(SymbolSpec.monomial(m), np.eye(1, r + 1, r)[0], 29 // m, 29)
+            if class_support(series_from_coeffs(orb.V.sum(axis=0)), m) != (r,):
+                failures += 1
+            parts += float(partial_frame_sums(g[None, :], orb)[-1, 0])
         nsq = np.vdot(g, g).real
         if abs(parts - nsq) > 1e-12 * max(1.0, nsq):
             failures += 1

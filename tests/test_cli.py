@@ -24,7 +24,7 @@ from hardyframes.frames import FrameBounds, frame_bounds_estimate, gram
 from hardyframes.jsonio import dumps_canonical
 from hardyframes.orbits import orbit_for
 from hardyframes.symbols import INNER_TOL_EXACT, SymbolSpec
-from hardyframes.verify import PROPOSITIONS, SHORT_ORBIT_REASON
+from hardyframes.verify import PROPOSITIONS
 
 
 def write_config(path, symbol=None, seed=(1.0,), n=16, k=8, m=128, fmt="json"):
@@ -691,8 +691,8 @@ def test_report_all_config_dir_subset(tmp_path):
 
 
 def test_report_all_short_orbit_exits_0(tmp_path):
-    # K + 1 = 6 elements are too few to classify decay: P1 and P4i say
-    # inconclusive with a reason instead of aborting the battery with exit 2
+    # K + 1 = 6 elements: P1 and P4i read decay and growth from |phi| on
+    # the circle, which needs no orbit length, and hold
     cdir = tmp_path / "configs"
     cdir.mkdir()
     for prop in PROPOSITIONS:
@@ -702,8 +702,8 @@ def test_report_all_short_orbit_exits_0(tmp_path):
     assert len(list(out_dir.glob("*.json"))) == 10  # 9 propositions + index
     for prop in ("P1", "P4i"):
         report = json.loads((out_dir / f"{prop}.json").read_text())
-        assert report["verdict"] == "inconclusive"
-        assert report["evidence"]["reason"] == SHORT_ORBIT_REASON
+        assert report["verdict"] == "consistent"
+        assert "reason" not in report["evidence"]
 
 
 def test_report_all_unknown_config_name_exits_2(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hardyframes.diagnostics import (
     reproducing_kernel,
     zeros_in_disk,
 )
-from hardyframes.frames import frame_bounds_estimate
+from hardyframes.frames import frame_bounds_estimate, partial_frame_sums
 from hardyframes.orbits import orbit
 from hardyframes.series import (
     BoundaryGrid,
@@ -254,13 +254,22 @@ def test_deficit_and_lower_bound_agree():
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_residue_pythagoras(m):
+    # the orbit of z^m from seed z^r runs over the basis of class r mod m;
+    # its frame sums split ||g||^2 into the classes' parts
     rng = np.random.default_rng(m)
-    for _ in range(100):
-        g = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        # the classes r mod m split the coefficients into disjoint slices
-        parts = sum(np.vdot(g[r::m], g[r::m]).real for r in range(m))
-        nsq = np.vdot(g, g).real
-        assert abs(parts - nsq) <= 1e-12 * max(1.0, nsq)
+    probes = np.array(
+        [rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(100)]
+    )
+    parts = np.zeros(100)
+    for r in range(m):
+        orb = make_orbit(SymbolSpec.monomial(m), np.eye(1, r + 1, r)[0], 15 // m, 15)
+        assert class_support(series_from_coeffs(orb.V.sum(axis=0)), m) == (r,)
+        sums = partial_frame_sums(probes, orb)[-1]
+        part = np.einsum("ij,ij->i", probes[:, r::m].conj(), probes[:, r::m]).real
+        assert np.all(np.abs(sums - part) <= 1e-12 * np.maximum(1.0, part))
+        parts += sums
+    nsq = np.einsum("ij,ij->i", probes.conj(), probes).real
+    assert np.all(np.abs(parts - nsq) <= 1e-12 * np.maximum(1.0, nsq))
 
 
 @pytest.mark.parametrize("m,r", [(2, 0), (2, 1), (3, 2)])
@@ -397,3 +406,39 @@ def test_image_zero_test_decides_outside_polynomials():
     # 2z vanishes at 0 even at order 0, where its stored series is 0
     shift = image_circle_intersection(realize(SymbolSpec.scaled_shift(2.0), 0), grid)
     assert shift.min_modulus > 1.99 and shift.intersects_circle
+
+
+# -- norm trend ----------------------------------------------------------------------
+# ||phi^n f||^2 is the integral over T of |phi|^(2n) |f|^2, so the norms
+# decay iff |phi| < 1 a.e. on T and grow iff |phi| > 1 somewhere
+
+
+@pytest.mark.parametrize(
+    "coeffs, seed_coeffs",
+    [([0.5, 0.5], [1]), ([0.5, 0, 0.5], [1]), ([0.5, 0.5], [1, -1])],
+    ids=["one_plus_z", "one_plus_z2", "one_plus_z_seed_one_minus_z"],
+)
+def test_norm_trend_of_contractions_touching_the_circle(coeffs, seed_coeffs):
+    # |phi| = 1 only where z^d = 1, so the norms decay, but polynomially:
+    # ||((1+z)/2)^n||^2 = C(2n, n) / 4^n ~ (pi n)^(-1/2)
+    sym = realize(SymbolSpec.polynomial(coeffs), 1024)
+    orb = orbit(sym, seed(seed_coeffs, 1024), 1024, 1024)
+    if seed_coeffs == [1] and coeffs == [0.5, 0.5]:
+        n = np.arange(1, 1025)
+        exact = np.concatenate([[1.0], np.cumprod((2 * n - 1) / (2 * n))])
+        assert np.max(np.abs(orb.norms**2 - exact) / exact) < 1e-12
+    assert np.all(np.diff(orb.norms) < 0)
+    report = image_circle_intersection(sym, BoundaryGrid(8192))
+    assert report.norm_trend == "decays_to_zero"
+    assert abs(report.max_modulus - 1.0) <= CIRCLE_TOL
+
+
+def test_norm_trend_of_an_inner_symbol_is_bounded():
+    # blaschke(0.5) is inner: ||phi^n|| = 1, while the rows cut to N = 64 lose
+    # mass as n grows
+    sym = realize(SymbolSpec.blaschke([0.5]), 64)
+    orb = orbit(sym, seed([1], 64), 64, 64)
+    assert orb.norms[-1] < 0.9
+    report = image_circle_intersection(sym, BoundaryGrid(512))
+    assert report.norm_trend == "bounded_non_decaying"
+    assert abs(report.max_modulus - 1.0) <= CIRCLE_TOL

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hardyframes.diagnostics import image_circle_intersection
 from hardyframes.orbits import orbit_for
 from hardyframes.series import BoundaryGrid, mul
 from hardyframes.symbols import (
@@ -223,6 +224,18 @@ def test_innerness_constant_two_non_inner_without_subunit_points():
     assert report.sub_unit_fraction == 0.0
 
 
+@pytest.mark.parametrize("m", [10**8, 2**62])
+def test_huge_monomial_power_is_exact_on_the_grid(m):
+    # z_j^m is the grid point m j mod M; numpy's z**m drifts off the circle
+    # (|z^m| - 1 = 6.8e-9 at m = 10^8, and |z^m| up to 1e137 at m = 2^62)
+    sym = realize(SymbolSpec.monomial(m), 8)
+    grid = BoundaryGrid(64)
+    report = innerness_test(sym, grid)
+    assert report.verdict == "inner"
+    assert report.max_deviation < 1e-15
+    assert image_circle_intersection(sym, grid).norm_trend == "bounded_non_decaying"
+
+
 def test_innerness_grid_too_small():
     sym = realize(SymbolSpec.polynomial(np.ones(65)), 64)
     with pytest.raises(ValueError):
@@ -308,4 +321,11 @@ def test_ring_values_of_a_polynomial_match_horner():
 def test_ring_values_of_closed_forms_are_the_closed_form(spec):
     sym = realize(spec, 16)
     grid = BoundaryGrid(128)
-    assert boundary_values(sym, grid).tobytes() == evaluate_symbol(sym, grid.points).tobytes()
+    got = boundary_values(sym, grid)
+    if spec.power >= 2:
+        # z_j^m is itself the grid point m j mod M; numpy's z**m, which
+        # powers the rounded z_j, lies within 16 eps of it at m = 3
+        assert got.tobytes() == grid.points[spec.power * np.arange(128) % 128].tobytes()
+        assert np.max(np.abs(got - evaluate_symbol(sym, grid.points))) <= 16 * EPS
+    else:
+        assert got.tobytes() == evaluate_symbol(sym, grid.points).tobytes()

@@ -279,6 +279,37 @@ def test_shift_and_monomial_seed_one_orbits_skip_lapack(config, monkeypatch, pro
         assert len(calls) == before, spec
 
 
+SWEEP = ((8, 8), (16, 16), (17, 17), (3, 40), (32, 32), (24, 60), (40, 200),
+         (20, 5), (16, 3), (10, 2), (64, 1), (64, 6), (60, 24), (33, 33))
+# P1's fixed thresholds fail on true cases at these resolutions: at
+# N <= 17 the last A_trend point of shift_half is above both
+# NUMERICALLY_ZERO_REL and the 1e-6 collapse ratio, and the B_trend of
+# shift_5_4 is flat once its K' pass N, where every row z^n truncates to 0
+P1_THRESHOLD_FAILURES = "fixed threshold: shift_half A at N <= 17, flat shift_5_4 B_trend at K' > N"
+
+
+def _sweep_cases():
+    for n, k in SWEEP:
+        yield pytest.param("P4i", n, k, id=f"P4i-{n}-{k}")
+        marks = ()
+        if n <= 17 or (n, k) == (40, 200):
+            marks = pytest.mark.xfail(strict=True, reason=P1_THRESHOLD_FAILURES)
+        yield pytest.param("P1", n, k, marks=marks, id=f"P1-{n}-{k}")
+
+
+@pytest.mark.parametrize("prop, n, k", _sweep_cases())
+def test_p1_p4i_consistent_at_any_orbit_length(prop, n, k):
+    # the trend of the orbit norms comes from |phi| on the circle, so no
+    # orbit length is too short to decide it
+    config = ExperimentConfig(
+        symbol=SymbolSpec.monomial(1), truncation_order=n, orbit_length=k,
+        boundary_grid=max(512, 8 * max(n, k)),
+    )
+    report = verify(prop, config)
+    assert report.verdict == "consistent", report.evidence
+    assert "reason" not in report.evidence
+
+
 @pytest.mark.parametrize("prop", ["P1", "P4i"])
 @pytest.mark.parametrize("k", [7, 8, 13])
 def test_growth_trend_past_a_short_orbit_is_not_capped(prop, k):
