@@ -64,10 +64,12 @@ COMMANDS = (
 # read from |phi| on the circle
 BATTERY_RESOLUTIONS = ((16, 16), (32, 32), (24, 60), (60, 24), (20, 5))
 # (suite, N, K) of single `verify` runs, with M = 8N: P4i at N = K = 512
-# holds a growth trend whose B would overflow past K' = 511, and P2 at
+# holds a growth trend whose B would overflow past K' = 511, P2 at
 # N = 1 sees only f_0 and f_1 of z^3's mixed seed, which meets every
-# residue class mod 3 that lies within N
-VERIFY_RESOLUTIONS = (("P4i", 512, 512), ("P2", 1, 8))
+# residue class mod 3 that lies within N, P1 at (16, 3) reads a collapse
+# of A that lies above the numerical-zero floor, and P1 at (40, 200)
+# holds the flat B_trend of (1.25) z once K' > N
+VERIFY_RESOLUTIONS = (("P4i", 512, 512), ("P2", 1, 8), ("P1", 16, 3), ("P1", 40, 200))
 
 
 def _complex_list(values) -> list:
@@ -330,7 +332,7 @@ def main(argv=None) -> int:
             "verify", prop, "--truncation", str(n), "--orbit-len", str(k),
             "--grid", str(8 * n), "--out", str(out),
         ])
-        log.append(f"{out.name} {code}" + (f" {err.strip()}" if code else ""))
+        log.append(f"{out.name} {code}" + (f" {err.strip()}" if err.strip() else ""))
     argv = ["innerness", "--config", str(config_dir / "monomial-16.json"), "--grid", str(2**40)]
     code, err = _run(cli_main, argv)
     log.append(f"innerness-grid-{2**40} {code}" + (f" {err.strip()}" if code else ""))

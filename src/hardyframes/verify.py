@@ -11,8 +11,10 @@ P1, P2, P4i, P4ii and P6 are each a list of cases and one check, which
 `_cases` runs on one orbit per case; the evidence columns they share are
 each written by one helper.  P1 and P4i read whether the orbit norms
 decay or grow from |phi| on the boundary grid, where the limit rate
-lim ||phi^n f||^(1/n) = max_T |phi| is exact; their orbits supply the
-frame-bound trends and the norm envelope.
+lim ||phi^n f||^(1/n) = max_T |phi| is exact, and both ask the orbit for
+one no-frame signature that this trend picks: a collapse of the lower
+bound A when the norms decay, a blow-up of the upper bound B when they
+grow.  P1's `branch` label is read from the same trend.
 
 Verdicts describe finite-truncation evidence, never proofs.
 """
@@ -32,6 +34,7 @@ from .diagnostics import (
     zeros_in_disk,
 )
 from .frames import (
+    FrameBounds,
     bounds_from_singular_values,
     partial_frame_sums,
     section_bounds,
@@ -119,10 +122,31 @@ def _growth_trend(orb) -> tuple[list, dict]:
     return growth, columns
 
 
-def _decay(scan) -> dict:
-    """The two norm-trend columns of an ImageCircleReport: the trend of
-    ||phi^n f|| and its rate lim ||phi^n f||^(1/n) = max_T |phi|."""
-    return {"decay_classification": scan.norm_trend, "decay_rate": scan.max_modulus}
+def _no_frame_signature(orb, scan) -> tuple[dict, bool, FrameBounds]:
+    """Whether the orbit shows that it is no frame, read the way the norm
+    trend of scan (an ImageCircleReport of orb's symbol) says it can.
+
+    Growing norms blow up the upper bound: the `B_trend` of _growth_trend
+    must rise more than tenfold.  Otherwise the lower bound must collapse:
+    the last `A_trend` point of _square_trend is numerically zero or below
+    1e-8 of its B, and only `decays_to_zero` norms can show that.  Returns
+    the columns (the norm trend, its rate lim ||phi^n f||^(1/n) =
+    max_T |phi|, and the trend read), whether the signature is shown, and
+    the last FrameBounds of the trend.
+    """
+    columns = {"decay_classification": scan.norm_trend, "decay_rate": scan.max_modulus}
+    if scan.norm_trend == "grows":
+        growth, growth_columns = _growth_trend(orb)
+        columns.update(growth_columns)
+        return columns, bool(growth[-1].B_est > 10.0 * growth[0].B_est), growth[-1]
+    trend, trend_columns = _square_trend(orb)
+    last = trend[-1]
+    columns.update(trend_columns)
+    columns["lower_bound_numerically_zero"] = last.numerically_zero_lower
+    shown = scan.norm_trend == "decays_to_zero" and bool(
+        last.numerically_zero_lower or last.A_est < 1e-8 * last.B_est
+    )
+    return columns, shown, last
 
 
 def _bounds_columns(bounds) -> dict:
@@ -162,39 +186,27 @@ def _scaled_blaschke_polynomial(factor: float, zero: complex, order: int) -> Sym
 def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
     grid = BoundaryGrid(config.boundary_grid)
 
-    def check(orb, branch):
+    def check(orb):
         inn = innerness_test(orb.symbol, grid, config.tolerances.inner_tol)
         scan = image_circle_intersection(orb.symbol, grid)
+        signature, shown, last = _no_frame_signature(orb, scan)
         entry = {
-            "branch": branch,
             "innerness_verdict": inn.verdict,
             "sub_unit_fraction": inn.sub_unit_fraction,
-            **_decay(scan),
+            **signature,
+            "no_frame_signature": shown,
         }
-        if branch == "normalized":
-            trend, trend_columns = _square_trend(orb)
-            entry.update(trend_columns)
-            entry["B_at_max_N"] = trend[-1].B_est
-            entry["lower_bound_numerically_zero"] = trend[-1].numerically_zero_lower
-            no_frame = scan.norm_trend == "decays_to_zero" and (
-                trend[-1].numerically_zero_lower
-                or trend[-1].A_est < 1e-6 * max(trend[0].A_est, 1e-300)
-            )
+        if scan.norm_trend == "grows":
+            entry["branch"] = "unnormalized"
         else:
-            growth, growth_columns = _growth_trend(orb)
-            entry.update(growth_columns)
-            no_frame = (
-                scan.norm_trend == "grows"
-                and growth[-1].B_est > 10.0 * growth[0].B_est
-            )
-        entry["no_frame_signature"] = bool(no_frame)
-        return entry, inn.verdict == "non_inner" and no_frame
+            entry.update(branch="normalized", B_at_max_N=last.B_est)
+        return entry, inn.verdict == "non_inner" and shown
 
     consistent, evidence = _cases(config, [
-        ("constant_half", SymbolSpec.constant(0.5), (1.0,), "normalized"),
-        ("shift_half", SymbolSpec.scaled_shift(0.5), (1.0,), "normalized"),
-        ("constant_5_4", SymbolSpec.constant(1.25), (1.0,), "unnormalized"),
-        ("shift_5_4", SymbolSpec.scaled_shift(1.25), (1.0,), "unnormalized"),
+        ("constant_half", SymbolSpec.constant(0.5), (1.0,)),
+        ("shift_half", SymbolSpec.scaled_shift(0.5), (1.0,)),
+        ("constant_5_4", SymbolSpec.constant(1.25), (1.0,)),
+        ("shift_5_4", SymbolSpec.scaled_shift(1.25), (1.0,)),
     ], check)
     return _verdict(consistent), evidence
 
@@ -348,53 +360,35 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
 
     The same extremes give `decay_classification`, so on these symbols it
     restates the hypothesis.  What tests the conclusion against the orbit
-    data is `norms_below_geometric_envelope` and the collapse of `A_trend`
-    for the inside symbol, and the growth of `B_trend` for the outside
-    one."""
+    data is the no-frame signature (the collapse of `A_trend` for the
+    inside symbol, the growth of `B_trend` for the outside one) and
+    `norms_below_geometric_envelope`."""
     grid = BoundaryGrid(config.boundary_grid)
 
-    def check(orb, inside):
+    def check(orb):
         scan = image_circle_intersection(orb.symbol, grid)
+        signature, shown, _ = _no_frame_signature(orb, scan)
         entry = {
             "intersects_circle": scan.intersects_circle,
             "min_modulus": scan.min_modulus,
             "max_modulus": scan.max_modulus,
-            **_decay(scan),
+            **signature,
         }
-        if inside:
-            trend, trend_columns = _square_trend(orb)
-            contraction_ok = bool(
-                np.all(orb.norms <= 0.9 ** np.arange(orb.length) + 1e-12)
-            )
-            entry.update(trend_columns)
+        if scan.norm_trend == "grows":
+            ok = abs(scan.max_modulus - 2.0) <= 1e-6
+        else:
+            ok = bool(np.all(orb.norms <= 0.9 ** np.arange(orb.length) + 1e-12))
             entry.update({
                 "symbol": "0.9 * blaschke(0.5) (as polynomial)",
                 "sup_norm_estimate": orb.symbol.sup_norm_estimate,
-                "norms_below_geometric_envelope": contraction_ok,
-                "lower_bound_numerically_zero": trend[-1].numerically_zero_lower,
+                "norms_below_geometric_envelope": ok,
             })
-            ok = (
-                scan.norm_trend == "decays_to_zero"
-                and contraction_ok
-                and (
-                    trend[-1].numerically_zero_lower
-                    or trend[-1].A_est < 1e-8 * trend[-1].B_est
-                )
-            )
-        else:
-            growth, growth_columns = _growth_trend(orb)
-            entry.update(growth_columns)
-            ok = (
-                scan.norm_trend == "grows"
-                and abs(scan.max_modulus - 2.0) <= 1e-6
-                and growth[-1].B_est > 10.0 * growth[0].B_est
-            )
-        return entry, ok and not scan.intersects_circle
+        return entry, shown and ok and not scan.intersects_circle
 
     inside_spec = _scaled_blaschke_polynomial(0.9, 0.5, config.truncation_order)
     consistent, evidence = _cases(config, [
-        ("inside_scaled_blaschke", inside_spec, (1.0,), True),
-        ("outside_constant_two", SymbolSpec.constant(2.0), (1.0,), False),
+        ("inside_scaled_blaschke", inside_spec, (1.0,)),
+        ("outside_constant_two", SymbolSpec.constant(2.0), (1.0,)),
     ], check)
     return _verdict(consistent), evidence
 

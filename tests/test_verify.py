@@ -280,19 +280,19 @@ def test_shift_and_monomial_seed_one_orbits_skip_lapack(config, monkeypatch, pro
 
 
 SWEEP = ((8, 8), (16, 16), (17, 17), (3, 40), (32, 32), (24, 60), (40, 200),
-         (20, 5), (16, 3), (10, 2), (64, 1), (64, 6), (60, 24), (33, 33))
-# P1's fixed thresholds fail on true cases at these resolutions: at
-# N <= 17 the last A_trend point of shift_half is above both
-# NUMERICALLY_ZERO_REL and the 1e-6 collapse ratio, and the B_trend of
-# shift_5_4 is flat once its K' pass N, where every row z^n truncates to 0
-P1_THRESHOLD_FAILURES = "fixed threshold: shift_half A at N <= 17, flat shift_5_4 B_trend at K' > N"
+         (20, 5), (16, 3), (10, 2), (64, 1), (64, 6), (60, 24), (33, 33), (12, 12))
+# P1 fails on a true case at these resolutions: the B_trend of shift_5_4
+# is flat once its K' pass N, where every row z^n truncates to 0, so it
+# stays below the tenfold growth of the no-frame signature
+P1_FLAT_GROWTH = {(8, 8), (3, 40), (10, 2), (40, 200), (12, 12)}
+P1_THRESHOLD_FAILURES = "flat shift_5_4 B_trend at K' > N"
 
 
 def _sweep_cases():
     for n, k in SWEEP:
         yield pytest.param("P4i", n, k, id=f"P4i-{n}-{k}")
         marks = ()
-        if n <= 17 or (n, k) == (40, 200):
+        if (n, k) in P1_FLAT_GROWTH:
             marks = pytest.mark.xfail(strict=True, reason=P1_THRESHOLD_FAILURES)
         yield pytest.param("P1", n, k, marks=marks, id=f"P1-{n}-{k}")
 
@@ -308,6 +308,34 @@ def test_p1_p4i_consistent_at_any_orbit_length(prop, n, k):
     report = verify(prop, config)
     assert report.verdict == "consistent", report.evidence
     assert "reason" not in report.evidence
+
+
+@pytest.mark.parametrize(
+    "spec, trend_column, shown",
+    [
+        (SymbolSpec.scaled_shift(0.5), "A_trend", True),  # decays_to_zero
+        (SymbolSpec.constant(2.0), "B_trend", True),  # grows
+        (SymbolSpec.blaschke([0.5]), "A_trend", False),  # bounded_non_decaying
+    ],
+    ids=["decays", "grows", "bounded"],
+)
+def test_no_frame_signature_follows_the_norm_trend(spec, trend_column, shown):
+    # decaying norms must collapse A, growing norms must blow up B, and an
+    # inner symbol's orbit shows neither, though its A_trend is written
+    orb = orbits.orbit_for(spec, (1.0,), 64, 64)
+    scan = image_circle_intersection(orb.symbol, BoundaryGrid(512))
+    columns, signature, last = verify_module._no_frame_signature(orb, scan)
+    assert signature is shown
+    assert columns["decay_classification"] == scan.norm_trend
+    assert columns["decay_rate"] == scan.max_modulus
+    trend = columns[trend_column]
+    assert len(trend) == 3
+    if trend_column == "A_trend":
+        assert trend[-1] == last.A_est
+        assert columns["lower_bound_numerically_zero"] == last.numerically_zero_lower
+    else:
+        assert trend[-1] == last.B_est
+        assert "lower_bound_numerically_zero" not in columns
 
 
 @pytest.mark.parametrize("prop", ["P1", "P4i"])
