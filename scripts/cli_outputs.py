@@ -18,8 +18,9 @@ a zero seed adds an all-zero orbit at N = K = 16.  Last come one-term
 symbols at their edges: a unimodular constant from seed 1 - z at
 N = K = 64, z^20 at N = K = 8 (its term lies past N), the zero
 symbol as 0*z and as the constant 0 at N = K = 16, and z^(10^8) at
-N = K = 8, M = 64 (exact on the grid).  All are written to
-OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds`
+N = K = 8, M = 64 (exact on the grid); then z^12 written as a polynomial
+at N = K = 8, M = 64, read on the circle past its order.  All are
+written to OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds`
 and `gram` as JSON and CSV and through `innerness` and `cyclicity` as
 JSON; `report-all` runs once with its defaults, then once per resolution in
 BATTERY_RESOLUTIONS through `--config-dir`, every suite at that (N, K),
@@ -254,6 +255,17 @@ def configs(rng) -> dict:
     # off the circle by 6.8e-9
     out["monomial-huge-power"] = {
         "symbol": {"kind": "monomial", "power": 10**8},
+        "seed_coeffs": _complex_list([1, 0.5j, -0.25 + 0.1j]),
+        "truncation_order": 8,
+        "orbit_length": 8,
+        "boundary_grid": 64,
+        "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+        "output": {"format": "json", "path": None},
+    }
+    # z^12 as a polynomial: its expansion cut to order 8 is 0, while |phi|
+    # on T reads all 13 coefficients and is 1
+    out["polynomial-z12-N8"] = {
+        "symbol": {"kind": "polynomial", "coeffs": _complex_list([0] * 12 + [1])},
         "seed_coeffs": _complex_list([1, 0.5j, -0.25 + 0.1j]),
         "truncation_order": 8,
         "orbit_length": 8,

@@ -22,7 +22,7 @@ from .frames import bounds_from_singular_values, gram
 from .jsonio import dumps_canonical, dumps_csv
 from .orbits import orbit_for
 from .series import BoundaryGrid
-from .symbols import SymbolSpec, innerness_test, realize
+from .symbols import SymbolSpec, boundary_modulus, realize
 from .verify import (
     PROPOSITIONS,
     UnknownPropositionError,
@@ -117,7 +117,7 @@ def _gram_columns(payload: dict) -> dict:
 
 
 def _innerness_report(config: ExperimentConfig, args) -> dict:
-    report = innerness_test(
+    report = boundary_modulus(
         realize(config.symbol, config.truncation_order),
         BoundaryGrid(config.boundary_grid),
         config.tolerances.inner_tol,
@@ -125,7 +125,10 @@ def _innerness_report(config: ExperimentConfig, args) -> dict:
     return {
         "M": config.boundary_grid,
         "N": config.truncation_order,
-        **dataclasses.asdict(report),
+        "max_deviation": report.max_deviation,
+        "sub_unit_fraction": report.sub_unit_fraction,
+        "verdict": report.verdict,
+        "tolerance": report.tolerance,
     }
 
 

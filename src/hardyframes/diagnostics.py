@@ -1,6 +1,7 @@
-"""Structural diagnostics: reproducing kernels, disk zeros, cyclicity rank,
-residue-class support, and what |phi| on the circle says: whether the
-symbol's image meets the circle, and whether orbit norms decay or grow.
+"""Structural diagnostics of an orbit: reproducing kernels, disk zeros,
+cyclicity rank and residue-class support.  What |phi| on the circle says
+(inner-ness, the image against the circle, the norm trend) is read by
+`symbols.boundary_modulus`.
 
 These are the finite surrogates for the structural obstructions to the
 frame property: a seed zero inside the disk pairs the whole orbit against
@@ -18,10 +19,8 @@ import numpy as np
 
 from .series import TruncatedSeries
 from .orbits import Orbit
-from .symbols import SymbolRealization, boundary_values, vanishes_in_disk
 
 RANK_REL_TOL = 1e-10
-CIRCLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -35,14 +34,6 @@ class CyclicityReport:
     rank: int
     span_dimension_deficit: int
     singular_values: np.ndarray
-
-
-@dataclass(frozen=True)
-class ImageCircleReport:
-    min_modulus: float
-    max_modulus: float
-    intersects_circle: bool
-    norm_trend: str  # decays_to_zero | bounded_non_decaying | grows
 
 
 def reproducing_kernel(z0: complex, order: int) -> TruncatedSeries:
@@ -115,37 +106,3 @@ def class_support(g: TruncatedSeries, m: int) -> tuple:
     nz = np.nonzero(g.coeffs)[0]
     return tuple(sorted({int(i) % m for i in nz}))
 
-
-def image_circle_intersection(sym: SymbolRealization, grid) -> ImageCircleReport:
-    """Whether the closure of phi(D) meets the unit circle T, from |phi| on T.
-
-    For phi continuous on the closed disk the maximum and minimum modulus
-    principles decide it: the closure misses T iff max_T |phi| < 1, or phi
-    has no zero in D and min_T |phi| > 1.  The extremes are taken over the
-    grid's M points, and the verdict uses tolerance 1e-9, so that an inner
-    symbol, whose sampled |phi| is 1 up to rounding, meets T.  The zero test
-    runs only when min_T |phi| > 1, which no inner symbol reaches.
-
-    The same extremes give `norm_trend`, the trend of ||phi^n f|| for every
-    seed f != 0.  ||phi^n f||^2 is the integral over T of |phi|^(2n) |f|^2
-    and f vanishes only on a null set of T, so lim ||phi^n f||^(1/n) is
-    max_T |phi|, which max_modulus samples: the norms grow when it exceeds
-    1 + 1e-9.  Otherwise they tend to 0 iff |phi| < 1 a.e. on T, and for a
-    phi analytic across T (every kind) that fails only when |phi| = 1 on
-    all of T: `decays_to_zero` when min_T |phi| < 1 - 1e-9, else
-    `bounded_non_decaying`.
-    """
-    moduli = np.abs(boundary_values(sym, grid))
-    lo, hi = float(np.min(moduli)), float(np.max(moduli))
-    misses = hi < 1.0 - CIRCLE_TOL or (
-        lo > 1.0 + CIRCLE_TOL and not vanishes_in_disk(sym)
-    )
-    if hi > 1.0 + CIRCLE_TOL:
-        trend = "grows"
-    elif lo < 1.0 - CIRCLE_TOL:
-        trend = "decays_to_zero"
-    else:
-        trend = "bounded_non_decaying"
-    return ImageCircleReport(
-        min_modulus=lo, max_modulus=hi, intersects_circle=not misses, norm_trend=trend
-    )

@@ -5,8 +5,7 @@ truncated to a common order N.  Iterated multiplication can push the true
 degree of phi^n f past N; each element therefore carries a `truncated`
 flag, since a truncated row's norm falls below ||phi^n f|| by the lost
 coefficients.  Whether the true norms decay or grow is read from |phi|
-on the circle (`diagnostics.image_circle_intersection`), not from these
-rows.
+on the circle (`symbols.boundary_modulus`), not from these rows.
 
 Each orbit owns its singular spectrum, `Orbit.singular_values`, from at
 most one values-only SVD of V; the frame bounds and the cyclicity rank

@@ -1,11 +1,14 @@
-"""Multiplication symbols: declarative specs, Taylor expansion, inner-ness.
+"""Multiplication symbols: declarative specs, Taylor expansion, |phi| on T.
 
 A symbol is a bounded holomorphic function on the disk given in one of
 five declarative forms (constant, monomial, scaled shift, polynomial,
 finite Blaschke product).  `realize` turns a spec into a truncated
-expansion plus structural metadata; boundary evaluation uses the exact
-closed form whenever the spec provides one, falling back to the
-truncated polynomial only for the `polynomial` kind.
+expansion plus structural metadata.  Boundary evaluation uses the exact
+closed form whenever the spec provides one and one FFT of all the
+coefficients of a `polynomial`, whatever the expansion order.
+`boundary_modulus` reads |phi| on the grid once and derives from it
+everything the lab asks of the boundary: inner-ness, whether the image
+of the disk meets the circle, and whether orbit norms decay or grow.
 
 No other module branches on a kind: report labels (`describe`) and the
 JSON codec (`spec_to_json`, `spec_from_json`) live here too.
@@ -34,10 +37,14 @@ ONE_TERM_KINDS = ("constant", "monomial", "scaled_shift")
 BLASCHKE_ZERO_MARGIN = 1e-9
 UNIMODULAR_TOL = 1e-12
 
-# Inner-ness verdict tolerances: exact closed-form evaluation vs truncated
-# polynomial evaluation.
+# Tolerances of `boundary_modulus`.  A closed form gives |phi| on T to a
+# few ulps; a polynomial's values are an FFT sum whose rounding grows with
+# its degree and coefficients (up to about (d + 1) eps sum |a_n|), so its
+# inner-ness verdict keeps the coarser INNER_TOL_POLYNOMIAL.  CIRCLE_TOL
+# tells |phi| = 1 from |phi| != 1 for the image and the norm trend.
 INNER_TOL_EXACT = 1e-9
-INNER_TOL_TRUNCATED = 1e-6
+INNER_TOL_POLYNOMIAL = 1e-6
+CIRCLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -187,11 +194,15 @@ class SymbolRealization:
 
 
 @dataclass(frozen=True)
-class InnernessReport:
+class BoundaryModulusReport:
     max_deviation: float
     sub_unit_fraction: float
     verdict: str  # inner | non_inner | inconclusive
     tolerance: float
+    min_modulus: float
+    max_modulus: float
+    intersects_circle: bool
+    norm_trend: str  # decays_to_zero | bounded_non_decaying | grows
 
 
 def _blaschke_factor_series(a: complex, order: int) -> TruncatedSeries:
@@ -272,7 +283,7 @@ def evaluate_symbol(sym: SymbolRealization, points: np.ndarray) -> np.ndarray:
     """Symbol values at arbitrary points of the closed disk.
 
     Exact closed forms for constant/monomial/scaled_shift/blaschke specs;
-    the truncated polynomial otherwise.
+    Horner on all the coefficients of a polynomial.
     """
     spec = sym.spec
     z = np.asarray(points, dtype=complex)
@@ -286,9 +297,8 @@ def evaluate_symbol(sym: SymbolRealization, points: np.ndarray) -> np.ndarray:
             else:
                 vals = vals * (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
         return vals
-    # polynomial: Horner on the stored coefficients
     acc = np.zeros(z.shape, dtype=complex)
-    for c in sym.series.coeffs[::-1]:
+    for c in spec.coeffs[::-1]:
         acc = acc * z + c
     return acc
 
@@ -299,16 +309,17 @@ def vanishes_in_disk(sym: SymbolRealization) -> bool:
     open disk.
 
     A one-term symbol c z^m with m >= 1 vanishes at 0 at every order, and a
-    constant nowhere.  Otherwise the stored polynomial is the symbol, and
-    every root of modulus < 1 counts, including those `zeros_in_disk`
-    files as boundary-ambiguous.
+    constant nowhere.  A polynomial counts every root of modulus < 1 of all
+    its coefficients, including those `zeros_in_disk` files as
+    boundary-ambiguous.
     """
     if sym.spec.kind in ONE_TERM_KINDS:
         return sym.spec.power >= 1
-    deg = sym.series.exact_degree()
+    poly = series_from_coeffs(sym.spec.coeffs)
+    deg = poly.exact_degree()
     if not deg:
         return False
-    return bool(np.any(np.abs(np.roots(sym.series.coeffs[deg::-1])) < 1.0))
+    return bool(np.any(np.abs(np.roots(poly.coeffs[deg::-1])) < 1.0))
 
 
 def uses_exact_evaluation(sym: SymbolRealization) -> bool:
@@ -319,7 +330,8 @@ def boundary_values(sym: SymbolRealization, grid: BoundaryGrid) -> np.ndarray:
     """Symbol values at the grid points on the unit circle.
 
     The exact form is evaluated at those points when available; a
-    polynomial phi takes one FFT of its coefficients.  A one-term symbol
+    polynomial phi takes one FFT of all its coefficients, folded mod M, so
+    the values do not depend on the expansion order.  A one-term symbol
     c z^m reads c times grid point (m j mod M) at point j, which is z_j^m
     exactly for any power, where numpy's z**m loses |z| = 1 as m grows.
     """
@@ -329,29 +341,43 @@ def boundary_values(sym: SymbolRealization, grid: BoundaryGrid) -> np.ndarray:
         return spec.value * grid.points[(spec.power % size) * np.arange(size) % size]
     if uses_exact_evaluation(sym):
         return evaluate_symbol(sym, grid.points)
-    return boundary_samples(sym.series, grid)
+    return boundary_samples(series_from_coeffs(spec.coeffs), grid)
 
 
-def innerness_test(
-    sym: SymbolRealization, grid: BoundaryGrid, exact_tol: float = INNER_TOL_EXACT
-) -> InnernessReport:
-    """Numerical inner-ness evidence from boundary moduli.
+def boundary_modulus(
+    sym: SymbolRealization, grid: BoundaryGrid, inner_tol: float = INNER_TOL_EXACT
+) -> BoundaryModulusReport:
+    """What |phi| on the grid's M points says, read from one sample.
 
-    max_deviation is max_j ||phi(point_j)| - 1|.  sub_unit_fraction, the
-    fraction of grid points with |phi| < 1 - tol, is the finite surrogate
-    for "|phi| < 1 on a set of positive measure"; it is evidence, not a
-    measure-theoretic statement.  tol is exact_tol for a symbol evaluated
-    in closed form; truncated polynomial evaluation keeps the coarser
-    INNER_TOL_TRUNCATED.
+    Inner-ness: max_deviation is max_j ||phi(point_j)| - 1|, and
+    sub_unit_fraction, the fraction of points with |phi| < 1 - tol, is the
+    finite surrogate for "|phi| < 1 on a set of positive measure" (evidence,
+    not a measure-theoretic statement).  tol is inner_tol for a closed form
+    and INNER_TOL_POLYNOMIAL for a polynomial.
+
+    The image: by the maximum and minimum modulus principles the closure of
+    phi(D) misses T iff max_T |phi| < 1, or phi has no zero in D and
+    min_T |phi| > 1.  min_modulus and max_modulus are the grid's extremes,
+    compared with 1 within CIRCLE_TOL, so an inner symbol, whose sampled
+    |phi| is 1 up to rounding, meets T; the zero test runs only when
+    min_T |phi| > 1, which no inner symbol reaches.
+
+    The norm trend of ||phi^n f|| for every seed f != 0: ||phi^n f||^2 is
+    the integral over T of |phi|^(2n) |f|^2 and f vanishes only on a null
+    set of T, so lim ||phi^n f||^(1/n) = max_T |phi|, and the norms grow
+    when it exceeds 1.  Otherwise they tend to 0 iff |phi| < 1 a.e. on T,
+    which for a phi analytic across T (every kind) fails only when
+    |phi| = 1 on all of T.
     """
     if grid.size <= 4 * sym.series.order:
         raise ValueError(
             f"grid size {grid.size} too small for order {sym.series.order}: "
             "need M > 4N"
         )
-    tol = exact_tol if uses_exact_evaluation(sym) else INNER_TOL_TRUNCATED
+    tol = inner_tol if uses_exact_evaluation(sym) else INNER_TOL_POLYNOMIAL
     moduli = np.abs(boundary_values(sym, grid))
-    max_dev = float(np.max(np.abs(moduli - 1.0)))
+    lo, hi = float(np.min(moduli)), float(np.max(moduli))
+    max_dev = max(hi - 1.0, 1.0 - lo)  # max_j ||phi(point_j)| - 1|
     sub_unit = float(np.count_nonzero(moduli < 1.0 - tol)) / grid.size
     if max_dev < tol:
         verdict = "inner"
@@ -359,9 +385,22 @@ def innerness_test(
         verdict = "non_inner"
     else:
         verdict = "inconclusive"
-    return InnernessReport(
+    misses = hi < 1.0 - CIRCLE_TOL or (
+        lo > 1.0 + CIRCLE_TOL and not vanishes_in_disk(sym)
+    )
+    if hi > 1.0 + CIRCLE_TOL:
+        trend = "grows"
+    elif lo < 1.0 - CIRCLE_TOL:
+        trend = "decays_to_zero"
+    else:
+        trend = "bounded_non_decaying"
+    return BoundaryModulusReport(
         max_deviation=max_dev,
         sub_unit_fraction=sub_unit,
         verdict=verdict,
         tolerance=float(tol),
+        min_modulus=lo,
+        max_modulus=hi,
+        intersects_circle=not misses,
+        norm_trend=trend,
     )

@@ -10,11 +10,13 @@ suite reports a documented tension instead of guessing).
 P1, P2, P4i, P4ii and P6 are each a list of cases and one check, which
 `_cases` runs on one orbit per case; the evidence columns they share are
 each written by one helper.  P1 and P4i read whether the orbit norms
-decay or grow from |phi| on the boundary grid, where the limit rate
-lim ||phi^n f||^(1/n) = max_T |phi| is exact, and both ask the orbit for
-one no-frame signature that this trend picks: a collapse of the lower
-bound A when the norms decay, a blow-up of the upper bound B when they
-grow.  P1's `branch` label is read from the same trend.
+decay or grow from one sample per case of |phi| on the boundary grid
+(`boundary_modulus`, which also gives P1 its inner-ness verdict), where
+the limit rate lim ||phi^n f||^(1/n) = max_T |phi| is exact, and both
+ask the orbit for one no-frame signature that this trend picks: a
+collapse of the lower bound A when the norms decay, a blow-up of the
+upper bound B when they grow.  P1's `branch` label is read from the
+same trend.
 
 Verdicts describe finite-truncation evidence, never proofs.
 """
@@ -29,7 +31,6 @@ from .config import ExperimentConfig
 from .diagnostics import (
     class_support,
     cyclicity_rank,
-    image_circle_intersection,
     kernel_orthogonality_witness,
     zeros_in_disk,
 )
@@ -41,7 +42,7 @@ from .frames import (
 )
 from .orbits import orbit_for
 from .series import BoundaryGrid
-from .symbols import SymbolSpec, describe, innerness_test, realize
+from .symbols import SymbolSpec, boundary_modulus, describe, realize
 
 P6_TENSION_NOTE = (
     "a numerically cyclic seed (full rank at truncation) shows a lower-bound "
@@ -124,7 +125,7 @@ def _growth_trend(orb) -> tuple[list, dict]:
 
 def _no_frame_signature(orb, scan) -> tuple[dict, bool, FrameBounds]:
     """Whether the orbit shows that it is no frame, read the way the norm
-    trend of scan (an ImageCircleReport of orb's symbol) says it can.
+    trend of scan (a BoundaryModulusReport of orb's symbol) says it can.
 
     Growing norms blow up the upper bound: the `B_trend` of _growth_trend
     must rise more than tenfold.  Otherwise the lower bound must collapse:
@@ -187,12 +188,11 @@ def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
     grid = BoundaryGrid(config.boundary_grid)
 
     def check(orb):
-        inn = innerness_test(orb.symbol, grid, config.tolerances.inner_tol)
-        scan = image_circle_intersection(orb.symbol, grid)
+        scan = boundary_modulus(orb.symbol, grid, config.tolerances.inner_tol)
         signature, shown, last = _no_frame_signature(orb, scan)
         entry = {
-            "innerness_verdict": inn.verdict,
-            "sub_unit_fraction": inn.sub_unit_fraction,
+            "innerness_verdict": scan.verdict,
+            "sub_unit_fraction": scan.sub_unit_fraction,
             **signature,
             "no_frame_signature": shown,
         }
@@ -200,7 +200,7 @@ def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
             entry["branch"] = "unnormalized"
         else:
             entry.update(branch="normalized", B_at_max_N=last.B_est)
-        return entry, inn.verdict == "non_inner" and shown
+        return entry, scan.verdict == "non_inner" and shown
 
     consistent, evidence = _cases(config, [
         ("constant_half", SymbolSpec.constant(0.5), (1.0,)),
@@ -366,7 +366,7 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
     grid = BoundaryGrid(config.boundary_grid)
 
     def check(orb):
-        scan = image_circle_intersection(orb.symbol, grid)
+        scan = boundary_modulus(orb.symbol, grid)
         signature, shown, _ = _no_frame_signature(orb, scan)
         entry = {
             "intersects_circle": scan.intersects_circle,

@@ -15,14 +15,13 @@ from hardyframes.cli import main
 from hardyframes.diagnostics import (
     class_support,
     cyclicity_rank,
-    image_circle_intersection,
     kernel_orthogonality_witness,
     reproducing_kernel,
 )
 from hardyframes.frames import frame_bounds_estimate, partial_frame_sums
 from hardyframes.orbits import orbit
 from hardyframes.series import BoundaryGrid, series_from_coeffs
-from hardyframes.symbols import SymbolSpec, realize
+from hardyframes.symbols import SymbolSpec, boundary_modulus, realize
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -131,11 +130,11 @@ def test_criterion_6_dichotomy():
     orb = make_orbit(inside, [1], 64, 64)
     envelope_ok = bool(np.all(orb.norms <= 0.9 ** np.arange(65) + 1e-12))
     grid = BoundaryGrid(512)
-    decay = image_circle_intersection(orb.symbol, grid)
+    decay = boundary_modulus(orb.symbol, grid)
     inside_ok = envelope_ok and decay.norm_trend == "decays_to_zero"
 
     orb2 = make_orbit(SymbolSpec.constant(2.0), [1], 64, 8)
-    growth = image_circle_intersection(orb2.symbol, grid)
+    growth = boundary_modulus(orb2.symbol, grid)
     outside_ok = growth.norm_trend == "grows" and abs(growth.max_modulus - 2.0) <= 1e-6
     check(
         "criterion 6: contraction decays under 0.9^n envelope; constant 2 grows at rate 2",

@@ -20,14 +20,13 @@ import pytest
 from hardyframes.diagnostics import (
     RANK_REL_TOL,
     cyclicity_rank,
-    image_circle_intersection,
     kernel_orthogonality_witness,
     reproducing_kernel,
 )
 from hardyframes.frames import frame_bounds_estimate, gram, partial_frame_sums
 from hardyframes.orbits import orbit
 from hardyframes.series import BoundaryGrid, series_from_coeffs
-from hardyframes.symbols import SymbolSpec, realize
+from hardyframes.symbols import SymbolSpec, boundary_modulus, realize
 
 EPS = np.finfo(float).eps
 
@@ -166,6 +165,6 @@ def test_orbit_norms_below_the_underflow_threshold_match_oracle():
     assert np.all(ref > 0)
     assert np.all(np.abs(orb.norms - ref) <= 4 * EPS * ref)
     # the truncated rows fall towards 0, the true norms ||phi^n f|| do not
-    trend = image_circle_intersection(orb.symbol, BoundaryGrid(256))
+    trend = boundary_modulus(orb.symbol, BoundaryGrid(256))
     assert trend.norm_trend == "bounded_non_decaying"
     assert abs(trend.max_modulus - 1.0) < 1e-9

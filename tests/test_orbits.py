@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from hardyframes.diagnostics import image_circle_intersection
 from hardyframes.orbits import (
     FFT_MIN_OPERAND_LEN,
     orbit,
     orbit_for,
 )
 from hardyframes.series import BoundaryGrid, mul, series_from_coeffs
-from hardyframes.symbols import SymbolSpec, realize
+from hardyframes.symbols import SymbolSpec, boundary_modulus, realize
 
 EPS = np.finfo(float).eps
 
@@ -523,7 +522,7 @@ def test_semigroup_property_exact_degrees():
 
 
 def _norm_trend(spec, order):
-    return image_circle_intersection(realize(spec, order), BoundaryGrid(8 * order))
+    return boundary_modulus(realize(spec, order), BoundaryGrid(8 * order))
 
 
 def test_decay_constant_half():
@@ -557,6 +556,6 @@ def test_decay_ignores_truncated_tail_for_inner_symbol():
     sym = realize(SymbolSpec.monomial(1), 8)
     orb = orbit(sym, seed([1], 8), 16, 8)
     assert np.all(orb.norms[9:] == 0.0)
-    report = image_circle_intersection(sym, BoundaryGrid(64))
+    report = boundary_modulus(sym, BoundaryGrid(64))
     assert report.norm_trend == "bounded_non_decaying"
     assert abs(report.max_modulus - 1.0) < 1e-12

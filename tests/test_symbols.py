@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from hardyframes.diagnostics import image_circle_intersection
 from hardyframes.orbits import orbit_for
 from hardyframes.series import BoundaryGrid, mul
 from hardyframes.symbols import (
     SymbolSpec,
+    boundary_modulus,
     boundary_values,
     describe,
     evaluate_symbol,
-    innerness_test,
     realize,
 )
 
@@ -180,21 +179,21 @@ def test_realize_polynomial_exactness_metadata():
 
 def test_innerness_monomial():
     sym = realize(SymbolSpec.monomial(3), 8)
-    report = innerness_test(sym, BoundaryGrid(256))
+    report = boundary_modulus(sym, BoundaryGrid(256))
     assert report.verdict == "inner"
     assert report.max_deviation < 1e-12
 
 
 def test_innerness_constant_half_is_non_inner():
     sym = realize(SymbolSpec.constant(0.5), 4)
-    report = innerness_test(sym, BoundaryGrid(256))
+    report = boundary_modulus(sym, BoundaryGrid(256))
     assert report.verdict == "non_inner"
     assert report.sub_unit_fraction == 1.0
 
 
 def test_innerness_blaschke_rational_evaluation():
     sym = realize(SymbolSpec.blaschke([0.5]), 16)
-    report = innerness_test(sym, BoundaryGrid(256))
+    report = boundary_modulus(sym, BoundaryGrid(256))
     assert report.verdict == "inner"
     assert report.max_deviation < 1e-12
 
@@ -212,14 +211,14 @@ def test_innerness_blaschke_rational_evaluation():
 )
 def test_structurally_inner_verdicts(spec, grid_size):
     sym = realize(spec, 16)
-    report = innerness_test(sym, BoundaryGrid(grid_size))
+    report = boundary_modulus(sym, BoundaryGrid(grid_size))
     assert report.verdict == "inner"
     assert report.max_deviation < 1e-9
 
 
 def test_innerness_constant_two_non_inner_without_subunit_points():
     sym = realize(SymbolSpec.constant(2.0), 4)
-    report = innerness_test(sym, BoundaryGrid(256))
+    report = boundary_modulus(sym, BoundaryGrid(256))
     assert report.verdict == "non_inner"
     assert report.sub_unit_fraction == 0.0
 
@@ -230,16 +229,29 @@ def test_huge_monomial_power_is_exact_on_the_grid(m):
     # (|z^m| - 1 = 6.8e-9 at m = 10^8, and |z^m| up to 1e137 at m = 2^62)
     sym = realize(SymbolSpec.monomial(m), 8)
     grid = BoundaryGrid(64)
-    report = innerness_test(sym, grid)
+    report = boundary_modulus(sym, grid)
     assert report.verdict == "inner"
     assert report.max_deviation < 1e-15
-    assert image_circle_intersection(sym, grid).norm_trend == "bounded_non_decaying"
+    assert boundary_modulus(sym, grid).norm_trend == "bounded_non_decaying"
 
 
 def test_innerness_grid_too_small():
     sym = realize(SymbolSpec.polynomial(np.ones(65)), 64)
     with pytest.raises(ValueError):
-        innerness_test(sym, BoundaryGrid(256))  # need > 4 * 64
+        boundary_modulus(sym, BoundaryGrid(256))  # need > 4 * 64
+
+
+def test_polynomial_past_the_order_is_read_in_full():
+    # z^12 as a polynomial at N = 8: its expansion cut to order 8 is 0, but
+    # the symbol on T and in D reads all 13 coefficients, as z^12 itself does
+    grid = BoundaryGrid(64)
+    sym = realize(SymbolSpec.polynomial([0] * 12 + [1]), 8)
+    report = boundary_modulus(sym, grid)
+    assert report.verdict == boundary_modulus(realize(SymbolSpec.monomial(12), 8), grid).verdict
+    assert report.verdict == "inner"
+    assert report.max_deviation < 1e-15
+    assert report.norm_trend == "bounded_non_decaying"
+    assert evaluate_symbol(sym, np.array([0.5])) == 0.5**12
 
 
 # -- sup norm -------------------------------------------------------------------

@@ -6,14 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from hardyframes import orbits
+from hardyframes import orbits, symbols
 from hardyframes.cli import default_config, main
 from hardyframes.config import ExperimentConfig, ToleranceSettings
-from hardyframes.diagnostics import cyclicity_rank, image_circle_intersection
+from hardyframes.diagnostics import cyclicity_rank
 from hardyframes.frames import frame_bounds_estimate, section_bounds
 from hardyframes.jsonio import dumps_canonical
 from hardyframes.series import BoundaryGrid
-from hardyframes.symbols import SymbolSpec, realize
+from hardyframes.symbols import SymbolSpec, boundary_modulus, realize
 from hardyframes.verify import (
     _P2_RANDOM_COEFFS,
     P6_TENSION_NOTE,
@@ -190,7 +190,7 @@ def test_image_test_finds_roots_only_outside_the_circle(tmp_path, monkeypatch):
     # on T and zeros at |z| ~ 0.63
     for coeffs, calls in (([1, 1], []), ([2, 0, 5], ["vanishes_in_disk"])):
         sym = realize(SymbolSpec.polynomial(coeffs), 8)
-        assert image_circle_intersection(sym, BoundaryGrid(512)).intersects_circle
+        assert boundary_modulus(sym, BoundaryGrid(512)).intersects_circle
         assert callers == calls
 
 
@@ -323,7 +323,7 @@ def test_no_frame_signature_follows_the_norm_trend(spec, trend_column, shown):
     # decaying norms must collapse A, growing norms must blow up B, and an
     # inner symbol's orbit shows neither, though its A_trend is written
     orb = orbits.orbit_for(spec, (1.0,), 64, 64)
-    scan = image_circle_intersection(orb.symbol, BoundaryGrid(512))
+    scan = boundary_modulus(orb.symbol, BoundaryGrid(512))
     columns, signature, last = verify_module._no_frame_signature(orb, scan)
     assert signature is shown
     assert columns["decay_classification"] == scan.norm_trend
@@ -459,9 +459,9 @@ def _shift_seed_one_reads_non_cyclic(report, orb, *args, **kwargs):
 @pytest.mark.parametrize(
     "prop, name, label, patch",
     [
-        ("P1", "innerness_test", "constant_5_4", _innerness_reads_inner),
+        ("P1", "boundary_modulus", "constant_5_4", _innerness_reads_inner),
         ("P2", "cyclicity_rank", "m3_one", _m3_seed_one_reads_cyclic),
-        ("P4i", "image_circle_intersection", "outside_constant_two",
+        ("P4i", "boundary_modulus", "outside_constant_two",
          _constant_two_meets_the_circle),
         ("P4ii", "kernel_orthogonality_witness", "blaschke_seed_z_minus_half",
          _blaschke_kernel_pairs),
@@ -512,9 +512,11 @@ def test_each_suite_builds_a_fixed_number_of_orbits(n, k, trend_orbits, total, m
     # leading block of a case orbit, so none builds its own, and otherwise
     # each trend with a point beyond (N, K) builds one orbit, at its
     # largest point.  Each orbit that is probed pairs all its probes in
-    # one product: 13 per battery
-    built, products = [], []
+    # one product: 13 per battery.  Only P1 and P4i read |phi| on the
+    # circle, one sample per case
+    built, products, samples = [], [], []
     real, real_sums = orbits.orbit, verify_module.partial_frame_sums
+    real_values = symbols.boundary_values
 
     def counting(*args, **kwargs):
         built.append(prop)
@@ -524,8 +526,13 @@ def test_each_suite_builds_a_fixed_number_of_orbits(n, k, trend_orbits, total, m
         products.append(prop)
         return real_sums(*args, **kwargs)
 
+    def counting_values(*args, **kwargs):
+        samples.append(prop)
+        return real_values(*args, **kwargs)
+
     monkeypatch.setattr(orbits, "orbit", counting)
     monkeypatch.setattr(verify_module, "partial_frame_sums", counting_sums)
+    monkeypatch.setattr(symbols, "boundary_values", counting_values)
     config = ExperimentConfig(
         symbol=SymbolSpec.monomial(1),
         truncation_order=n,
@@ -541,4 +548,7 @@ def test_each_suite_builds_a_fixed_number_of_orbits(n, k, trend_orbits, total, m
     assert len(built) == total
     assert {prop: products.count(prop) for prop in set(products)} == {
         "P2": 8, "P3": 2, "Ex_constant": 1, "Ex_half_shift": 1, "Ex_3_1": 1,
+    }
+    assert {prop: samples.count(prop) for prop in PROPOSITIONS} == {
+        prop: {"P1": 4, "P4i": 2}.get(prop, 0) for prop in PROPOSITIONS
     }
