@@ -19,7 +19,8 @@ symbols at their edges: a unimodular constant from seed 1 - z at
 N = K = 64, z^20 at N = K = 8 (its term lies past N), the zero
 symbol as 0*z and as the constant 0 at N = K = 16, and z^(10^8) at
 N = K = 8, M = 64 (exact on the grid); then z^12 written as a polynomial
-at N = K = 8, M = 64, read on the circle past its order.  All are
+at N = K = 8, M = 64, read on the circle past its order, and a complex
+constant from a fixed 40-term complex seed at N = K = 300.  All are
 written to OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds`
 and `gram` as JSON and CSV and through `innerness` and `cyclicity` as
 JSON; `report-all` runs once with its defaults, then once per resolution in
@@ -270,6 +271,17 @@ def configs(rng) -> dict:
         "truncation_order": 8,
         "orbit_length": 8,
         "boundary_grid": 64,
+        "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
+        "output": {"format": "json", "path": None},
+    }
+    # a complex constant from a fixed 40-term complex seed: 40 chains of
+    # (ax - by) + i(ay + bx), none leaving the rows, at N = K = 300
+    out["constant-complex-seed40-300"] = {
+        "symbol": {"kind": "constant", "value": _complex_list(0.95 * np.exp(0.7j))[0]},
+        "seed_coeffs": _complex_list(np.exp(1j * np.arange(40)) / np.arange(1, 41)),
+        "truncation_order": 300,
+        "orbit_length": 300,
+        "boundary_grid": 2400,
         "tolerances": {"inner_tol": 1e-9, "rank_tol": 1e-10},
         "output": {"format": "json", "path": None},
     }

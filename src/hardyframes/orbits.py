@@ -33,6 +33,11 @@ from .symbols import SymbolRealization, SymbolSpec, realize
 FFT_MIN_OPERAND_LEN = 64
 # Below this norm the sum of squared moduli is subnormal or 0.
 _NORM_UNDERFLOW = float(np.sqrt(np.finfo(float).tiny))
+# Above this many chains a one-term orbit multiplies row by row:
+# `np.multiply.accumulate` down the rows steps down one column at a time.
+_MAX_CHAINS = 64
+# Rows per `np.linalg.norm` call in `_row_norms`.
+_NORM_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,50 +109,41 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
 
     phi is cut to N+1 terms and trimmed of trailing zeros once.  When it
     has a single nonzero coefficient c at index s (a constant, z^m, c*z),
-    row n is c times row n-1 shifted by s: one multiply per row, rounded
-    as the one-tap convolution of `mul` rounds it, so the row is
-    bit-identical to `mul(sym.series, row n-1, order)`.  When phi has at
-    most FFT_MIN_OPERAND_LEN terms, or its sup norm estimate exceeds 1,
-    each row is `mul`'s direct convolution of the row before, bit for
-    bit.  A longer contractive phi fills the rows in blocks by FFT
-    (`_fft_rows`); each row is then within a few eps per product of the
-    largest row before it, not bit-identical to `mul`.  That normwise
-    error is spread over every coefficient, and a phi with |phi| > 1
-    somewhere on the circle would amplify it from row to row past the
-    orbit's own growth, so such a phi keeps the direct convolution, whose
-    error is componentwise.  A norm whose squared moduli overflow, or sum
-    to less than the smallest normal number, is recomputed from the row
-    scaled exactly by a power of two.
+    the rows are filled as chains of the seed's coefficients, each
+    multiplied by c once per step (`_one_term_rows`; a seed spanning more
+    than _MAX_CHAINS coefficients goes row by row), each entry rounded as
+    the one-tap convolution of `mul` rounds it, so row n is bit-identical
+    to `mul(sym.series, row n-1, order)`.  When phi has at most
+    FFT_MIN_OPERAND_LEN terms, or its sup norm estimate exceeds 1, each
+    row is `mul`'s direct convolution of the row before, bit for bit.  A
+    longer contractive phi fills the rows in blocks by FFT (`_fft_rows`);
+    each row is then within a few eps per product of the largest row
+    before it, not bit-identical to `mul`.
+    That normwise error is spread over every coefficient, and a phi with
+    |phi| > 1 somewhere on the circle would amplify it from row to row
+    past the orbit's own growth, so such a phi keeps the direct
+    convolution, whose error is componentwise.  The norms are
+    `np.linalg.norm` of blocks of _NORM_BLOCK_ROWS rows (`_row_norms`),
+    bit-identical to one call on all of V without its V-sized copies; a
+    row whose squares overflow or underflow is redone exactly from the
+    row scaled by a power of two, and a zero row keeps norm 0 without it.
     """
     if count < 0:
         raise ValueError("orbit length must be >= 0")
 
-    v = np.empty((count + 1, order + 1), dtype=complex)
-    v[0] = series_from_coeffs(f.coeffs, order).coeffs
+    seed = series_from_coeffs(f.coeffs, order).coeffs
     phi = _trim_trailing_zeros(sym.series.coeffs[: order + 1])
     support = np.flatnonzero(phi)
     if support.size == 1:
-        s = int(support[0])
-        a, b = float(phi[s].real), float(phi[s].imag)
-        v[1:, :s] = 0
-        # each row of V[1:] is c times the first N+1-s terms of the row above
-        src, dst = v[:-1, : order + 1 - s], v[1:, s:]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for x, y in zip(src, dst):
-                if b == 0.0:
-                    np.multiply(x, a, out=y)
-                else:  # rounded as np.convolve does: (ax - by) + i(ay + bx)
-                    np.subtract(a * x.real, b * x.imag, out=y.real)
-                    np.add(a * x.imag, b * x.real, out=y.imag)
-        v[1:] += 0.0  # -0 becomes +0, the zero a convolution writes
-        if not np.isfinite(v).all():
-            # the seed is finite, so a non-finite row is an overflow
-            raise FloatingPointError(f"series product overflowed at order {order}")
-    elif phi.size <= FFT_MIN_OPERAND_LEN or sym.sup_norm_estimate > 1:
-        for n in range(1, count + 1):
-            _mul_into(v[n], phi, v[n - 1])
+        v = _one_term_rows(seed, phi[support[0]], int(support[0]), count)
     else:
-        _fft_rows(v, phi)
+        v = np.empty((count + 1, order + 1), dtype=complex)
+        v[0] = seed
+        if phi.size <= FFT_MIN_OPERAND_LEN or sym.sup_norm_estimate > 1:
+            for n in range(1, count + 1):
+                _mul_into(v[n], phi, v[n - 1])
+        else:
+            _fft_rows(v, phi)
     v.flags.writeable = False
 
     # row n is phi^n f exactly while deg f + n deg phi <= N; from the first
@@ -164,20 +160,94 @@ def orbit(sym: SymbolRealization, f: TruncatedSeries, count: int, order: int) ->
         else:
             first = (order - seed_degree) // sym.degree + 1
         truncated[first:] = True
+    return Orbit(symbol=sym, V=v, norms=_row_norms(v), truncated=truncated)
 
+
+def _one_term_rows(seed: np.ndarray, c: complex, s: int, count: int) -> np.ndarray:
+    """V for phi = c z^s: rows 1..K are c z^s times the row above, cut to
+    N.
+
+    Seed coefficient f_j moves along (n, j + n s) and is multiplied by c
+    once per step.  That entry sits at n (N + 1 + s) + j of V's buffer, so
+    the buffer read as rows of N + 1 + s entries holds these chains as
+    columns, rows 0..steps, steps the last row any chain reaches within N.
+    A chain past N runs on into the start of the next row of V and is set
+    to 0 there; V is the first (K + 1)(N + 1) entries of a buffer at most
+    N + s entries longer.  Real c fills the chains with one
+    `np.multiply.accumulate` down the rows, complex c with one loop over
+    them.  A seed spanning more than _MAX_CHAINS coefficients fills V row
+    by row instead.
+
+    Real c is the one product `mul`'s one-tap convolution rounds; complex
+    c is rounded as (ax - by) + i(ay + bx) from real parts, the order the
+    convolution uses (numpy's complex multiply can differ by one
+    rounding).  -0 becomes +0, the zero a convolution writes, and a
+    non-finite entry is an overflow.
+    """
+    order = seed.size - 1
+    cols = np.flatnonzero(seed)
+    lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)  # a zero seed: no chain
+    narrow = hi - lo <= _MAX_CHAINS
+    if narrow:
+        steps = count if s == 0 else min(count, (order - lo) // s)
+        width = order + 1 + s
+        buf = np.zeros(max((count + 1) * (order + 1), (steps + 1) * width), dtype=complex)
+        v = buf[: (count + 1) * (order + 1)].reshape(count + 1, order + 1)
+        v[0] = seed
+        out = buf[: (steps + 1) * width].reshape(steps + 1, width)[:, lo:hi]
+        src, dst = out[:-1], out[1:]
+    else:
+        v = out = np.empty((count + 1, order + 1), dtype=complex)
+        v[0] = seed
+        v[1:, :s] = 0
+        src, dst = v[:-1, : order + 1 - s], v[1:, s:]
+    a, b = float(c.real), float(c.imag)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if b == 0.0 and narrow:
+            parts = out.view(float)
+            parts[1:] = a
+            np.multiply.accumulate(parts, axis=0, out=parts)
+        else:
+            for x, y in zip(src, dst):
+                if b == 0.0:
+                    np.multiply(x, a, out=y)
+                else:
+                    np.subtract(a * x.real, b * x.imag, out=y.real)
+                    np.add(a * x.imag, b * x.real, out=y.imag)
+    if narrow and s:  # chain entries past N
+        out[np.arange(lo, hi) > order - s * np.arange(steps + 1)[:, None]] = 0
+    out[1:] += 0.0
+    if not np.isfinite(out[1:]).all():
+        # the seed is finite, so a non-finite entry is an overflow
+        raise FloatingPointError(f"series product overflowed at order {order}")
+    return v
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of v, `np.linalg.norm` of blocks of
+    _NORM_BLOCK_ROWS rows: each row's reduction is the one a call on all
+    of v makes, bit for bit, while its conjugate and product copies stay
+    the size of a block.
+
+    Squares can overflow, or fall below the smallest normal number, where
+    the coefficients do not: such a row is scaled by the power of two at
+    its largest part, which is exact, and its norm recomputed.  A row that
+    is exactly zero keeps norm 0 without that redo.
+    """
+    norms = np.empty(v.shape[0])
     with np.errstate(over="ignore"):  # an overflowed square is redone below
-        norms = np.linalg.norm(v, axis=1)
-    # squares can overflow, or fall below the smallest normal number, where
-    # the coefficients do not: scale those rows by the power of two at their
-    # largest part, which is exact (every other norm is left as is; a zero
-    # row keeps norm 0)
+        for start in range(0, v.shape[0], _NORM_BLOCK_ROWS):
+            block = slice(start, start + _NORM_BLOCK_ROWS)
+            norms[block] = np.linalg.norm(v[block], axis=1)
     redo = ~np.isfinite(norms) | (norms < _NORM_UNDERFLOW)
+    if redo.any():
+        redo &= v.any(axis=1)  # a zero row keeps norm 0
     if redo.any():
         parts = v[redo].view(float)
         _, exp = np.frexp(np.max(np.abs(parts), axis=1))
-        rows = np.ldexp(parts, -exp[:, None]).view(complex)
-        norms[redo] = np.ldexp(np.linalg.norm(rows, axis=1), exp)
-    return Orbit(symbol=sym, V=v, norms=norms, truncated=truncated)
+        scaled = np.ldexp(parts, -exp[:, None]).view(complex)
+        norms[redo] = np.ldexp(np.linalg.norm(scaled, axis=1), exp)
+    return norms
 
 
 def _fft_rows(v: np.ndarray, phi: np.ndarray) -> None:

@@ -37,13 +37,12 @@ ONE_TERM_KINDS = ("constant", "monomial", "scaled_shift")
 BLASCHKE_ZERO_MARGIN = 1e-9
 UNIMODULAR_TOL = 1e-12
 
-# Tolerances of `boundary_modulus`.  A closed form gives |phi| on T to a
-# few ulps; a polynomial's values are an FFT sum whose rounding grows with
-# its degree and coefficients (up to about (d + 1) eps sum |a_n|), so its
-# inner-ness verdict keeps the coarser INNER_TOL_POLYNOMIAL.  CIRCLE_TOL
-# tells |phi| = 1 from |phi| != 1 for the image and the norm trend.
+# Tolerances of `boundary_modulus`.  INNER_TOL_EXACT is the default
+# inner_tol of the inner-ness verdict, for every kind: a closed form gives
+# |phi| on T to a few ulps, and a polynomial's FFT sum to about
+# (d + 1) eps sum |a_n|.  CIRCLE_TOL tells |phi| = 1 from |phi| != 1 for
+# the image and the norm trend.
 INNER_TOL_EXACT = 1e-9
-INNER_TOL_POLYNOMIAL = 1e-6
 CIRCLE_TOL = 1e-9
 
 
@@ -184,6 +183,12 @@ class SymbolRealization:
     series_exact is True when the Taylor expansion terminates within the
     stored order (the stored polynomial IS the symbol); degree is then the
     exact polynomial degree (None for the zero symbol or when inexact).
+
+    sup_norm_estimate is what `orbits.orbit` reads to choose between
+    direct and FFT rows: the sup on T of the series cut to order N, taken
+    as |value| for a one-term kind and 1 for a Blaschke product, and for
+    a polynomial the largest modulus of the cut series on a grid, not of
+    the whole polynomial when its degree exceeds N.
     """
 
     spec: SymbolSpec
@@ -350,10 +355,10 @@ def boundary_modulus(
     """What |phi| on the grid's M points says, read from one sample.
 
     Inner-ness: max_deviation is max_j ||phi(point_j)| - 1|, and
-    sub_unit_fraction, the fraction of points with |phi| < 1 - tol, is the
-    finite surrogate for "|phi| < 1 on a set of positive measure" (evidence,
-    not a measure-theoretic statement).  tol is inner_tol for a closed form
-    and INNER_TOL_POLYNOMIAL for a polynomial.
+    sub_unit_fraction, the fraction of points with |phi| < 1 - inner_tol,
+    is the finite surrogate for "|phi| < 1 on a set of positive measure"
+    (evidence, not a measure-theoretic statement).  inner_tol is the
+    config's, whatever the symbol's kind.
 
     The image: by the maximum and minimum modulus principles the closure of
     phi(D) misses T iff max_T |phi| < 1, or phi has no zero in D and
@@ -374,14 +379,13 @@ def boundary_modulus(
             f"grid size {grid.size} too small for order {sym.series.order}: "
             "need M > 4N"
         )
-    tol = inner_tol if uses_exact_evaluation(sym) else INNER_TOL_POLYNOMIAL
     moduli = np.abs(boundary_values(sym, grid))
     lo, hi = float(np.min(moduli)), float(np.max(moduli))
     max_dev = max(hi - 1.0, 1.0 - lo)  # max_j ||phi(point_j)| - 1|
-    sub_unit = float(np.count_nonzero(moduli < 1.0 - tol)) / grid.size
-    if max_dev < tol:
+    sub_unit = float(np.count_nonzero(moduli < 1.0 - inner_tol)) / grid.size
+    if max_dev < inner_tol:
         verdict = "inner"
-    elif sub_unit > 0.0 or max_dev > 10.0 * tol:
+    elif sub_unit > 0.0 or max_dev > 10.0 * inner_tol:
         verdict = "non_inner"
     else:
         verdict = "inconclusive"
@@ -398,7 +402,7 @@ def boundary_modulus(
         max_deviation=max_dev,
         sub_unit_fraction=sub_unit,
         verdict=verdict,
-        tolerance=float(tol),
+        tolerance=float(inner_tol),
         min_modulus=lo,
         max_modulus=hi,
         intersects_circle=not misses,

@@ -380,7 +380,6 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
             ok = bool(np.all(orb.norms <= 0.9 ** np.arange(orb.length) + 1e-12))
             entry.update({
                 "symbol": "0.9 * blaschke(0.5) (as polynomial)",
-                "sup_norm_estimate": orb.symbol.sup_norm_estimate,
                 "norms_below_geometric_envelope": ok,
             })
         return entry, shown and ok and not scan.intersects_circle

@@ -585,6 +585,23 @@ def test_innerness_verdicts(tmp_path, capsys):
     assert payload["max_deviation"] < 1e-9
 
 
+@pytest.mark.parametrize(
+    "symbol", [SymbolSpec.constant(0.5), SymbolSpec.polynomial([0.5])], ids=["constant", "polynomial"]
+)
+def test_innerness_honours_inner_tol_for_every_kind(tmp_path, capsys, symbol):
+    # |phi| = 1/2 on the circle deviates from 1 by less than inner_tol 0.6,
+    # whether the symbol is written as a constant or as a polynomial
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, symbol=symbol)
+    payload = json.loads(cfg_path.read_text())
+    payload["tolerances"]["inner_tol"] = 0.6
+    cfg_path.write_text(json.dumps(payload))
+    assert main(["innerness", "--config", str(cfg_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "inner"
+    assert report["tolerance"] == 0.6
+
+
 def test_innerness_csv_unsupported(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)

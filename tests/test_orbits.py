@@ -6,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from hardyframes.orbits import (
+    _NORM_BLOCK_ROWS,
     FFT_MIN_OPERAND_LEN,
     orbit,
     orbit_for,
@@ -193,6 +194,10 @@ def test_orbit_squared_shift_even_powers():
 # A degree-80 polynomial with coefficient moduli summing to 1, so |phi| <= 1.
 _POLY80 = np.array([1, 1j]) @ np.random.default_rng(80).standard_normal((2, 81))
 _POLY80 = list(_POLY80 / np.abs(_POLY80).sum())
+# Dense complex seeds of N + 1 = 41 and 101 terms: one chain per
+# coefficient, at most 64 chains and more than 64.
+_SEED41 = list(np.array([1, 1j]) @ np.random.default_rng(41).standard_normal((2, 41)))
+_SEED101 = list(np.array([1, 1j]) @ np.random.default_rng(101).standard_normal((2, 101)))
 
 
 @pytest.mark.parametrize(
@@ -218,11 +223,21 @@ _POLY80 = list(_POLY80 / np.abs(_POLY80).sum())
         (SymbolSpec.scaled_shift(-0.5), [1, -1, 0.25j], 16, 40),
         # 100 terms, but |phi| reaches 200 on the circle: direct rows
         (SymbolSpec.polynomial([2.0, 1j] * 50), [1, -0.5j], 100, 30),
+        # complex c from a seed of N + 1 terms: 41 chains, shifting out
+        (SymbolSpec.scaled_shift(0.8 * np.exp(-1.1j)), _SEED41, 40, 40),
+        # K > N/3: the rows of z^3 past row 10 shift out to exact zeros
+        (SymbolSpec.monomial(3), [1, -2, 0.5j, 0.25, 0, 3], 30, 20),
+        # a zero seed: no chain at all
+        (SymbolSpec.constant(0.6 - 0.7j), [0], 16, 10),
+        # 101 chains, too many: the rows are filled one by one
+        (SymbolSpec.scaled_shift(0.8 * np.exp(-1.1j)), _SEED101, 100, 120),
+        (SymbolSpec.constant(-0.9), _SEED101, 100, 30),
     ],
     ids=[
         "direct", "fft", "phi-trimmed", "direct-to-fft", "K>N",
         "constant-complex", "shift-complex", "z^3", "blaschke-at-0", "shift-K>N",
-        "dense-non-contractive",
+        "dense-non-contractive", "shift-complex-dense-seed", "z^3-K>N/3", "zero-seed",
+        "shift-complex-long-seed", "constant-real-long-seed",
     ],
 )
 def test_orbit_recurrence_and_norms_hold_exactly(spec, coeffs, order, count):
@@ -252,6 +267,38 @@ def test_orbit_recurrence_and_norms_hold_exactly(spec, coeffs, order, count):
                 assert orb.V[n + 1].tobytes() == _scaled_shift(sym, orb.V[n]).tobytes()
         expected = np.sqrt(np.vdot(orb.V[n], orb.V[n]).real)
         assert abs(orb.norms[n] - expected) <= (order + 1) * EPS * expected
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs, order",
+    [
+        (SymbolSpec.scaled_shift(0.6 + 0.2j), [1, 0.5j], 128),  # one term
+        (SymbolSpec.blaschke([0.4]), [1, -1], 16),  # direct rows
+        (SymbolSpec.blaschke([0.5 - 0.3j, -0.4]), [1, 0.5j], 100),  # FFT blocks
+    ],
+    ids=["one-term", "direct", "fft"],
+)
+def test_blocked_norms_are_the_norms_of_all_of_v(spec, coeffs, order):
+    # K + 1 = 101 rows: one full block and one short one; no row's squares
+    # underflow or overflow, so every norm is np.linalg.norm's, bit for bit
+    count = 100
+    assert _NORM_BLOCK_ROWS < count + 1 < 2 * _NORM_BLOCK_ROWS
+    orb = orbit(realize(spec, order), seed(coeffs, order), count, order)
+    assert np.all(orb.norms >= np.sqrt(np.finfo(float).tiny)) and np.isfinite(orb.norms).all()
+    assert orb.norms.tobytes() == np.linalg.norm(orb.V, axis=1).tobytes()
+
+
+def test_zero_rows_read_zero_and_underflowing_rows_are_redone():
+    # z^2 from 3 u + 4 u z, u = 2^-540: rows 0..9 hold both terms, norm
+    # 5 u, row 10 only the first, norm 3 u, and rows 11..40 are zero.  The
+    # squares, about 2^-1076, underflow; the rows scaled by a power of two
+    # give the norms exactly, and a zero row reads 0
+    u = 2.0**-540
+    orb = orbit(realize(SymbolSpec.monomial(2), 20), seed([3 * u, 4 * u], 20), 40, 20)
+    assert np.linalg.norm(orb.V[0]) != 5 * u
+    assert np.array_equal(orb.norms[:10], np.full(10, 5 * u))
+    assert orb.norms[10] == 3 * u
+    assert not orb.V[11:].any() and not orb.norms[11:].any()
 
 
 def _extended_rows(phi, seed_row, count):
