@@ -23,7 +23,12 @@ at N = K = 8, M = 64, read on the circle past its order, and a complex
 constant from a fixed 40-term complex seed at N = K = 300.  All are
 written to OUT_DIR/configs.  Each one then goes through `orbit`, `frame-bounds`
 and `gram` as JSON and CSV and through `innerness` and `cyclicity` as
-JSON; `report-all` runs once with its defaults, then once per resolution in
+JSON, and `innerness` runs again on each entry of INNERNESS_TRUNCATIONS
+(the two-zero Blaschke config at N = 30 and z^12 written as a polynomial
+at N = 8) at a smaller `--truncation` and the same M, with no RNG draw;
+exit_codes.txt records whether the two reports differ only in `N`, since
+no expansion order enters a boundary number.
+`report-all` runs once with its defaults, then once per resolution in
 BATTERY_RESOLUTIONS through `--config-dir`, every suite at that (N, K),
 and `verify` runs once per entry of VERIFY_RESOLUTIONS.  Last,
 `innerness` runs once with a boundary grid of 2^40 points, which the
@@ -72,6 +77,8 @@ BATTERY_RESOLUTIONS = ((16, 16), (32, 32), (24, 60), (60, 24), (20, 5))
 # of A that lies above the numerical-zero floor, and P1 at (40, 200)
 # holds the flat B_trend of (1.25) z once K' > N
 VERIFY_RESOLUTIONS = (("P4i", 512, 512), ("P2", 1, 8), ("P1", 16, 3), ("P1", 40, 200))
+# (config stem, smaller N) of the second `innerness` runs, at the config's M
+INNERNESS_TRUNCATIONS = (("blaschke-N30-K300", 8), ("polynomial-z12-N8", 2))
 
 
 def _complex_list(values) -> list:
@@ -334,6 +341,19 @@ def main(argv=None) -> int:
                     [command, "--config", str(path), "--format", fmt, "--out", str(out)],
                 )
                 log.append(f"{out.name} {code}" + (f" {err.strip()}" if code else ""))
+    for stem, n in INNERNESS_TRUNCATIONS:
+        out = args.out_dir / f"{stem}.innerness-N{n}.json"
+        argv = ["innerness", "--config", str(config_dir / f"{stem}.json"),
+                "--truncation", str(n), "--out", str(out)]
+        code, err = _run(cli_main, argv)
+        if code:
+            log.append(f"{out.name} {code} {err.strip()}")
+            continue
+        reports = [json.loads(path.read_text(encoding="utf-8"))
+                   for path in (args.out_dir / f"{stem}.innerness.json", out)]
+        for report in reports:
+            del report["N"]
+        log.append(f"{out.name} {code} differs only in N: {reports[0] == reports[1]}")
 
     batteries = {"report-all": []}
     for n, k in BATTERY_RESOLUTIONS:

@@ -22,7 +22,7 @@ from .frames import bounds_from_singular_values, gram
 from .jsonio import dumps_canonical, dumps_csv
 from .orbits import orbit_for
 from .series import BoundaryGrid
-from .symbols import SymbolSpec, boundary_modulus, realize
+from .symbols import SymbolSpec, boundary_modulus
 from .verify import (
     PROPOSITIONS,
     UnknownPropositionError,
@@ -118,9 +118,7 @@ def _gram_columns(payload: dict) -> dict:
 
 def _innerness_report(config: ExperimentConfig, args) -> dict:
     report = boundary_modulus(
-        realize(config.symbol, config.truncation_order),
-        BoundaryGrid(config.boundary_grid),
-        config.tolerances.inner_tol,
+        config.symbol, BoundaryGrid(config.boundary_grid), config.tolerances.inner_tol
     )
     return {
         "M": config.boundary_grid,

@@ -3,9 +3,10 @@
 A symbol is a bounded holomorphic function on the disk given in one of
 five declarative forms (constant, monomial, scaled shift, polynomial,
 finite Blaschke product).  `realize` turns a spec into a truncated
-expansion plus structural metadata.  Boundary evaluation uses the exact
-closed form whenever the spec provides one and one FFT of all the
-coefficients of a `polynomial`, whatever the expansion order.
+expansion plus structural metadata: what an orbit multiplies by.  The
+boundary functions take the spec itself, so no expansion order enters:
+the exact closed form whenever the spec provides one, and one FFT of all
+the coefficients of a `polynomial`.
 `boundary_modulus` reads |phi| on the grid once and derives from it
 everything the lab asks of the boundary: inner-ness, whether the image
 of the disk meets the circle, and whether orbit norms decay or grow.
@@ -284,13 +285,12 @@ def _sup_norm_for(spec: SymbolSpec, series: TruncatedSeries, order: int) -> floa
     return float(np.max(np.abs(boundary_samples(series, grid))))
 
 
-def evaluate_symbol(sym: SymbolRealization, points: np.ndarray) -> np.ndarray:
+def evaluate_symbol(spec: SymbolSpec, points: np.ndarray) -> np.ndarray:
     """Symbol values at arbitrary points of the closed disk.
 
     Exact closed forms for constant/monomial/scaled_shift/blaschke specs;
     Horner on all the coefficients of a polynomial.
     """
-    spec = sym.spec
     z = np.asarray(points, dtype=complex)
     if spec.kind in ONE_TERM_KINDS:
         return spec.value * z**spec.power
@@ -308,49 +308,45 @@ def evaluate_symbol(sym: SymbolRealization, points: np.ndarray) -> np.ndarray:
     return acc
 
 
-def vanishes_in_disk(sym: SymbolRealization) -> bool:
-    """Whether a nonzero phi that is not inner (a one-term symbol or a
-    polynomial: the kinds whose |phi| on T can exceed 1) has a zero in the
-    open disk.
+def vanishes_in_disk(spec: SymbolSpec) -> bool:
+    """Whether a nonzero phi has a zero in the open disk.
 
-    A one-term symbol c z^m with m >= 1 vanishes at 0 at every order, and a
-    constant nowhere.  A polynomial counts every root of modulus < 1 of all
-    its coefficients, including those `zeros_in_disk` files as
-    boundary-ambiguous.
+    A one-term symbol c z^m with m >= 1 vanishes at 0, and a constant
+    nowhere.  A Blaschke product vanishes iff it has a zero, since every
+    zero lies in D by construction (a zero at 0 counts).  A polynomial
+    counts every root of modulus < 1 of all its coefficients, including
+    those `zeros_in_disk` files as boundary-ambiguous.
     """
-    if sym.spec.kind in ONE_TERM_KINDS:
-        return sym.spec.power >= 1
-    poly = series_from_coeffs(sym.spec.coeffs)
+    if spec.kind in ONE_TERM_KINDS:
+        return spec.power >= 1
+    if spec.kind == "blaschke":
+        return bool(spec.zeros)
+    poly = series_from_coeffs(spec.coeffs)
     deg = poly.exact_degree()
     if not deg:
         return False
     return bool(np.any(np.abs(np.roots(poly.coeffs[deg::-1])) < 1.0))
 
 
-def uses_exact_evaluation(sym: SymbolRealization) -> bool:
-    return sym.spec.kind != "polynomial"
-
-
-def boundary_values(sym: SymbolRealization, grid: BoundaryGrid) -> np.ndarray:
+def boundary_values(spec: SymbolSpec, grid: BoundaryGrid) -> np.ndarray:
     """Symbol values at the grid points on the unit circle.
 
-    The exact form is evaluated at those points when available; a
+    A Blaschke product is its closed form evaluated at those points; a
     polynomial phi takes one FFT of all its coefficients, folded mod M, so
-    the values do not depend on the expansion order.  A one-term symbol
-    c z^m reads c times grid point (m j mod M) at point j, which is z_j^m
-    exactly for any power, where numpy's z**m loses |z| = 1 as m grows.
+    no expansion order enters.  A one-term symbol c z^m reads c times
+    grid point (m j mod M) at point j, which is z_j^m exactly for any
+    power, where numpy's z**m loses |z| = 1 as m grows.
     """
-    spec = sym.spec
     if spec.kind in ONE_TERM_KINDS:
         size = grid.size
         return spec.value * grid.points[(spec.power % size) * np.arange(size) % size]
-    if uses_exact_evaluation(sym):
-        return evaluate_symbol(sym, grid.points)
+    if spec.kind == "blaschke":
+        return evaluate_symbol(spec, grid.points)
     return boundary_samples(series_from_coeffs(spec.coeffs), grid)
 
 
 def boundary_modulus(
-    sym: SymbolRealization, grid: BoundaryGrid, inner_tol: float = INNER_TOL_EXACT
+    spec: SymbolSpec, grid: BoundaryGrid, inner_tol: float = INNER_TOL_EXACT
 ) -> BoundaryModulusReport:
     """What |phi| on the grid's M points says, read from one sample.
 
@@ -374,12 +370,7 @@ def boundary_modulus(
     which for a phi analytic across T (every kind) fails only when
     |phi| = 1 on all of T.
     """
-    if grid.size <= 4 * sym.series.order:
-        raise ValueError(
-            f"grid size {grid.size} too small for order {sym.series.order}: "
-            "need M > 4N"
-        )
-    moduli = np.abs(boundary_values(sym, grid))
+    moduli = np.abs(boundary_values(spec, grid))
     lo, hi = float(np.min(moduli)), float(np.max(moduli))
     max_dev = max(hi - 1.0, 1.0 - lo)  # max_j ||phi(point_j)| - 1|
     sub_unit = float(np.count_nonzero(moduli < 1.0 - inner_tol)) / grid.size
@@ -390,7 +381,7 @@ def boundary_modulus(
     else:
         verdict = "inconclusive"
     misses = hi < 1.0 - CIRCLE_TOL or (
-        lo > 1.0 + CIRCLE_TOL and not vanishes_in_disk(sym)
+        lo > 1.0 + CIRCLE_TOL and not vanishes_in_disk(spec)
     )
     if hi > 1.0 + CIRCLE_TOL:
         trend = "grows"

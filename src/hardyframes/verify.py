@@ -188,7 +188,7 @@ def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
     grid = BoundaryGrid(config.boundary_grid)
 
     def check(orb):
-        scan = boundary_modulus(orb.symbol, grid, config.tolerances.inner_tol)
+        scan = boundary_modulus(orb.symbol.spec, grid, config.tolerances.inner_tol)
         signature, shown, last = _no_frame_signature(orb, scan)
         entry = {
             "innerness_verdict": scan.verdict,
@@ -366,7 +366,7 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
     grid = BoundaryGrid(config.boundary_grid)
 
     def check(orb):
-        scan = boundary_modulus(orb.symbol, grid)
+        scan = boundary_modulus(orb.symbol.spec, grid)
         signature, shown, _ = _no_frame_signature(orb, scan)
         entry = {
             "intersects_circle": scan.intersects_circle,

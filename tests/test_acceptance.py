@@ -130,11 +130,10 @@ def test_criterion_6_dichotomy():
     orb = make_orbit(inside, [1], 64, 64)
     envelope_ok = bool(np.all(orb.norms <= 0.9 ** np.arange(65) + 1e-12))
     grid = BoundaryGrid(512)
-    decay = boundary_modulus(orb.symbol, grid)
+    decay = boundary_modulus(inside, grid)
     inside_ok = envelope_ok and decay.norm_trend == "decays_to_zero"
 
-    orb2 = make_orbit(SymbolSpec.constant(2.0), [1], 64, 8)
-    growth = boundary_modulus(orb2.symbol, grid)
+    growth = boundary_modulus(SymbolSpec.constant(2.0), grid)
     outside_ok = growth.norm_trend == "grows" and abs(growth.max_modulus - 2.0) <= 1e-6
     check(
         "criterion 6: contraction decays under 0.9^n envelope; constant 2 grows at rate 2",

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyframes import cli, orbits
+from hardyframes import cli, orbits, symbols
 from hardyframes.cli import main
 from hardyframes.diagnostics import RANK_REL_TOL
 from hardyframes.config import (
@@ -97,13 +97,21 @@ def test_malformed_config_exits_2(tmp_path, capsys):
         assert "error" in capsys.readouterr().err
 
 
-def test_config_violating_antialiasing_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("where", ["config", "--grid"], ids=["config_field", "grid_flag"])
+@pytest.mark.parametrize("command", ["orbit", "innerness"])
+def test_config_violating_antialiasing_exits_2(tmp_path, capsys, command, where):
+    # the config check is the only M > 4N rule, for the boundary report too
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path)
-    payload = json.loads(cfg_path.read_text())
-    payload["boundary_grid"] = 32  # <= 4N = 64
-    cfg_path.write_text(json.dumps(payload), encoding="utf-8")
-    assert main(["orbit", "--config", str(cfg_path)]) == 2
+    write_config(cfg_path)  # N = 16
+    argv = [command, "--config", str(cfg_path)]
+    if where == "config":
+        payload = json.loads(cfg_path.read_text())
+        payload["boundary_grid"] = 32  # <= 4N = 64
+        cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+    else:
+        argv += ["--grid", "64"]
+    assert main(argv) == 2
+    assert "need M > 4N = 64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["--out", "config", "--out-dir"])
@@ -600,6 +608,30 @@ def test_innerness_honours_inner_tol_for_every_kind(tmp_path, capsys, symbol):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "inner"
     assert report["tolerance"] == 0.6
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [SymbolSpec.blaschke([0.5, -0.3j]), SymbolSpec.polynomial([0] * 20 + [1])],
+    ids=["blaschke", "polynomial_past_N"],
+)
+def test_innerness_expands_nothing(tmp_path, capsys, monkeypatch, symbol):
+    # the boundary report reads the spec: it runs, and says the same, with
+    # every binding of `realize` made to raise
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, symbol=symbol)  # N = 16 < 20, M = 128
+    assert main(["innerness", "--config", str(cfg_path)]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("innerness expanded the symbol")
+
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("hardyframes") and hasattr(m, "realize")]
+    for module in {symbols, cli, *bound}:
+        monkeypatch.setattr(module, "realize", refuse, raising=False)
+    assert main(["innerness", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_innerness_csv_unsupported(tmp_path, capsys):

@@ -23,7 +23,6 @@ from hardyframes.symbols import (
     boundary_modulus,
     evaluate_symbol,
     realize,
-    uses_exact_evaluation,
 )
 from hardyframes.verify import _scaled_blaschke_polynomial
 
@@ -287,31 +286,28 @@ def test_orbit_confined_to_residue_class(m, r):
 
 
 def test_image_half_shift_misses_circle():
-    sym = realize(SymbolSpec.scaled_shift(0.5), 8)
-    report = boundary_modulus(sym, BoundaryGrid(128))
+    report = boundary_modulus(SymbolSpec.scaled_shift(0.5), BoundaryGrid(128))
     assert report.max_modulus < 0.51
     assert not report.intersects_circle
 
 
 def test_image_shift_touches_circle_in_the_limit():
-    sym = realize(SymbolSpec.monomial(1), 8)
-    report = boundary_modulus(sym, BoundaryGrid(128))
+    report = boundary_modulus(SymbolSpec.monomial(1), BoundaryGrid(128))
     assert report.intersects_circle
     assert report.max_modulus >= 1.0 - 1e-9
 
 
 def test_image_constant_two_outside():
-    sym = realize(SymbolSpec.constant(2.0), 8)
-    report = boundary_modulus(sym, BoundaryGrid(128))
+    report = boundary_modulus(SymbolSpec.constant(2.0), BoundaryGrid(128))
     assert report.min_modulus == 2.0
     assert not report.intersects_circle
 
 
 def _ring_values(sym, grid, r):
-    """The symbol on the ring r * grid.points: the closed form there, or one
-    FFT of a_n r^n for a polynomial."""
-    if uses_exact_evaluation(sym):
-        return evaluate_symbol(sym, r * grid.points)
+    """The realized symbol on the ring r * grid.points: the closed form
+    there, or one FFT of a_n r^n of a polynomial's expansion."""
+    if sym.spec.kind != "polynomial":
+        return evaluate_symbol(sym.spec, r * grid.points)
     coeffs = sym.series.coeffs * r ** np.arange(sym.series.coeffs.size)
     return boundary_samples(TruncatedSeries(coeffs), grid)
 
@@ -376,13 +372,13 @@ IMAGE_SPECS = (
 
 @pytest.mark.parametrize("order", [8, 64])
 def test_image_rule_agrees_with_the_ring_scan(order):
+    # the rule reads the spec; the scan reads the expansion to the order
     assert len(IMAGE_SPECS) == 84
     grid = BoundaryGrid(512)
     verdicts = set()
     for spec in IMAGE_SPECS:
-        sym = realize(spec, order)
-        report = boundary_modulus(sym, grid)
-        assert report.intersects_circle == _ring_scan(sym, grid), spec
+        report = boundary_modulus(spec, grid)
+        assert report.intersects_circle == _ring_scan(realize(spec, order), grid), spec
         verdicts.add((report.intersects_circle, report.max_modulus < 1.0))
     # the battery reaches all three answers: inside, outside, meets T
     assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
@@ -391,28 +387,26 @@ def test_image_rule_agrees_with_the_ring_scan(order):
 def test_image_rule_agrees_with_the_ring_scan_on_p4i_symbols():
     grid = BoundaryGrid(2048)
     for spec in (_scaled_blaschke_polynomial(0.9, 0.5, 256), SymbolSpec.constant(2.0)):
-        sym = realize(spec, 256)
-        report = boundary_modulus(sym, grid)
+        report = boundary_modulus(spec, grid)
         assert not report.intersects_circle
-        assert _ring_scan(sym, grid) is False
+        assert _ring_scan(realize(spec, 256), grid) is False
 
 
 def test_image_zero_test_decides_outside_polynomials():
     grid = BoundaryGrid(512)
-    meets = boundary_modulus(realize(SymbolSpec.polynomial([2, 0, 5]), 8), grid)
+    meets = boundary_modulus(SymbolSpec.polynomial([2, 0, 5]), grid)
     assert meets.min_modulus > 2.99 and meets.intersects_circle
-    misses = boundary_modulus(realize(SymbolSpec.polynomial([5, 1]), 8), grid)
+    misses = boundary_modulus(SymbolSpec.polynomial([5, 1]), grid)
     assert misses.min_modulus > 3.99 and not misses.intersects_circle
-    # 2z vanishes at 0 even at order 0, where its stored series is 0
-    shift = boundary_modulus(realize(SymbolSpec.scaled_shift(2.0), 0), grid)
+    # 2z vanishes at 0, whatever order its expansion is cut to
+    shift = boundary_modulus(SymbolSpec.scaled_shift(2.0), grid)
     assert shift.min_modulus > 1.99 and shift.intersects_circle
 
 
 def test_image_zero_test_reads_zeros_past_the_order():
     # 3 + 5z^12 has |phi| >= 2 on T and its zeros at |z| = 0.6^(1/12) < 1,
     # while its expansion cut to order N = 8 is the zero-free constant 3
-    sym = realize(SymbolSpec.polynomial([3] + [0] * 11 + [5]), 8)
-    report = boundary_modulus(sym, BoundaryGrid(64))
+    report = boundary_modulus(SymbolSpec.polynomial([3] + [0] * 11 + [5]), BoundaryGrid(64))
     assert report.min_modulus > 1.99 and report.max_modulus > 7.99
     assert report.intersects_circle
 
@@ -437,7 +431,7 @@ def test_norm_trend_of_contractions_touching_the_circle(coeffs, seed_coeffs):
         exact = np.concatenate([[1.0], np.cumprod((2 * n - 1) / (2 * n))])
         assert np.max(np.abs(orb.norms**2 - exact) / exact) < 1e-12
     assert np.all(np.diff(orb.norms) < 0)
-    report = boundary_modulus(sym, BoundaryGrid(8192))
+    report = boundary_modulus(sym.spec, BoundaryGrid(8192))
     assert report.norm_trend == "decays_to_zero"
     assert abs(report.max_modulus - 1.0) <= CIRCLE_TOL
 
@@ -448,6 +442,6 @@ def test_norm_trend_of_an_inner_symbol_is_bounded():
     sym = realize(SymbolSpec.blaschke([0.5]), 64)
     orb = orbit(sym, seed([1], 64), 64, 64)
     assert orb.norms[-1] < 0.9
-    report = boundary_modulus(sym, BoundaryGrid(512))
+    report = boundary_modulus(sym.spec, BoundaryGrid(512))
     assert report.norm_trend == "bounded_non_decaying"
     assert abs(report.max_modulus - 1.0) <= CIRCLE_TOL

@@ -165,6 +165,6 @@ def test_orbit_norms_below_the_underflow_threshold_match_oracle():
     assert np.all(ref > 0)
     assert np.all(np.abs(orb.norms - ref) <= 4 * EPS * ref)
     # the truncated rows fall towards 0, the true norms ||phi^n f|| do not
-    trend = boundary_modulus(orb.symbol, BoundaryGrid(256))
+    trend = boundary_modulus(orb.symbol.spec, BoundaryGrid(256))
     assert trend.norm_trend == "bounded_non_decaying"
     assert abs(trend.max_modulus - 1.0) < 1e-9

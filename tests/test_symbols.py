@@ -10,6 +10,7 @@ from hardyframes.symbols import (
     describe,
     evaluate_symbol,
     realize,
+    vanishes_in_disk,
 )
 
 
@@ -178,22 +179,19 @@ def test_realize_polynomial_exactness_metadata():
 
 
 def test_innerness_monomial():
-    sym = realize(SymbolSpec.monomial(3), 8)
-    report = boundary_modulus(sym, BoundaryGrid(256))
+    report = boundary_modulus(SymbolSpec.monomial(3), BoundaryGrid(256))
     assert report.verdict == "inner"
     assert report.max_deviation < 1e-12
 
 
 def test_innerness_constant_half_is_non_inner():
-    sym = realize(SymbolSpec.constant(0.5), 4)
-    report = boundary_modulus(sym, BoundaryGrid(256))
+    report = boundary_modulus(SymbolSpec.constant(0.5), BoundaryGrid(256))
     assert report.verdict == "non_inner"
     assert report.sub_unit_fraction == 1.0
 
 
 def test_innerness_blaschke_rational_evaluation():
-    sym = realize(SymbolSpec.blaschke([0.5]), 16)
-    report = boundary_modulus(sym, BoundaryGrid(256))
+    report = boundary_modulus(SymbolSpec.blaschke([0.5]), BoundaryGrid(256))
     assert report.verdict == "inner"
     assert report.max_deviation < 1e-12
 
@@ -210,15 +208,13 @@ def test_innerness_blaschke_rational_evaluation():
     ],
 )
 def test_structurally_inner_verdicts(spec, grid_size):
-    sym = realize(spec, 16)
-    report = boundary_modulus(sym, BoundaryGrid(grid_size))
+    report = boundary_modulus(spec, BoundaryGrid(grid_size))
     assert report.verdict == "inner"
     assert report.max_deviation < 1e-9
 
 
 def test_innerness_constant_two_non_inner_without_subunit_points():
-    sym = realize(SymbolSpec.constant(2.0), 4)
-    report = boundary_modulus(sym, BoundaryGrid(256))
+    report = boundary_modulus(SymbolSpec.constant(2.0), BoundaryGrid(256))
     assert report.verdict == "non_inner"
     assert report.sub_unit_fraction == 0.0
 
@@ -227,31 +223,32 @@ def test_innerness_constant_two_non_inner_without_subunit_points():
 def test_huge_monomial_power_is_exact_on_the_grid(m):
     # z_j^m is the grid point m j mod M; numpy's z**m drifts off the circle
     # (|z^m| - 1 = 6.8e-9 at m = 10^8, and |z^m| up to 1e137 at m = 2^62)
-    sym = realize(SymbolSpec.monomial(m), 8)
-    grid = BoundaryGrid(64)
-    report = boundary_modulus(sym, grid)
-    assert report.verdict == "inner"
-    assert report.max_deviation < 1e-15
-    assert boundary_modulus(sym, grid).norm_trend == "bounded_non_decaying"
-
-
-def test_innerness_grid_too_small():
-    sym = realize(SymbolSpec.polynomial(np.ones(65)), 64)
-    with pytest.raises(ValueError):
-        boundary_modulus(sym, BoundaryGrid(256))  # need > 4 * 64
-
-
-def test_polynomial_past_the_order_is_read_in_full():
-    # z^12 as a polynomial at N = 8: its expansion cut to order 8 is 0, but
-    # the symbol on T and in D reads all 13 coefficients, as z^12 itself does
-    grid = BoundaryGrid(64)
-    sym = realize(SymbolSpec.polynomial([0] * 12 + [1]), 8)
-    report = boundary_modulus(sym, grid)
-    assert report.verdict == boundary_modulus(realize(SymbolSpec.monomial(12), 8), grid).verdict
+    report = boundary_modulus(SymbolSpec.monomial(m), BoundaryGrid(64))
     assert report.verdict == "inner"
     assert report.max_deviation < 1e-15
     assert report.norm_trend == "bounded_non_decaying"
-    assert evaluate_symbol(sym, np.array([0.5])) == 0.5**12
+
+
+def test_polynomial_past_the_order_is_read_in_full():
+    # z^12 as a polynomial: its expansion cut to order 8 is 0, but the
+    # symbol on T and in D reads all 13 coefficients, as z^12 itself does,
+    # and on a grid of M = 8 < 13 points too
+    spec = SymbolSpec.polynomial([0] * 12 + [1])
+    assert not realize(spec, 8).series.coeffs.any()
+    for size in (64, 8):
+        grid = BoundaryGrid(size)
+        report = boundary_modulus(spec, grid)
+        assert report.verdict == boundary_modulus(SymbolSpec.monomial(12), grid).verdict
+        assert report.verdict == "inner"
+        assert report.max_deviation < 1e-15
+        assert report.norm_trend == "bounded_non_decaying"
+    assert evaluate_symbol(spec, np.array([0.5])) == 0.5**12
+
+
+@pytest.mark.parametrize("zeros, vanishes", [([], False), ([0.5], True), ([0], True)])
+def test_blaschke_vanishes_in_disk_iff_it_has_a_zero(zeros, vanishes):
+    # every zero lies in D by construction, and a zero at 0 counts
+    assert vanishes_in_disk(SymbolSpec.blaschke(zeros)) is vanishes
 
 
 # -- sup norm -------------------------------------------------------------------
@@ -285,9 +282,8 @@ def test_sup_norm_submultiplicative_on_common_grid():
 def test_boundary_values_match_series_for_polynomials():
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    sym = realize(SymbolSpec.polynomial(coeffs), 8)
     grid = BoundaryGrid(64)
-    vals = boundary_values(sym, grid)
+    vals = boundary_values(SymbolSpec.polynomial(coeffs), grid)
     brute = np.array(
         [sum(c * w**k for k, c in enumerate(coeffs)) for w in grid.points]
     )
@@ -296,9 +292,9 @@ def test_boundary_values_match_series_for_polynomials():
 
 def test_evaluate_symbol_blaschke_matches_oracle_inside():
     zeros = [0.5, -0.3j]
-    sym = realize(SymbolSpec.blaschke(zeros, prefactor=np.exp(0.4j)), 16)
+    spec = SymbolSpec.blaschke(zeros, prefactor=np.exp(0.4j))
     pts = np.array([0.0, 0.3 + 0.2j, -0.7j, 0.99])
-    got = evaluate_symbol(sym, pts)
+    got = evaluate_symbol(spec, pts)
     want = blaschke_rational(zeros, np.exp(0.4j), pts)
     assert np.max(np.abs(got - want)) < 1e-14
 
@@ -313,10 +309,10 @@ def test_ring_values_of_a_polynomial_match_horner():
     # (N+1) eps sum |a_n|
     rng = np.random.default_rng(80)
     coeffs = rng.standard_normal(81) + 1j * rng.standard_normal(81)
-    sym = realize(SymbolSpec.polynomial(coeffs), 80)
+    spec = SymbolSpec.polynomial(coeffs)
     grid = BoundaryGrid(512)
-    got = boundary_values(sym, grid)
-    horner = evaluate_symbol(sym, grid.points)
+    got = boundary_values(spec, grid)
+    horner = evaluate_symbol(spec, grid.points)
     assert np.max(np.abs(got - horner)) <= 81 * EPS * np.sum(np.abs(coeffs))
 
 
@@ -331,13 +327,12 @@ def test_ring_values_of_a_polynomial_match_horner():
     ids=["constant", "monomial", "scaled_shift", "blaschke"],
 )
 def test_ring_values_of_closed_forms_are_the_closed_form(spec):
-    sym = realize(spec, 16)
     grid = BoundaryGrid(128)
-    got = boundary_values(sym, grid)
+    got = boundary_values(spec, grid)
     if spec.power >= 2:
         # z_j^m is itself the grid point m j mod M; numpy's z**m, which
         # powers the rounded z_j, lies within 16 eps of it at m = 3
         assert got.tobytes() == grid.points[spec.power * np.arange(128) % 128].tobytes()
-        assert np.max(np.abs(got - evaluate_symbol(sym, grid.points))) <= 16 * EPS
+        assert np.max(np.abs(got - evaluate_symbol(spec, grid.points))) <= 16 * EPS
     else:
-        assert got.tobytes() == evaluate_symbol(sym, grid.points).tobytes()
+        assert got.tobytes() == evaluate_symbol(spec, grid.points).tobytes()

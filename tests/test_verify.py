@@ -13,7 +13,7 @@ from hardyframes.diagnostics import cyclicity_rank
 from hardyframes.frames import frame_bounds_estimate, section_bounds
 from hardyframes.jsonio import dumps_canonical
 from hardyframes.series import BoundaryGrid
-from hardyframes.symbols import SymbolSpec, boundary_modulus, realize
+from hardyframes.symbols import SymbolSpec, boundary_modulus
 from hardyframes.verify import (
     _P2_RANDOM_COEFFS,
     P6_TENSION_NOTE,
@@ -189,8 +189,8 @@ def test_image_test_finds_roots_only_outside_the_circle(tmp_path, monkeypatch):
     # 1 + z meets T with |phi| < 1 on part of it; 2 + 5z^2 has |phi| >= 3
     # on T and zeros at |z| ~ 0.63
     for coeffs, calls in (([1, 1], []), ([2, 0, 5], ["vanishes_in_disk"])):
-        sym = realize(SymbolSpec.polynomial(coeffs), 8)
-        assert boundary_modulus(sym, BoundaryGrid(512)).intersects_circle
+        spec = SymbolSpec.polynomial(coeffs)
+        assert boundary_modulus(spec, BoundaryGrid(512)).intersects_circle
         assert callers == calls
 
 
@@ -323,7 +323,7 @@ def test_no_frame_signature_follows_the_norm_trend(spec, trend_column, shown):
     # decaying norms must collapse A, growing norms must blow up B, and an
     # inner symbol's orbit shows neither, though its A_trend is written
     orb = orbits.orbit_for(spec, (1.0,), 64, 64)
-    scan = boundary_modulus(orb.symbol, BoundaryGrid(512))
+    scan = boundary_modulus(orb.symbol.spec, BoundaryGrid(512))
     columns, signature, last = verify_module._no_frame_signature(orb, scan)
     assert signature is shown
     assert columns["decay_classification"] == scan.norm_trend
@@ -378,6 +378,40 @@ def test_p3_slope_matches_pairing(config):
         assert abs(entry["fitted_slope"] - entry["expected_increment"]) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "prop, n, batches",
+    [
+        ("P3", 64, [2, 2]),
+        ("P3", 256, [2, 2]),
+        ("Ex_3_1", 64, [100]),
+        ("Ex_3_1", 256, [100]),
+        ("Ex_half_shift", 64, [33]),  # its orbit is fixed at N = K = 40
+    ],
+    ids=["P3-64", "P3-256", "Ex_3_1-64", "Ex_3_1-256", "Ex_half_shift"],
+)
+def test_batched_probe_sums_match_one_probe_calls(prop, n, batches, monkeypatch):
+    # numpy sends one probe row to BLAS gemv and several to gemm, which can
+    # sum in another order; on each suite's own orbit its probes' sums are
+    # exact, so every batched column is that probe's one-row call, bit for bit
+    calls = []
+    real = verify_module.partial_frame_sums
+
+    def recording(probes, orb):
+        calls.append((probes, orb))
+        return real(probes, orb)
+
+    monkeypatch.setattr(verify_module, "partial_frame_sums", recording)
+    verify(prop, ExperimentConfig(
+        symbol=SymbolSpec.monomial(1), truncation_order=n, orbit_length=n, boundary_grid=8 * n
+    ))
+    assert [probes.shape[0] for probes, _ in calls] == batches
+    for probes, orb in calls:
+        batched = real(probes, orb)
+        for i in range(probes.shape[0]):
+            alone = real(probes[i : i + 1], orb)[:, 0]
+            assert batched[:, i].tobytes() == alone.tobytes(), (prop, i)
+
+
 def test_ex_constant_closed_form(config):
     report = verify("Ex_constant", config)
     assert report.evidence["matches_oracle_exactly"]
@@ -428,8 +462,8 @@ def _is_orbit_of(orb, spec, seed_coeffs) -> bool:
     return orb.symbol.spec == spec and np.array_equal(orb.V[0], seed_row)
 
 
-def _innerness_reads_inner(report, sym, *args):
-    if sym.spec == SymbolSpec.constant(1.25):
+def _innerness_reads_inner(report, spec, *args):
+    if spec == SymbolSpec.constant(1.25):
         return dataclasses.replace(report, verdict="inner")
     return report
 
@@ -440,8 +474,8 @@ def _m3_seed_one_reads_cyclic(report, orb, *args, **kwargs):
     return report
 
 
-def _constant_two_meets_the_circle(report, sym, *args, **kwargs):
-    if sym.spec == SymbolSpec.constant(2.0):
+def _constant_two_meets_the_circle(report, spec, *args, **kwargs):
+    if spec == SymbolSpec.constant(2.0):
         return dataclasses.replace(report, intersects_circle=True)
     return report
 
