@@ -1,18 +1,19 @@
 """Multiplication symbols: declarative specs, Taylor expansion, |phi| on T.
 
-A symbol is a bounded holomorphic function on the disk given in one of
-five declarative forms (constant, monomial, scaled shift, polynomial,
-finite Blaschke product).  `realize` turns a spec into a truncated
-expansion plus structural metadata: what an orbit multiplies by.  The
-boundary functions take the spec itself, so no expansion order enters:
-the exact closed form whenever the spec provides one, and one FFT of all
-the coefficients of a `polynomial`.
+A symbol is a bounded holomorphic function on the disk, read as the
+product phi = value * z^power * B * p of a constant, a monomial, a finite
+Blaschke product B and a polynomial p; a factor a spec leaves out equals
+1 and is skipped, never multiplied in.  `realize` turns a spec into a
+truncated expansion plus structural metadata: what an orbit multiplies
+by.  The boundary functions take the spec itself, so no expansion order
+enters: closed forms for value * z^power and B, one FFT of all of p.
 `boundary_modulus` reads |phi| on the grid once and derives from it
 everything the lab asks of the boundary: inner-ness, whether the image
 of the disk meets the circle, and whether orbit norms decay or grow.
 
-No other module branches on a kind: report labels (`describe`) and the
-JSON codec (`spec_to_json`, `spec_from_json`) live here too.
+The kind is only a label: it fixes the fields it names, and nothing but
+the report label (`describe`) and the JSON codec (`spec_to_json`,
+`spec_from_json`) reads it, here or in any other module.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ BLASCHKE_ZERO_MARGIN = 1e-9
 UNIMODULAR_TOL = 1e-12
 
 # Tolerances of `boundary_modulus`.  INNER_TOL_EXACT is the default
-# inner_tol of the inner-ness verdict, for every kind: a closed form gives
+# inner_tol of the inner-ness verdict, for every symbol: a closed form gives
 # |phi| on T to a few ulps, and a polynomial's FFT sum to about
 # (d + 1) eps sum |a_n|.  CIRCLE_TOL tells |phi| = 1 from |phi| != 1 for
 # the image and the norm trend.
@@ -49,55 +50,50 @@ CIRCLE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """Declarative description of a multiplication symbol.
+    """Declarative description of the symbol phi = value * z^power * B * p.
 
-    The three one-term kinds are stored as value * z^power: a constant c
-    as c * z^0, z^m as 1 * z^m, and c*z as c * z^1.  Construction sets the
-    field a kind fixes, so `SymbolSpec(kind="monomial", power=2)` equals
-    `SymbolSpec.monomial(2)`.
+    B is the Blaschke product of the zeros, each strictly inside the disk,
+    and p the polynomial of the coeffs; no zeros, or no coeffs, leave that
+    factor out.  The kind fixes the fields it names: a constant c is
+    c * z^0, z^m is 1 * z^m and c*z is c * z^1, so
+    `SymbolSpec(kind="monomial", power=2)` equals `SymbolSpec.monomial(2)`.
+    Only `SymbolSpec.blaschke` asks for a unimodular value, so P4i's
+    0.9 * b_{1/2} is `SymbolSpec(kind="blaschke", zeros=(0.5,), value=0.9)`.
     """
 
     kind: str
-    value: complex = 0j                     # one-term kinds
-    power: int = 0                          # one-term kinds
-    coeffs: tuple = ()                      # polynomial
-    zeros: tuple = ()                       # blaschke
-    prefactor: complex = 1.0 + 0j           # blaschke, |prefactor| = 1
+    value: complex = 1.0 + 0j
+    power: int = 0
+    coeffs: tuple = ()                      # p
+    zeros: tuple = ()                       # B
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
-        if self.kind in ONE_TERM_KINDS:
-            value = complex(1.0 if self.kind == "monomial" else self.value)
-            power = {"constant": 0, "scaled_shift": 1}.get(self.kind)
-            if power is None:  # a monomial's power is given, and must be an int
-                try:
-                    power = operator.index(self.power)
-                except TypeError:
-                    raise ValueError(
-                        f"monomial power must be an integer, not {self.power!r}"
-                    ) from None
-            object.__setattr__(self, "value", value)
-            object.__setattr__(self, "power", power)
-            if not np.isfinite(value):
-                raise ValueError("symbol value must be finite")
-            if power < 0:
-                raise ValueError("monomial power must be >= 0")
-        elif self.kind == "polynomial":
-            if len(self.coeffs) == 0:
-                raise ValueError("polynomial spec needs coefficients")
-            arr = np.asarray(self.coeffs, dtype=complex)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("polynomial coefficients must be finite")
-        else:
-            for a in self.zeros:
-                # written so that a NaN zero fails too
-                if not abs(complex(a)) < 1.0 - BLASCHKE_ZERO_MARGIN:
-                    raise ValueError(
-                        f"Blaschke zero {a} too close to or outside the unit circle"
-                    )
-            if not abs(abs(complex(self.prefactor)) - 1.0) < UNIMODULAR_TOL:
-                raise ValueError("Blaschke prefactor must be unimodular")
+        value = complex(1.0 if self.kind == "monomial" else self.value)
+        power = {"constant": 0, "scaled_shift": 1}.get(self.kind, self.power)
+        try:
+            power = operator.index(power)
+        except TypeError:
+            raise ValueError(
+                f"{self.kind} power must be an integer, not {self.power!r}"
+            ) from None
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "power", power)
+        if not np.isfinite(value):
+            raise ValueError("symbol value must be finite")
+        if power < 0:
+            raise ValueError(f"{self.kind} power must be >= 0")
+        if self.kind == "polynomial" and not self.coeffs:
+            raise ValueError("polynomial spec needs coefficients")
+        if not np.all(np.isfinite(np.asarray(self.coeffs, dtype=complex))):
+            raise ValueError("polynomial coefficients must be finite")
+        for a in self.zeros:
+            # written so that a NaN zero fails too
+            if not abs(complex(a)) < 1.0 - BLASCHKE_ZERO_MARGIN:
+                raise ValueError(
+                    f"Blaschke zero {a} too close to or outside the unit circle"
+                )
 
     # -- constructors ------------------------------------------------------
 
@@ -120,11 +116,11 @@ class SymbolSpec:
 
     @classmethod
     def blaschke(cls, zeros, prefactor=1.0) -> "SymbolSpec":
-        return cls(
-            kind="blaschke",
-            zeros=tuple(complex(a) for a in zeros),
-            prefactor=complex(prefactor),
-        )
+        """The Blaschke product with these zeros times a unimodular prefactor."""
+        if not abs(abs(complex(prefactor)) - 1.0) < UNIMODULAR_TOL:
+            raise ValueError("Blaschke prefactor must be unimodular")
+        zeros = tuple(complex(a) for a in zeros)
+        return cls(kind="blaschke", zeros=zeros, value=prefactor)
 
 
 def describe(spec: SymbolSpec) -> str:
@@ -151,7 +147,7 @@ def spec_to_json(spec: SymbolSpec) -> dict:
         out["coeffs"] = [complex_to_json(c) for c in spec.coeffs]
     else:
         out["zeros"] = [complex_to_json(a) for a in spec.zeros]
-        out["prefactor"] = complex_to_json(spec.prefactor)
+        out["prefactor"] = complex_to_json(spec.value)
     return out
 
 
@@ -181,15 +177,17 @@ def spec_from_json(obj) -> SymbolSpec:
 class SymbolRealization:
     """A spec together with its truncated expansion and metadata.
 
-    series_exact is True when the Taylor expansion terminates within the
-    stored order (the stored polynomial IS the symbol); degree is then the
-    exact polynomial degree (None for the zero symbol or when inexact).
+    The series is the product of the factors' series, cut to the order.
+    series_exact is True when phi's Taylor expansion terminates within
+    the stored order (the stored polynomial IS the symbol): phi is 0, or
+    every zero of B is 0 and power + #zeros + deg p is at most the order;
+    degree is then that degree (None for the zero symbol or when inexact).
 
     sup_norm_estimate is what `orbits.orbit` reads to choose between
-    direct and FFT rows: the sup on T of the series cut to order N, taken
-    as |value| for a one-term kind and 1 for a Blaschke product, and for
-    a polynomial the largest modulus of the cut series on a grid, not of
-    the whole polynomial when its degree exceeds N.
+    direct and FFT rows: |value| times the largest modulus of p cut to
+    order N on a grid (not of the whole p when its degree exceeds N), or
+    |value| alone when the spec has no p, since z^power and B have modulus
+    1 on T.
     """
 
     spec: SymbolSpec
@@ -230,29 +228,28 @@ def _blaschke_factor_series(a: complex, order: int) -> TruncatedSeries:
 
 
 def _expand(spec: SymbolSpec, order: int) -> TruncatedSeries:
-    if spec.kind == "polynomial":
-        return series_from_coeffs(spec.coeffs, order)
-    if spec.kind == "blaschke":
-        acc = series_from_coeffs([spec.prefactor], order)
-        for a in spec.zeros:
-            acc = mul(acc, _blaschke_factor_series(a, order), order)
-        return acc
-    out = np.zeros(order + 1, dtype=complex)  # value * z^power
-    if spec.power <= order:
-        out[spec.power] = spec.value
-    return TruncatedSeries(out)
+    """The Cauchy product of the present factors' series, cut to the order."""
+    acc = None
+    if spec.value != 1 or spec.power:
+        out = np.zeros(order + 1, dtype=complex)  # value * z^power
+        if spec.power <= order:
+            out[spec.power] = spec.value
+        acc = TruncatedSeries(out)
+    factors = [_blaschke_factor_series(a, order) for a in spec.zeros]
+    if spec.coeffs:
+        factors.append(series_from_coeffs(spec.coeffs, order))
+    for factor in factors:
+        acc = factor if acc is None else mul(acc, factor, order)
+    return series_from_coeffs([1.0], order) if acc is None else acc
 
 
 def _structural_degree(spec: SymbolSpec) -> int | None:
-    """Exact degree of the symbol when it is genuinely a polynomial."""
-    if spec.kind in ONE_TERM_KINDS:
-        return spec.power if spec.value != 0 else None
-    if spec.kind == "polynomial":
-        nz = np.nonzero(np.asarray(spec.coeffs, dtype=complex))[0]
-        return int(nz[-1]) if nz.size else None
-    if all(a == 0 for a in spec.zeros):
-        return len(spec.zeros)  # u * z^k exactly
-    return None
+    """Exact degree of phi when it is a nonzero polynomial: power + the
+    number of zeros + deg p, when every zero is 0."""
+    nz = np.flatnonzero(spec.coeffs)
+    if spec.value == 0 or any(spec.zeros) or (spec.coeffs and not nz.size):
+        return None
+    return spec.power + len(spec.zeros) + (int(nz[-1]) if nz.size else 0)
 
 
 def realize(spec: SymbolSpec, order: int) -> SymbolRealization:
@@ -261,88 +258,90 @@ def realize(spec: SymbolSpec, order: int) -> SymbolRealization:
         raise ValueError("expansion order must be >= 0")
     series = _expand(spec, order)
     degree = _structural_degree(spec)
-    # no degree: the zero symbol, stored exactly, or a Blaschke product with
-    # a zero off 0, whose infinite Taylor series the stored one truncates
-    series_exact = spec.kind != "blaschke" if degree is None else degree <= order
-    sup = _sup_norm_for(spec, series, order)
+    # no degree: the zero symbol, stored exactly, or a product with a Blaschke
+    # zero off 0, whose infinite Taylor series the stored one truncates
+    zero = spec.value == 0 or (bool(spec.coeffs) and not any(spec.coeffs))
+    series_exact = zero if degree is None else degree <= order
     return SymbolRealization(
         spec=spec,
         series=series,
-        sup_norm_estimate=sup,
+        sup_norm_estimate=_sup_norm_for(spec, order),
         series_exact=bool(series_exact),
         degree=degree if series_exact else None,
     )
 
 
-def _sup_norm_for(spec: SymbolSpec, series: TruncatedSeries, order: int) -> float:
-    if spec.kind in ONE_TERM_KINDS:
+def _sup_norm_for(spec: SymbolSpec, order: int) -> float:
+    """|value| times the largest modulus on T of p cut to the order, or
+    |value| alone without p: z^power and B have modulus 1 there.  p's is
+    read on the smallest grid of 256 * 2^j points with M > 4N (maximum
+    modulus principle)."""
+    if not spec.coeffs:
         return abs(spec.value)
-    if spec.kind == "blaschke":
-        return 1.0  # inner: boundary modulus is identically 1
-    # Polynomial: maximum boundary modulus (maximum modulus principle), on
-    # the smallest grid of 256 * 2^j points with M > 4N.
     grid = BoundaryGrid(max(256, 1 << (4 * order).bit_length()))
-    return float(np.max(np.abs(boundary_samples(series, grid))))
+    p = series_from_coeffs(spec.coeffs, order)
+    sup = float(np.max(np.abs(boundary_samples(p, grid))))
+    return sup if spec.value == 1 else abs(spec.value) * sup
+
+
+def _product(spec: SymbolSpec, z: np.ndarray, one_term, poly) -> np.ndarray:
+    """phi at the points z.  one_term() and poly() give value * z^power
+    and p there, and are called only when that factor is present; B is
+    its closed form.  An absent factor is skipped, not multiplied in as 1."""
+    vals = one_term() if spec.value != 1 or spec.power else None
+    for a in spec.zeros:
+        if a == 0:
+            vals = z.copy() if vals is None else vals * z
+        else:
+            unit = abs(a) / a if vals is None else vals * (abs(a) / a)
+            vals = unit * (a - z) / (1.0 - np.conj(a) * z)
+    if spec.coeffs:
+        vals = poly() if vals is None else vals * poly()
+    return np.ones(z.shape, dtype=complex) if vals is None else vals
 
 
 def evaluate_symbol(spec: SymbolSpec, points: np.ndarray) -> np.ndarray:
-    """Symbol values at arbitrary points of the closed disk.
-
-    Exact closed forms for constant/monomial/scaled_shift/blaschke specs;
-    Horner on all the coefficients of a polynomial.
-    """
+    """Symbol values at arbitrary points of the closed disk: the closed
+    forms of value * z^power and B, and Horner on all of p's coefficients."""
     z = np.asarray(points, dtype=complex)
-    if spec.kind in ONE_TERM_KINDS:
-        return spec.value * z**spec.power
-    if spec.kind == "blaschke":
-        vals = np.full(z.shape, complex(spec.prefactor))
-        for a in spec.zeros:
-            if a == 0:
-                vals = vals * z
-            else:
-                vals = vals * (abs(a) / a) * (a - z) / (1.0 - np.conj(a) * z)
-        return vals
-    acc = np.zeros(z.shape, dtype=complex)
-    for c in spec.coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+    return _product(
+        spec,
+        z,
+        lambda: spec.value * z**spec.power,
+        lambda: np.polyval(spec.coeffs[::-1], z),  # Horner on all of p
+    )
 
 
 def vanishes_in_disk(spec: SymbolSpec) -> bool:
     """Whether a nonzero phi has a zero in the open disk.
 
-    A one-term symbol c z^m with m >= 1 vanishes at 0, and a constant
-    nowhere.  A Blaschke product vanishes iff it has a zero, since every
-    zero lies in D by construction (a zero at 0 counts).  A polynomial
-    counts every root of modulus < 1 of all its coefficients, including
-    those `zeros_in_disk` files as boundary-ambiguous.
+    z^power vanishes at 0 when power >= 1, and B at each of its zeros,
+    which lie in D by construction (a zero at 0 counts).  p counts every
+    root of modulus < 1 of all its coefficients, including those
+    `zeros_in_disk` files as boundary-ambiguous.
     """
-    if spec.kind in ONE_TERM_KINDS:
-        return spec.power >= 1
-    if spec.kind == "blaschke":
-        return bool(spec.zeros)
-    poly = series_from_coeffs(spec.coeffs)
-    deg = poly.exact_degree()
-    if not deg:
-        return False
-    return bool(np.any(np.abs(np.roots(poly.coeffs[deg::-1])) < 1.0))
+    if spec.power >= 1 or spec.zeros:
+        return True
+    p = np.trim_zeros(np.asarray(spec.coeffs, dtype=complex), "b")
+    return p.size > 1 and bool(np.any(np.abs(np.roots(p[::-1])) < 1.0))
 
 
 def boundary_values(spec: SymbolSpec, grid: BoundaryGrid) -> np.ndarray:
     """Symbol values at the grid points on the unit circle.
 
-    A Blaschke product is its closed form evaluated at those points; a
-    polynomial phi takes one FFT of all its coefficients, folded mod M, so
-    no expansion order enters.  A one-term symbol c z^m reads c times
-    grid point (m j mod M) at point j, which is z_j^m exactly for any
-    power, where numpy's z**m loses |z| = 1 as m grows.
+    value * z^power reads value times grid point (power j mod M) at point
+    j, which is z_j^power exactly for any power, where numpy's z**m loses
+    |z| = 1 as m grows.  B is its closed form at the points, and p one
+    FFT of all its coefficients, folded mod M, so no expansion order
+    enters.
     """
-    if spec.kind in ONE_TERM_KINDS:
-        size = grid.size
-        return spec.value * grid.points[(spec.power % size) * np.arange(size) % size]
-    if spec.kind == "blaschke":
-        return evaluate_symbol(spec, grid.points)
-    return boundary_samples(series_from_coeffs(spec.coeffs), grid)
+    size = grid.size
+    return _product(
+        spec,
+        grid.points,
+        lambda: spec.value * grid.points[(spec.power % size) * np.arange(size) % size],
+        lambda: boundary_samples(series_from_coeffs(spec.coeffs), grid),
+    )
 
 
 def boundary_modulus(
@@ -354,7 +353,7 @@ def boundary_modulus(
     sub_unit_fraction, the fraction of points with |phi| < 1 - inner_tol,
     is the finite surrogate for "|phi| < 1 on a set of positive measure"
     (evidence, not a measure-theoretic statement).  inner_tol is the
-    config's, whatever the symbol's kind.
+    config's, whatever the symbol.
 
     The image: by the maximum and minimum modulus principles the closure of
     phi(D) misses T iff max_T |phi| < 1, or phi has no zero in D and
@@ -367,7 +366,7 @@ def boundary_modulus(
     the integral over T of |phi|^(2n) |f|^2 and f vanishes only on a null
     set of T, so lim ||phi^n f||^(1/n) = max_T |phi|, and the norms grow
     when it exceeds 1.  Otherwise they tend to 0 iff |phi| < 1 a.e. on T,
-    which for a phi analytic across T (every kind) fails only when
+    which for a phi analytic across T (every spec) fails only when
     |phi| = 1 on all of T.
     """
     moduli = np.abs(boundary_values(spec, grid))

@@ -42,7 +42,7 @@ from .frames import (
 )
 from .orbits import orbit_for
 from .series import BoundaryGrid
-from .symbols import SymbolSpec, boundary_modulus, describe, realize
+from .symbols import SymbolSpec, boundary_modulus, describe
 
 P6_TENSION_NOTE = (
     "a numerically cyclic seed (full rank at truncation) shows a lower-bound "
@@ -173,12 +173,6 @@ def _verdict(consistent: bool) -> str:
 
 def _trend_orders(n: int) -> list:
     return sorted({max(8, n // 4), max(12, n // 2), max(16, n)})
-
-
-def _scaled_blaschke_polynomial(factor: float, zero: complex, order: int) -> SymbolSpec:
-    """factor * (single Blaschke factor), materialized as a polynomial spec."""
-    base = realize(SymbolSpec.blaschke([zero]), order)
-    return SymbolSpec.polynomial(factor * base.series.coeffs)
 
 
 # -- P1: a frame forces the symbol to be inner -------------------------------
@@ -379,12 +373,12 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
         else:
             ok = bool(np.all(orb.norms <= 0.9 ** np.arange(orb.length) + 1e-12))
             entry.update({
-                "symbol": "0.9 * blaschke(0.5) (as polynomial)",
+                "symbol": "0.9 * blaschke(0.5)",
                 "norms_below_geometric_envelope": ok,
             })
         return entry, shown and ok and not scan.intersects_circle
 
-    inside_spec = _scaled_blaschke_polynomial(0.9, 0.5, config.truncation_order)
+    inside_spec = SymbolSpec(kind="blaschke", zeros=(0.5,), value=0.9)
     consistent, evidence = _cases(config, [
         ("inside_scaled_blaschke", inside_spec, (1.0,)),
         ("outside_constant_two", SymbolSpec.constant(2.0), (1.0,)),

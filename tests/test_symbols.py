@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hardyframes.orbits import orbit_for
-from hardyframes.series import BoundaryGrid, mul
+from hardyframes.series import BoundaryGrid, mul, series_from_coeffs
 from hardyframes.symbols import (
     SymbolSpec,
     boundary_modulus,
@@ -249,6 +251,64 @@ def test_polynomial_past_the_order_is_read_in_full():
 def test_blaschke_vanishes_in_disk_iff_it_has_a_zero(zeros, vanishes):
     # every zero lies in D by construction, and a zero at 0 counts
     assert vanishes_in_disk(SymbolSpec.blaschke(zeros)) is vanishes
+
+
+# -- the product value * z^power * B * p ----------------------------------------
+
+# every factor present and non-trivial; no named constructor builds it
+PRODUCT = SymbolSpec(
+    kind="blaschke", value=0.9, power=2, zeros=(0.3, -0.2j), coeffs=(1, -0.5)
+)
+
+
+def _product_oracle(points):
+    z = np.asarray(points, dtype=complex)
+    return blaschke_rational(PRODUCT.zeros, 1.0, z) * 0.9 * z**2 * (1 - 0.5 * z)
+
+
+def test_product_spec_is_read_factor_by_factor():
+    grid = BoundaryGrid(256)
+    pts = np.array([0.0, 0.3 + 0.2j, -0.7j, 0.99, 0.5 - 0.5j])
+    assert np.max(np.abs(evaluate_symbol(PRODUCT, pts) - _product_oracle(pts))) < 1e-15
+    got = boundary_values(PRODUCT, grid)
+    assert np.max(np.abs(got - _product_oracle(grid.points))) < 1e-14
+    # z^2 and B are unimodular on T, so |phi| there is 0.9 |1 - z/2|
+    report = boundary_modulus(PRODUCT, grid)
+    want = 0.9 * np.abs(1 - grid.points / 2)
+    assert abs(report.min_modulus - want.min()) < 1e-15  # 0.45 at z = 1
+    assert abs(report.max_modulus - want.max()) < 1e-15  # 1.35 at z = -1
+    assert report.verdict == "non_inner" and report.norm_trend == "grows"
+
+
+def test_product_spec_vanishes_where_a_factor_does():
+    assert vanishes_in_disk(PRODUCT)  # z^2, and B at 0.3 and -0.2i
+    outer = dataclasses.replace(PRODUCT, power=0, zeros=())  # 0.9 (1 - z/2)
+    assert not vanishes_in_disk(outer)
+    assert vanishes_in_disk(dataclasses.replace(outer, coeffs=(1, -2)))  # root 1/2
+
+
+@pytest.mark.parametrize("order", [1, 2, 8, 40])
+def test_product_series_is_the_product_of_the_factor_series(order):
+    factors = [
+        realize(SymbolSpec.scaled_shift(0.9), order).series,
+        realize(SymbolSpec.blaschke([0.3, -0.2j]), order).series,
+        realize(SymbolSpec.monomial(1), order).series,
+        series_from_coeffs([1, -0.5], order),
+    ]
+    want = factors[0]
+    for factor in factors[1:]:
+        want = mul(want, factor, order)
+    sym = realize(PRODUCT, order)
+    assert np.max(np.abs(sym.series.coeffs - want.coeffs)) < 1e-15
+    assert not sym.series_exact and sym.degree is None
+    assert abs(sym.sup_norm_estimate - 0.9 * 1.5) < 1e-15
+
+
+def test_product_with_every_zero_at_the_origin_has_a_degree():
+    # 0.9 z^2 * z^2 * (1 - z/2) is the polynomial 0.9 z^4 - 0.45 z^5
+    spec = dataclasses.replace(PRODUCT, zeros=(0, 0))
+    assert realize(spec, 5).series.coeffs.tolist() == [0, 0, 0, 0, 0.9, -0.45]
+    assert (realize(spec, 5).degree, realize(spec, 4).series_exact) == (5, False)
 
 
 # -- sup norm -------------------------------------------------------------------

@@ -279,12 +279,15 @@ def test_shift_and_monomial_seed_one_orbits_skip_lapack(config, monkeypatch, pro
         assert len(calls) == before, spec
 
 
+# at N = 1 and 2, P4i's inside symbol 0.9 b_{1/2} cut to order N would
+# read |phi| up to 1.125 and 1.042 on T; the spec is read exactly
 SWEEP = ((8, 8), (16, 16), (17, 17), (3, 40), (32, 32), (24, 60), (40, 200),
-         (20, 5), (16, 3), (10, 2), (64, 1), (64, 6), (60, 24), (33, 33), (12, 12))
+         (20, 5), (16, 3), (10, 2), (64, 1), (64, 6), (60, 24), (33, 33), (12, 12),
+         (1, 8), (2, 8))
 # P1 fails on a true case at these resolutions: the B_trend of shift_5_4
 # is flat once its K' pass N, where every row z^n truncates to 0, so it
 # stays below the tenfold growth of the no-frame signature
-P1_FLAT_GROWTH = {(8, 8), (3, 40), (10, 2), (40, 200), (12, 12)}
+P1_FLAT_GROWTH = {(8, 8), (3, 40), (10, 2), (40, 200), (12, 12), (1, 8), (2, 8)}
 P1_THRESHOLD_FAILURES = "flat shift_5_4 B_trend at K' > N"
 
 
