@@ -71,15 +71,17 @@ COMMANDS = (
 # read from |phi| on the circle
 BATTERY_RESOLUTIONS = ((16, 16), (32, 32), (24, 60), (60, 24), (20, 5))
 # (suite, N, K) of single `verify` runs, with M = 8N: P4i at N = K = 512
-# holds a growth trend whose B would overflow past K' = 511, P2 at
-# N = 1 sees only f_0 and f_1 of z^3's mixed seed, which meets every
-# residue class mod 3 that lies within N, P1 at (16, 3) reads a collapse
-# of A that lies above the numerical-zero floor, P1 at (40, 200)
-# holds the flat B_trend of (1.25) z once K' > N, and P4i at (2, 8),
-# M = 16, reads its inside symbol 0.9 b_{1/2} exactly, where the
-# expansion cut to order 2 reaches 1.042 on the circle
+# and 1024 reads the growth of constant(2) from exact log norms, past
+# 4^n's overflow at n = 512 and with no orbit of it, P2 at N = 1 sees
+# only f_0 and f_1 of z^3's mixed seed, which meets every residue class
+# mod 3 that lies within N, P1 at (16, 3) reads a collapse of A that lies
+# above the numerical-zero floor, P1 at (40, 200) reads the growth of
+# (1.25) z at n up to 200 > N, where every orbit row z^n truncates to 0,
+# and P4i at (2, 8), M = 16, reads its inside symbol 0.9 b_{1/2} exactly,
+# where the expansion cut to order 2 reaches 1.042 on the circle
 VERIFY_RESOLUTIONS = (
     ("P4i", 512, 512), ("P2", 1, 8), ("P1", 16, 3), ("P1", 40, 200), ("P4i", 2, 8),
+    ("P4i", 1024, 1024),
 )
 # (config stem, smaller N) of the second `innerness` runs, at the config's M
 INNERNESS_TRUNCATIONS = (("blaschke-N30-K300", 8), ("polynomial-z12-N8", 2))

@@ -14,7 +14,9 @@ and a V whose remaining entries form a scaled permutation is not factored
 at all: its singular values are their moduli.  A whole orbit's bounds
 read the spectrum the orbit keeps (`Orbit.singular_values`), and the
 finite sections at other (N', K') are leading blocks of one orbit
-(`section_bounds`).
+(`section_bounds`).  The squared norms of the orbit, the Gram diagonal,
+are also read exactly without V, from phi and the seed on the boundary
+grid (`log10_orbit_norms_sq`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orbits import Orbit, _singular_values, orbit_for
+from .series import BoundaryGrid, boundary_samples, series_from_coeffs
+from .symbols import SymbolSpec, boundary_values
 
 TIGHT_REL_TOL = 1e-8
 NUMERICALLY_ZERO_REL = 1e-12
@@ -149,4 +153,30 @@ def section_bounds(orb: Orbit, points) -> list[FrameBounds]:
                 larger = orbit_for(orb.symbol.spec, orb.V[0], top_n, top_k).V
             v = larger
         out.append(frame_bounds_estimate(v[: kk + 1, : nn + 1]))
+    return out
+
+
+def log10_orbit_norms_sq(
+    spec: SymbolSpec, seed_coeffs, grid: BoundaryGrid, powers
+) -> list[float]:
+    """log10 ||phi^n f||^2 for each n of powers, from phi and the seed f
+    on the grid's M points, with no row of V.
+
+    ||phi^n f||^2 is the mean over T of |phi|^(2n) |f|^2, and the mean
+    over the grid equals it when M > deg(phi^n f): for polynomial phi
+    and f once M is that large, for c * z^s at any M > deg f.  Each mean
+    is a log-sum-exp of 2n log|phi| + 2 log|f| over the points, minus
+    log M, so no n overflows.
+    """
+    with np.errstate(divide="ignore"):  # a zero on the grid reads log 0 = -inf
+        log_phi = np.log(np.abs(boundary_values(spec, grid)))
+        f = boundary_samples(series_from_coeffs(seed_coeffs), grid)
+        log_f = 2.0 * np.log(np.abs(f))
+    out = []
+    for n in powers:
+        terms = log_f + 2.0 * n * log_phi if n else log_f
+        top = float(np.max(terms))
+        if np.isfinite(top):  # top is -inf only when every term vanishes
+            top += float(np.log(np.sum(np.exp(terms - top)) / grid.size))
+        out.append(float(top / np.log(10.0)))
     return out

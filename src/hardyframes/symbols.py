@@ -137,7 +137,8 @@ def describe(spec: SymbolSpec) -> str:
 
 
 def spec_to_json(spec: SymbolSpec) -> dict:
-    """The spec as a JSON object: its kind and the fields that kind reads."""
+    """The spec as a JSON object: its kind and the fields that kind reads.
+    Raises ValueError when that object would not read back as the spec."""
     out: dict = {"kind": spec.kind}
     if spec.kind == "monomial":
         out["power"] = spec.power
@@ -148,6 +149,12 @@ def spec_to_json(spec: SymbolSpec) -> dict:
     else:
         out["zeros"] = [complex_to_json(a) for a in spec.zeros]
         out["prefactor"] = complex_to_json(spec.value)
+    try:
+        same = spec_from_json(out) == spec
+    except ValueError:
+        same = False
+    if not same:
+        raise ValueError(f"the JSON fields of kind {spec.kind!r} cannot carry {spec}")
     return out
 
 

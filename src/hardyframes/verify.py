@@ -8,15 +8,17 @@ tolerance, `inconsistent` when one fails beyond tolerance, and
 suite reports a documented tension instead of guessing).
 
 P1, P2, P4i, P4ii and P6 are each a list of cases and one check, which
-`_cases` runs on one orbit per case; the evidence columns they share are
-each written by one helper.  P1 and P4i read whether the orbit norms
-decay or grow from one sample per case of |phi| on the boundary grid
-(`boundary_modulus`, which also gives P1 its inner-ness verdict), where
-the limit rate lim ||phi^n f||^(1/n) = max_T |phi| is exact, and both
-ask the orbit for one no-frame signature that this trend picks: a
-collapse of the lower bound A when the norms decay, a blow-up of the
-upper bound B when they grow.  P1's `branch` label is read from the
-same trend.
+`_cases` runs on each case's (symbol, seed); a check that reads the
+orbit builds it once, at the config's (N, K), and the evidence columns
+the suites share are each written by one helper.  P1 and P4i read
+whether the orbit norms decay or grow from one sample per case of |phi|
+on the boundary grid (`boundary_modulus`, which also gives P1 its
+inner-ness verdict), where the limit rate lim ||phi^n f||^(1/n) =
+max_T |phi| is exact, and both ask for one no-frame signature that this
+trend picks: a collapse of the orbit's lower bound A when the norms
+decay, and when they grow a rise of the exact norms ||phi^n f||^2,
+which bound the upper bound B from below and are read on the grid with
+no orbit built.  P1's `branch` label is read from the same trend.
 
 Verdicts describe finite-truncation evidence, never proofs.
 """
@@ -37,10 +39,11 @@ from .diagnostics import (
 from .frames import (
     FrameBounds,
     bounds_from_singular_values,
+    log10_orbit_norms_sq,
     partial_frame_sums,
     section_bounds,
 )
-from .orbits import orbit_for
+from .orbits import Orbit, orbit_for
 from .series import BoundaryGrid
 from .symbols import SymbolSpec, boundary_modulus, describe
 
@@ -75,21 +78,25 @@ def report_to_json(report: VerificationReport) -> dict:
 
 
 def _cases(config: ExperimentConfig, cases, check) -> tuple[bool, dict]:
-    """Run check on the orbit of each (label, spec, seed, *args) case at the
-    config's (N, K).
+    """Run check on each (label, spec, seed, *args) case.
 
-    check(orb, *args) returns the case's evidence entry and whether it
-    agrees with the proposition.  Each entry is keyed by its label and
-    gets a `symbol` column, which the check may override.  Returns whether
-    every case agrees, and the evidence.
+    check(spec, seed, *args) returns the case's evidence entry and whether
+    it agrees with the proposition; a check that reads the orbit builds it
+    with _orbit.  Each entry is keyed by its label and gets a `symbol`
+    column, which the check may override.  Returns whether every case
+    agrees, and the evidence.
     """
-    n, k = config.truncation_order, config.orbit_length
     agree, evidence = True, {}
     for label, spec, seed, *args in cases:
-        entry, ok = check(orbit_for(spec, seed, n, k), *args)
+        entry, ok = check(spec, seed, *args)
         evidence[label] = {"symbol": describe(spec), **entry}
         agree = agree and bool(ok)
     return agree, evidence
+
+
+def _orbit(config: ExperimentConfig, spec: SymbolSpec, seed) -> Orbit:
+    """The orbit of seed under spec at the config's (N, K)."""
+    return orbit_for(spec, seed, config.truncation_order, config.orbit_length)
 
 
 def _square_trend(orb) -> tuple[list, dict]:
@@ -99,47 +106,32 @@ def _square_trend(orb) -> tuple[list, dict]:
     return trend, {"A_trend": [b.A_est for b in trend]}
 
 
-def _growth_trend(orb) -> tuple[list, dict]:
-    """FrameBounds at (N, k') for the k' of _trend_orders(K), and the
-    `B_trend` column, with a `reason` when a k' was capped.
+def _no_frame_signature(
+    config, spec, seed, scan
+) -> tuple[dict, bool, Orbit | None, FrameBounds | None]:
+    """Whether the orbit of seed under spec shows that it is no frame,
+    read the way the norm trend of scan (spec's BoundaryModulusReport)
+    says it can.
 
-    B at (N, k') is at most the sum of the first k'+1 squared orbit norms.
-    When that sum overflows within orb, each k' is capped at the last row
-    for which it is finite, so B cannot overflow; otherwise every k' is
-    kept, and a k' beyond K reads a block of a larger orbit.
-    """
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(np.cumsum(orb.norms**2))
-    orders, columns = _trend_orders(orb.length - 1), {}
-    if not finite.all():
-        last = int(np.count_nonzero(finite)) - 1
-        orders = [min(kk, last) for kk in orders]
-        columns["reason"] = (
-            f"K' capped at {last}: beyond it the sum of squared orbit norms, "
-            "which bounds B, overflows"
-        )
-    growth = section_bounds(orb, [(orb.order, kk) for kk in orders])
-    columns["B_trend"] = [b.B_est for b in growth]
-    return growth, columns
-
-
-def _no_frame_signature(orb, scan) -> tuple[dict, bool, FrameBounds]:
-    """Whether the orbit shows that it is no frame, read the way the norm
-    trend of scan (a BoundaryModulusReport of orb's symbol) says it can.
-
-    Growing norms blow up the upper bound: the `B_trend` of _growth_trend
-    must rise more than tenfold.  Otherwise the lower bound must collapse:
-    the last `A_trend` point of _square_trend is numerically zero or below
-    1e-8 of its B, and only `decays_to_zero` norms can show that.  Returns
-    the columns (the norm trend, its rate lim ||phi^n f||^(1/n) =
-    max_T |phi|, and the trend read), whether the signature is shown, and
-    the last FrameBounds of the trend.
+    Growing norms blow up the upper bound, since B >= ||phi^n f||^2 for
+    every n: the exact `log10_norm_sq_trend`, at the n of
+    _trend_orders(K), must rise by more than 1 (tenfold), and no orbit
+    is built.  Otherwise the orbit at (N, K) is built and its lower bound
+    must collapse: the last `A_trend` point of _square_trend is
+    numerically zero or below 1e-8 of its B, and only `decays_to_zero`
+    norms can show that.  Returns the columns (the norm trend, its rate
+    lim ||phi^n f||^(1/n) = max_T |phi|, and the trend read), whether
+    the signature is shown, and the orbit and the last FrameBounds of its
+    trend, both None when the norms grow.
     """
     columns = {"decay_classification": scan.norm_trend, "decay_rate": scan.max_modulus}
     if scan.norm_trend == "grows":
-        growth, growth_columns = _growth_trend(orb)
-        columns.update(growth_columns)
-        return columns, bool(growth[-1].B_est > 10.0 * growth[0].B_est), growth[-1]
+        grid = BoundaryGrid(config.boundary_grid)
+        orders = _trend_orders(config.orbit_length)
+        trend = log10_orbit_norms_sq(spec, seed, grid, orders)
+        columns["log10_norm_sq_trend"] = trend
+        return columns, trend[-1] - trend[0] > 1.0, None, None
+    orb = _orbit(config, spec, seed)
     trend, trend_columns = _square_trend(orb)
     last = trend[-1]
     columns.update(trend_columns)
@@ -147,7 +139,7 @@ def _no_frame_signature(orb, scan) -> tuple[dict, bool, FrameBounds]:
     shown = scan.norm_trend == "decays_to_zero" and bool(
         last.numerically_zero_lower or last.A_est < 1e-8 * last.B_est
     )
-    return columns, shown, last
+    return columns, shown, orb, last
 
 
 def _bounds_columns(bounds) -> dict:
@@ -181,9 +173,9 @@ def _trend_orders(n: int) -> list:
 def _verify_p1(config: ExperimentConfig) -> tuple[str, dict]:
     grid = BoundaryGrid(config.boundary_grid)
 
-    def check(orb):
-        scan = boundary_modulus(orb.symbol.spec, grid, config.tolerances.inner_tol)
-        signature, shown, last = _no_frame_signature(orb, scan)
+    def check(spec, seed):
+        scan = boundary_modulus(spec, grid, config.tolerances.inner_tol)
+        signature, shown, _, last = _no_frame_signature(config, spec, seed, scan)
         entry = {
             "innerness_verdict": scan.verdict,
             "sub_unit_fraction": scan.sub_unit_fraction,
@@ -249,7 +241,8 @@ _P2_RANDOM_COEFFS = {
 
 
 def _verify_p2(config: ExperimentConfig) -> tuple[str, dict]:
-    def check(orb, confined_seed):
+    def check(spec, seed, confined_seed):
+        orb = _orbit(config, spec, seed)
         cyc = cyclicity_rank(orb, config.tolerances.rank_tol)
         bounds = bounds_from_singular_values(orb.singular_values, orb.V.shape)
         witness = _span_deficit_witness(orb)
@@ -311,14 +304,13 @@ def _confinement_holds(orb) -> bool:
 
 
 def _verify_p3(config: ExperimentConfig) -> tuple[str, dict]:
-    n, k = config.truncation_order, config.orbit_length
     evidence = {}
     consistent = True
     # the probes 1 and 1 + z, one row each
     probes = np.array([[1.0, 0.0], [1.0, 1.0]])
     for label, theta in (("pi_over_4", np.pi / 4), ("pi_over_7", np.pi / 7)):
         spec = SymbolSpec.constant(np.exp(1j * theta))
-        orb = orbit_for(spec, (1.0,), n, k)
+        orb = _orbit(config, spec, (1.0,))
         columns = partial_frame_sums(probes, orb).T
         for g_label, g, sums in zip(("one", "one_plus_z"), probes, columns):
             increments = np.diff(np.concatenate([[0.0], sums]))
@@ -353,15 +345,16 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
     inside symbol's orbit must decay and the outside one's grow.
 
     The same extremes give `decay_classification`, so on these symbols it
-    restates the hypothesis.  What tests the conclusion against the orbit
-    data is the no-frame signature (the collapse of `A_trend` for the
-    inside symbol, the growth of `B_trend` for the outside one) and
-    `norms_below_geometric_envelope`."""
+    restates the hypothesis.  What tests the conclusion is the no-frame
+    signature (the collapse of the inside symbol's orbit `A_trend`, the
+    rise of the outside symbol's exact `log10_norm_sq_trend`, for which no
+    orbit is built) and `norms_below_geometric_envelope` of the inside
+    orbit."""
     grid = BoundaryGrid(config.boundary_grid)
 
-    def check(orb):
-        scan = boundary_modulus(orb.symbol.spec, grid)
-        signature, shown, _ = _no_frame_signature(orb, scan)
+    def check(spec, seed):
+        scan = boundary_modulus(spec, grid)
+        signature, shown, orb, _ = _no_frame_signature(config, spec, seed, scan)
         entry = {
             "intersects_circle": scan.intersects_circle,
             "min_modulus": scan.min_modulus,
@@ -390,7 +383,8 @@ def _verify_p4i(config: ExperimentConfig) -> tuple[str, dict]:
 
 
 def _verify_p4ii(config: ExperimentConfig) -> tuple[str, dict]:
-    def check(orb):
+    def check(spec, seed):
+        orb = _orbit(config, spec, seed)
         found = zeros_in_disk(orb.seed, margin=0.05)
         bounds = bounds_from_singular_values(orb.singular_values, orb.V.shape)
         max_norm = float(np.max(orb.norms))
@@ -529,7 +523,8 @@ def _verify_ex_3_1(config: ExperimentConfig) -> tuple[str, dict]:
 
 
 def _verify_p6(config: ExperimentConfig) -> tuple[str, dict]:
-    def check(orb):
+    def check(spec, seed):
+        orb = _orbit(config, spec, seed)
         cyc = cyclicity_rank(orb, config.tolerances.rank_tol)
         trend, trend_columns = _square_trend(orb)
         final = trend[-1]

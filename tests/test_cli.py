@@ -668,17 +668,20 @@ def test_verify_p6_inconclusive_exits_0(capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
 
 
-def test_verify_p4i_growth_trend_capped_at_512(capsys):
-    # B of the constant(2) orbit at K = 512 would be about 4^513; the
-    # trend caps K' where the squared norms still sum to a finite value
-    argv = ["verify", "P4i", "--truncation", "512", "--orbit-len", "512", "--grid", "4096"]
+@pytest.mark.parametrize("n", [512, 1024])
+def test_verify_p4i_growth_trend_finite_at_large_n(capsys, n):
+    # ||2^n||^2 = 4^n overflows past n = 511, and the orbit of constant(2)
+    # at N = K = 1024 with it; the growth trend is read as exact log norms
+    # with no orbit, so it stays finite and needs no cap
+    argv = ["verify", "P4i", "--truncation", str(n), "--orbit-len", str(n),
+            "--grid", str(8 * n)]
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "consistent"
-    growth = payload["evidence"]["outside_constant_two"]
-    assert "K' capped at 511" in growth["reason"]
-    assert all(np.isfinite(growth["B_trend"]))
-    assert "reason" not in payload["evidence"]["inside_scaled_blaschke"]
+    assert "reason" not in json.dumps(payload)
+    trend = payload["evidence"]["outside_constant_two"]["log10_norm_sq_trend"]
+    assert np.isfinite(trend).all()
+    assert trend[-1] == pytest.approx(n * np.log10(4.0), rel=1e-12)
 
 
 def test_verify_unknown_id_exits_2(capsys):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,13 +11,14 @@ from hardyframes.frames import (
     bounds_from_singular_values,
     frame_bounds_estimate,
     gram,
+    log10_orbit_norms_sq,
     partial_frame_sums,
     section_bounds,
 )
 from hardyframes import orbits
 from hardyframes.diagnostics import kernel_orthogonality_witness, reproducing_kernel
 from hardyframes.orbits import _singular_values, orbit, orbit_for
-from hardyframes.series import series_from_coeffs
+from hardyframes.series import BoundaryGrid, series_from_coeffs
 from hardyframes.symbols import SymbolSpec, realize
 
 
@@ -33,6 +35,47 @@ def seed(coeffs, order):
 def make_orbit(spec, seed_coeffs, k, order):
     sym = realize(spec, order)
     return orbit(sym, seed(seed_coeffs, order), k, order)
+
+
+# -- exact orbit norms ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [SymbolSpec.scaled_shift(1.25), SymbolSpec.constant(1.25)])
+def test_orbit_norms_of_a_one_term_symbol_are_powers_of_its_modulus(spec):
+    # ||(1.25 z)^n||^2 = ||1.25^n||^2 = 1.5625^n
+    powers = [1, 8, 64, 1000]
+    got = log10_orbit_norms_sq(spec, (1.0,), BoundaryGrid(64), powers)
+    assert got == pytest.approx([n * np.log10(1.5625) for n in powers], rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [4, 64])
+def test_orbit_norms_of_c_z_squared_are_exact_at_any_grid_past_the_seed(size):
+    # |c z^2| = |c| on T, so ||(c z^2)^n f||^2 = |c|^(2n) ||f||^2 on any
+    # grid of M > deg f points, however far deg((c z^2)^n f) passes M
+    c, f = 1.7 * np.exp(0.3j), (0.5, -1.2j, 2.0)
+    spec = SymbolSpec.polynomial([0.0, 0.0, c])
+    powers = [1, 5, 100, 1000]
+    got = log10_orbit_norms_sq(spec, f, BoundaryGrid(size), powers)
+    norm_sq = sum(abs(a) ** 2 for a in f)
+    expected = [n * np.log10(abs(c) ** 2) + np.log10(norm_sq) for n in powers]
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_orbit_norms_of_one_plus_z_are_central_binomials():
+    # ||(1 + z)^n||^2 = sum_k C(n, k)^2 = C(2n, n), exact on M > n points
+    powers = [1, 2, 7, 64, 300, 511]
+    spec = SymbolSpec.polynomial([1.0, 1.0])
+    got = log10_orbit_norms_sq(spec, (1.0,), BoundaryGrid(512), powers)
+    expected = [math.log10(math.comb(2 * n, n)) for n in powers]
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_orbit_norms_do_not_overflow():
+    # 4^1024 is no float; its log is
+    spec = SymbolSpec.constant(2.0)
+    (got,) = log10_orbit_norms_sq(spec, (1.0,), BoundaryGrid(8192), [1024])
+    assert np.isfinite(got)
+    assert got == pytest.approx(1024 * np.log10(4.0), rel=1e-12)
 
 
 # -- frame sums -----------------------------------------------------------------

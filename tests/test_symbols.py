@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hardyframes.jsonio import dumps_canonical
 from hardyframes.orbits import orbit_for
 from hardyframes.series import BoundaryGrid, mul, series_from_coeffs
 from hardyframes.symbols import (
@@ -12,6 +13,8 @@ from hardyframes.symbols import (
     describe,
     evaluate_symbol,
     realize,
+    spec_from_json,
+    spec_to_json,
     vanishes_in_disk,
 )
 
@@ -396,3 +399,36 @@ def test_ring_values_of_closed_forms_are_the_closed_form(spec):
         assert np.max(np.abs(got - evaluate_symbol(spec, grid.points))) <= 16 * EPS
     else:
         assert got.tobytes() == evaluate_symbol(spec, grid.points).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SymbolSpec.constant(0.5 - 2j),
+        SymbolSpec.monomial(3),
+        SymbolSpec.scaled_shift(-1.25),
+        SymbolSpec.polynomial([1.0, 0.0, 0.3j]),
+        SymbolSpec.blaschke([0.5, -0.2 + 0.3j], prefactor=1j),
+    ],
+    ids=["constant", "monomial", "scaled_shift", "polynomial", "blaschke"],
+)
+def test_named_specs_round_trip_through_json(spec):
+    obj = spec_to_json(spec)
+    again = spec_from_json(obj)
+    assert again == spec
+    assert dumps_canonical(spec_to_json(again)) == dumps_canonical(obj)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SymbolSpec(kind="blaschke", zeros=(0.3,), power=2),  # no power field
+        SymbolSpec(kind="blaschke", zeros=(0.5,), value=0.9),  # prefactor not unimodular
+        SymbolSpec(kind="constant", value=2.0, coeffs=(1.0, 2.0)),  # no coeffs field
+    ],
+    ids=["blaschke-power", "blaschke-value", "constant-coeffs"],
+)
+def test_spec_to_json_refuses_a_spec_its_kind_cannot_carry(spec):
+    # each would be written as another spec, or as one spec_from_json refuses
+    with pytest.raises(ValueError, match="cannot carry"):
+        spec_to_json(spec)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hardyframes import orbits, symbols
+from hardyframes import frames, orbits, symbols
 from hardyframes.cli import default_config, main
 from hardyframes.config import ExperimentConfig, ToleranceSettings
 from hardyframes.diagnostics import cyclicity_rank
@@ -254,8 +254,9 @@ def test_p2_witness_is_orthogonal_to_the_orbit_at_every_resolution(order, k):
 @pytest.mark.parametrize(
     "prop, calls_expected",
     [
-        # P1: only the constant cases, one nonzero column each, are factored
-        ("P1", 6),
+        # P1: only constant_half's square trend, one nonzero column per
+        # section, is factored; the growing cases build no orbit
+        ("P1", 3),
         # P6: only the Blaschke and 1 - z seeds are; Ex_3_1 never is
         ("P6", 6),
         ("Ex_3_1", 0),
@@ -280,30 +281,26 @@ def test_shift_and_monomial_seed_one_orbits_skip_lapack(config, monkeypatch, pro
 
 
 # at N = 1 and 2, P4i's inside symbol 0.9 b_{1/2} cut to order N would
-# read |phi| up to 1.125 and 1.042 on T; the spec is read exactly
+# read |phi| up to 1.125 and 1.042 on T; the spec is read exactly.  Where
+# K' > N the rows z^n of 1.25 z truncate to 0, and at N = K = 1024 the
+# orbit of constant(2) overflows: the growth of the exact norms needs no
+# orbit
 SWEEP = ((8, 8), (16, 16), (17, 17), (3, 40), (32, 32), (24, 60), (40, 200),
          (20, 5), (16, 3), (10, 2), (64, 1), (64, 6), (60, 24), (33, 33), (12, 12),
-         (1, 8), (2, 8))
-# P1 fails on a true case at these resolutions: the B_trend of shift_5_4
-# is flat once its K' pass N, where every row z^n truncates to 0, so it
-# stays below the tenfold growth of the no-frame signature
-P1_FLAT_GROWTH = {(8, 8), (3, 40), (10, 2), (40, 200), (12, 12), (1, 8), (2, 8)}
-P1_THRESHOLD_FAILURES = "flat shift_5_4 B_trend at K' > N"
+         (1, 8), (2, 8), (512, 512), (1024, 1024))
 
 
 def _sweep_cases():
     for n, k in SWEEP:
-        yield pytest.param("P4i", n, k, id=f"P4i-{n}-{k}")
-        marks = ()
-        if (n, k) in P1_FLAT_GROWTH:
-            marks = pytest.mark.xfail(strict=True, reason=P1_THRESHOLD_FAILURES)
-        yield pytest.param("P1", n, k, marks=marks, id=f"P1-{n}-{k}")
+        for prop in ("P4i", "P1"):
+            yield pytest.param(prop, n, k, id=f"{prop}-{n}-{k}")
 
 
 @pytest.mark.parametrize("prop, n, k", _sweep_cases())
 def test_p1_p4i_consistent_at_any_orbit_length(prop, n, k):
-    # the trend of the orbit norms comes from |phi| on the circle, so no
-    # orbit length is too short to decide it
+    # the trend of the orbit norms comes from |phi| on the circle and
+    # their growth from the exact norms, so no orbit length is too short
+    # or too long to decide it
     config = ExperimentConfig(
         symbol=SymbolSpec.monomial(1), truncation_order=n, orbit_length=k,
         boundary_grid=max(512, 8 * max(n, k)),
@@ -317,47 +314,58 @@ def test_p1_p4i_consistent_at_any_orbit_length(prop, n, k):
     "spec, trend_column, shown",
     [
         (SymbolSpec.scaled_shift(0.5), "A_trend", True),  # decays_to_zero
-        (SymbolSpec.constant(2.0), "B_trend", True),  # grows
+        (SymbolSpec.constant(2.0), "log10_norm_sq_trend", True),  # grows
         (SymbolSpec.blaschke([0.5]), "A_trend", False),  # bounded_non_decaying
     ],
     ids=["decays", "grows", "bounded"],
 )
-def test_no_frame_signature_follows_the_norm_trend(spec, trend_column, shown):
-    # decaying norms must collapse A, growing norms must blow up B, and an
-    # inner symbol's orbit shows neither, though its A_trend is written
-    orb = orbits.orbit_for(spec, (1.0,), 64, 64)
-    scan = boundary_modulus(orb.symbol.spec, BoundaryGrid(512))
-    columns, signature, last = verify_module._no_frame_signature(orb, scan)
+def test_no_frame_signature_follows_the_norm_trend(config, spec, trend_column, shown):
+    # decaying norms must collapse A, growing norms ||phi^n f||^2 <= B must
+    # rise tenfold, read exactly with no orbit, and an inner symbol's orbit
+    # shows neither, though its A_trend is written
+    scan = boundary_modulus(spec, BoundaryGrid(config.boundary_grid))
+    columns, signature, orb, last = verify_module._no_frame_signature(
+        config, spec, (1.0,), scan
+    )
     assert signature is shown
     assert columns["decay_classification"] == scan.norm_trend
     assert columns["decay_rate"] == scan.max_modulus
     trend = columns[trend_column]
     assert len(trend) == 3
     if trend_column == "A_trend":
+        assert _is_orbit_of(orb, spec, (1.0,)) and orb.length == config.orbit_length + 1
         assert trend[-1] == last.A_est
         assert columns["lower_bound_numerically_zero"] == last.numerically_zero_lower
     else:
-        assert trend[-1] == last.B_est
+        assert orb is None and last is None
+        # ||2^n||^2 = 4^n at n = 16, 32, 64, the _trend_orders of K = 64
+        assert trend == pytest.approx([n * np.log10(4.0) for n in (16, 32, 64)], rel=1e-12)
         assert "lower_bound_numerically_zero" not in columns
 
 
 @pytest.mark.parametrize("prop", ["P1", "P4i"])
 @pytest.mark.parametrize("k", [7, 8, 13])
 def test_growth_trend_past_a_short_orbit_is_not_capped(prop, k):
-    # for K < 16 the growth trend reads B beyond row K; nothing overflows,
-    # so those points need their own orbits rather than a cap at K
+    # for K < 16 the growth trend reads the norms at n = 8, 12, 16, past
+    # row K; they are exact, n log10 |phi|^2 for these one-term symbols
+    # from seed 1, with no orbit and no cap at K
     config = ExperimentConfig(
         symbol=SymbolSpec.monomial(1), truncation_order=32, orbit_length=k
     )
     report = verify(prop, config)
     assert report.verdict == "consistent", report.evidence
     assert "reason" not in json.dumps(report_to_json(report))
-    trends = [
-        e["B_trend"]
-        for e in report.evidence.values()
-        if isinstance(e, dict) and "B_trend" in e
-    ]
-    assert trends and all(t[-1] > 10.0 * t[0] for t in trends)
+    trends = {
+        label: e["log10_norm_sq_trend"]
+        for label, e in report.evidence.items()
+        if "log10_norm_sq_trend" in e
+    }
+    modulus = {"P1": 1.25, "P4i": 2.0}[prop]
+    assert len(trends) == {"P1": 2, "P4i": 1}[prop]
+    for label, trend in trends.items():
+        expected = [n * np.log10(modulus**2) for n in (8, 12, 16)]
+        assert trend == pytest.approx(expected, rel=1e-12), label
+        assert trend[-1] > trend[0] + 1.0
 
 
 def test_p6_factors_only_real_matrices(config, monkeypatch):
@@ -527,7 +535,7 @@ def test_one_disagreeing_case_makes_the_suite_inconsistent(
 
 
 _CASE_ORBITS = {
-    "P1": 4, "P2": 8, "P3": 2, "P4i": 2, "P4ii": 3,
+    "P1": 2, "P2": 8, "P3": 2, "P4i": 1, "P4ii": 3,
     "Ex_constant": 1, "Ex_half_shift": 1, "Ex_3_1": 2, "P6": 4,
 }
 
@@ -535,22 +543,24 @@ _CASE_ORBITS = {
 @pytest.mark.parametrize(
     "n, k, trend_orbits, total",
     [
-        pytest.param(64, 64, {}, 27, id="64"),
-        pytest.param(256, 256, {}, 27, id="256"),
-        # every square and growth trend reaches k' = 16 > K
-        pytest.param(8, 8, {"P1": 4, "P4i": 2, "P6": 4}, 37, id="N8-K8"),
-        # the square trends reach (30, 30) and (60, 60); the growth trends fit
-        pytest.param(60, 24, {"P1": 2, "P4i": 1, "P6": 4}, 34, id="N60-K24"),
+        pytest.param(64, 64, {}, 24, id="64"),
+        pytest.param(256, 256, {}, 24, id="256"),
+        # every square trend reaches n' = 16 > K
+        pytest.param(8, 8, {"P1": 2, "P4i": 1, "P6": 4}, 31, id="N8-K8"),
+        # the square trends reach (30, 30) and (60, 60)
+        pytest.param(60, 24, {"P1": 2, "P4i": 1, "P6": 4}, 31, id="N60-K24"),
     ],
 )
 def test_each_suite_builds_a_fixed_number_of_orbits(n, k, trend_orbits, total, monkeypatch):
-    # one orbit per case or worked example, plus Ex_3_1's one seed 1 - z
-    # orbit: 27 builds per battery; at K = N every trend point is a
-    # leading block of a case orbit, so none builds its own, and otherwise
-    # each trend with a point beyond (N, K) builds one orbit, at its
-    # largest point.  Each orbit that is probed pairs all its probes in
-    # one product: 13 per battery.  Only P1 and P4i read |phi| on the
-    # circle, one sample per case
+    # one orbit per case or worked example whose orbit is read, plus
+    # Ex_3_1's one seed 1 - z orbit: 24 builds per battery, since P1's and
+    # P4i's three growing cases read exact norms and build none.  At K = N
+    # every square-trend point is a leading block of a case orbit, so none
+    # builds its own, and otherwise each square trend builds one orbit, at
+    # its largest point.  Each orbit that is probed pairs all its probes
+    # in one product: 13 per battery.  Only P1 and P4i read |phi| on the
+    # circle: one sample per case for the norm trend, and one more per
+    # growing case for its exact norms
     built, products, samples = [], [], []
     real, real_sums = orbits.orbit, verify_module.partial_frame_sums
     real_values = symbols.boundary_values
@@ -570,6 +580,7 @@ def test_each_suite_builds_a_fixed_number_of_orbits(n, k, trend_orbits, total, m
     monkeypatch.setattr(orbits, "orbit", counting)
     monkeypatch.setattr(verify_module, "partial_frame_sums", counting_sums)
     monkeypatch.setattr(symbols, "boundary_values", counting_values)
+    monkeypatch.setattr(frames, "boundary_values", counting_values)
     config = ExperimentConfig(
         symbol=SymbolSpec.monomial(1),
         truncation_order=n,
@@ -587,5 +598,5 @@ def test_each_suite_builds_a_fixed_number_of_orbits(n, k, trend_orbits, total, m
         "P2": 8, "P3": 2, "Ex_constant": 1, "Ex_half_shift": 1, "Ex_3_1": 1,
     }
     assert {prop: samples.count(prop) for prop in PROPOSITIONS} == {
-        prop: {"P1": 4, "P4i": 2}.get(prop, 0) for prop in PROPOSITIONS
+        prop: {"P1": 6, "P4i": 3}.get(prop, 0) for prop in PROPOSITIONS
     }
